@@ -143,10 +143,9 @@ def cli():
 
 @cli.command()
 @click.argument("diagram", type=click.Path(exists=True))
-@click.option("--depth", default=DEFAULT_DEPTH, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--emit", type=click.Path())
-def decompose(diagram, depth, as_json, emit):
+def decompose(diagram, as_json, emit):
     """Stream decomposition: streams, pool, and block matrices."""
     d = _load_diagram(diagram)
     dec = stream_decompose(d.seq)

@@ -8,7 +8,8 @@ float.
 
 from fractions import Fraction
 
-from .errors import EmptyCone, NotPrimitive, NonPositiveEntry, DepthExceeded
+from .errors import (EmptyCone, NotPrimitive, NonPositiveEntry, DepthExceeded,
+                     InternalError)
 from . import matrixseq
 from .matrixseq import (
     GenMatrix,
@@ -451,8 +452,9 @@ def exact_ray(decomp, stream):
     m0 = seq.matrix(P)
     chk = m0.mul_vec(base[1] if L > 1 else
                      {a: v / Fraction(lam) for a, v in v_p.items()})
-    assert all(Fraction(chk.get(a, 0)) == v_p.get(a, Fraction(0))
-               for a in m0.rows), "eigen relation failed at the period seam"
+    if any(Fraction(chk.get(a, 0)) != v_p.get(a, Fraction(0))
+           for a in m0.rows):
+        raise InternalError("eigen relation failed at the period seam")
     prefix = [None] * P
     nxt = v_p
     for k in range(P - 1, -1, -1):

@@ -14,7 +14,6 @@ from .errors import (
     HorizonExceeded,
     ShapeMismatch,
 )
-from .verdict import Verdict
 from . import matrixseq
 from .matrixseq import partial_product
 
@@ -154,9 +153,6 @@ class BratteliDiagram:
     def is_eventually_periodic(self):
         return self.seq.is_eventually_periodic
 
-    def edges_at(self, level):
-        return edges_from_matrix(level, self.seq.matrix(level))
-
     def to_json(self):
         out = matrixseq.to_json(self.seq)
         out["order"] = self.order.to_json()
@@ -244,30 +240,6 @@ def check_word(seq, word, start=0):
                                 % (word[j - 1], edge))
 
 
-def right_alive_symbols(seq, level):
-    """Symbols at `level` from which an infinite path exists.  Exact for
-    eventually periodic input; optimistic (everything alive) at the horizon
-    of a Truncated input."""
-    if seq.is_eventually_periodic:
-        P, T = seq.prefix_len, seq.period
-        cyc = matrixseq._right_alive_cycle(seq)
-        if level >= P:
-            return set(cyc[(level - P) % T])
-        nxt = set(cyc[0])
-        for k in range(P - 1, level - 1, -1):
-            m = seq.prefix[k]
-            nxt = {a for a in m.rows
-                   if any(b in nxt for (x, b) in m.entries if x == a)}
-        return nxt
-    h = seq.horizon
-    alive = set(seq.alphabet(h))
-    for k in range(h - 1, level - 1, -1):
-        m = seq.matrix(k)
-        alive = {a for a in m.rows
-                 if any(b in alive for (x, b) in m.entries if x == a)}
-    return alive
-
-
 class Cylinder:
     def __init__(self, seq, word, start=0):
         check_word(seq, word, start)
@@ -284,31 +256,6 @@ class Cylinder:
         if self.word:
             return self.word[-1][2]
         return None
-
-    def is_empty(self):
-        """Verdict: the cylinder contains no infinite path."""
-        if not self.word:
-            # whole space: nonempty iff some symbol is right-alive
-            alive = right_alive_symbols(self.seq, self.start)
-            if self.seq.is_eventually_periodic:
-                if alive:
-                    return Verdict.no({"alive": sorted(alive)})
-                return Verdict.yes({"reason": "no right-extendable symbol"})
-            if alive:
-                return Verdict.undecided(self.seq.horizon,
-                                         {"alive_to_horizon": sorted(alive)})
-            return Verdict.yes({"reason": "no extension within horizon"})
-        alive = right_alive_symbols(self.seq, self.end_level)
-        sym = self.end_symbol
-        if self.seq.is_eventually_periodic:
-            if sym in alive:
-                return Verdict.no({"end_symbol": sym})
-            return Verdict.yes({"end_symbol": sym,
-                                "reason": "not right-extendable"})
-        if sym in alive:
-            return Verdict.undecided(self.seq.horizon, {"end_symbol": sym})
-        return Verdict.yes({"end_symbol": sym,
-                            "reason": "no extension within horizon"})
 
     def __repr__(self):
         return "Cylinder(start=%d, word=%r)" % (self.start, self.word)

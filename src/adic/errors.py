@@ -75,3 +75,8 @@ class NoFiniteBaseMeasure(AdicError):
 
 class NotEigenvector(AdicError):
     pass
+
+
+class InternalError(AdicError):
+    """An internal consistency check failed: a defect in this package, not
+    in the input."""

@@ -9,9 +9,11 @@ cycle part; an SCC whose layered period is rho splits into rho cyclic
 classes, and each cyclic class traced around the cycle is one stream.
 """
 
+import collections
+import heapq
 import math
 
-from .errors import NotReduced, ShapeMismatch, NotIrreducible
+from .errors import NotReduced, ShapeMismatch, NotIrreducible, InternalError
 from . import matrixseq
 from .matrixseq import (
     GenMatrix,
@@ -23,48 +25,117 @@ from .matrixseq import (
 )
 
 
-# adapted from the classic recursive formulation of Tarjan's algorithm;
-# the returned component list is in reverse topological order.
 def strongly_connected_components(graph):
-    index_counter = [0]
-    stack = []
-    on_stack = set()
-    low_links = {}
-    index = {}
-    result = []
-
-    def strong_connect(node):
-        index[node] = index_counter[0]
-        low_links[node] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        for successor in graph.get(node, ()):
-            if successor not in low_links:
-                strong_connect(successor)
-                low_links[node] = min(low_links[node], low_links[successor])
-            elif successor in on_stack:
-                low_links[node] = min(low_links[node], index[successor])
-        if low_links[node] == index[node]:
-            component = []
-            while True:
-                successor = stack.pop()
-                on_stack.discard(successor)
-                component.append(successor)
-                if successor == node:
+    """Tarjan's algorithm with an explicit stack: the components in reverse
+    topological order, each as a sorted tuple.  Roots are tried in sorted
+    order and successors in the order the graph lists them."""
+    index, low = {}, {}
+    stack, on_stack, result = [], set(), []
+    for root in sorted(graph):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph.get(root, ())))]
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(graph.get(succ, ()))))
                     break
-            result.append(tuple(sorted(component)))
-
-    for node in sorted(graph):
-        if node not in low_links:
-            strong_connect(node)
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    result.append(tuple(sorted(component)))
     return result
 
 
-def communicates(seq, k, a, n, b):
-    """True iff there is an edge path from symbol a at level k to symbol b
-    at level n+1."""
-    return partial_product(seq, k, n).entry(a, b) > 0
+def _class_analysis(graph):
+    """SCC analysis of a directed graph {node: [successors]}.
+
+    Returns (scc_of, reach, order): the map from node to its strongly
+    connected component, for each component the set of nontrivial
+    components (those carrying a cycle) other than itself reachable from
+    it, and the nontrivial components sources first, taking the least
+    available one at each step.  Components are disjoint sorted tuples, so
+    "least" compares their first nodes."""
+    sccs = strongly_connected_components(graph)
+    scc_of = {node: scc for scc in sccs for node in scc}
+    big = [scc for scc in sccs
+           if len(scc) > 1 or scc[0] in graph.get(scc[0], ())]
+    is_big = set(big)
+    reach = {}
+    # Tarjan lists every component after all components it reaches
+    for scc in sccs:
+        hits = set()
+        for node in scc:
+            for succ in graph.get(node, ()):
+                tgt = scc_of[succ]
+                if tgt != scc:
+                    hits |= reach[tgt]
+                    if tgt in is_big:
+                        hits.add(tgt)
+        reach[scc] = hits
+    reached_by = dict.fromkeys(big, 0)
+    for scc in big:
+        for tgt in reach[scc]:
+            reached_by[tgt] += 1
+    available = [scc for scc in big if not reached_by[scc]]
+    heapq.heapify(available)
+    order = []
+    while available:
+        pick = heapq.heappop(available)
+        order.append(pick)
+        for tgt in reach[pick]:
+            reached_by[tgt] -= 1
+            if not reached_by[tgt]:
+                heapq.heappush(available, tgt)
+    return scc_of, reach, order
+
+
+def _depths_and_period(graph, scc):
+    """Breadth-first depths from scc[0] inside one SCC, and its period: the
+    gcd of depth[u] + 1 - depth[v] over the SCC's edges u -> v (1 when the
+    gcd is 0)."""
+    inside = set(scc)
+    depth = {scc[0]: 0}
+    queue = collections.deque([scc[0]])
+    while queue:
+        node = queue.popleft()
+        for succ in graph.get(node, ()):
+            if succ in inside and succ not in depth:
+                depth[succ] = depth[node] + 1
+                queue.append(succ)
+    rho = 0
+    for node in scc:
+        for succ in graph.get(node, ()):
+            if succ in inside:
+                rho = math.gcd(rho, depth[node] + 1 - depth[succ])
+    return depth, rho or 1
+
+
+def _matrix_graph(m):
+    """The graph {row: sorted columns with a nonzero entry} of a matrix."""
+    graph = {a: [] for a in m.rows}
+    for (a, b) in m.entries:
+        graph[a].append(b)
+    return {a: sorted(succs) for a, succs in graph.items()}
 
 
 class Stream:
@@ -231,25 +302,6 @@ class StreamDecomposition:
             entries[(self.block_label(asg0[a]), self.block_label(asg1[b]))] = 1
         return GenMatrix(tuple(rows), tuple(cols), entries)
 
-    def connection_graph(self):
-        """Directed graph on stream indices: i -> j iff some edge path leads
-        from stream i into stream j (i != j), possibly through the pool."""
-        out = {s.index: set() for s in self.streams}
-        P, L = self.valid_from, self.lcm_period
-        for j in range(L):
-            m = self.seq.matrix(P + j)
-            asg0 = self.block_assignment(P + j)
-            for (a, b) in m.entries:
-                k0, k1 = asg0[a], self.block_assignment(P + j + 1)[b]
-                if k0[0] == "stream":
-                    if k1[0] == "stream" and k1[1] != k0[1]:
-                        out[k0[1]].add(k1[1])
-                    elif k1[0] == "pool":
-                        reach = self._reach.get(((P + j + 1 - P) % L, b),
-                                                frozenset())
-                        out[k0[1]] |= {i for i in reach if i != k0[1]}
-        return out
-
     def __repr__(self):
         return ("StreamDecomposition(%d streams, valid_from=%d%s)"
                 % (len(self.streams), self.valid_from,
@@ -261,10 +313,8 @@ def _lifted_graph(seq):
     T = seq.period
     graph = {}
     for p in range(T):
-        m = seq.cycle[p]
-        for a in m.rows:
-            graph[(p, a)] = sorted({((p + 1) % T, b)
-                                    for (x, b) in m.entries if x == a})
+        for a, succs in _matrix_graph(seq.cycle[p]).items():
+            graph[(p, a)] = [((p + 1) % T, b) for b in succs]
     return graph
 
 
@@ -279,67 +329,12 @@ def stream_decompose(seq):
         raise NotReduced("reduce the sequence before decomposing")
     P, T = seq.prefix_len, seq.period
     graph = _lifted_graph(seq)
-    sccs = strongly_connected_components(graph)
-
-    def nontrivial(scc):
-        if len(scc) > 1:
-            return True
-        node = scc[0]
-        return node in graph.get(node, ())
-
-    big = [scc for scc in sccs if nontrivial(scc)]
-    scc_of = {}
-    for scc in sccs:
-        for node in scc:
-            scc_of[node] = scc
-
-    # reachability between nontrivial SCCs (through anything)
-    reach_scc = {}
-    for scc in big:
-        seen, stack = set(), list(scc)
-        hits = set()
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            for succ in graph.get(node, ()):
-                tgt = scc_of[succ]
-                if tgt is not scc and nontrivial(tgt):
-                    hits.add(tgt)
-                stack.append(succ)
-        reach_scc[scc] = hits
-
-    # deterministic topological order of the nontrivial SCCs (sources first)
-    remaining = set(big)
-    order = []
-    while remaining:
-        available = [scc for scc in remaining
-                     if not any(scc in reach_scc[other]
-                                for other in remaining if other is not scc)]
-        pick = min(available, key=lambda scc: scc[0])
-        order.append(pick)
-        remaining.discard(pick)
+    _, _, order = _class_analysis(graph)
 
     # cyclic structure of each SCC
     scc_data = []
     for scc in order:
-        root = scc[0]
-        depth = {root: 0}
-        queue = [root]
-        while queue:
-            node = queue.pop(0)
-            for succ in graph.get(node, ()):
-                if succ in scc_of and scc_of[succ] is scc:
-                    if succ not in depth:
-                        depth[succ] = depth[node] + 1
-                        queue.append(succ)
-        rho = 0
-        for node in scc:
-            for succ in graph.get(node, ()):
-                if scc_of[succ] is scc:
-                    rho = math.gcd(rho, depth[node] + 1 - depth[succ])
-        rho = rho or 1
+        depth, rho = _depths_and_period(graph, scc)
         ell = {node: depth[node] % rho for node in scc}
         # valid residues r: the stream (scc, r) is nonempty at some level,
         # i.e. r = ell(u) - (phase(u) + t*T) mod rho for some node and t
@@ -512,13 +507,6 @@ class FrobeniusForm:
         self.permutations = permutations    # level -> symbol order used
         self.block_alphabets = block_alphabets  # per gathered level
 
-    def diagonal_block(self, gathered_level, block):
-        m = self.form.matrix(gathered_level)
-        rows = [a for a, blk in self.block_alphabets[gathered_level] if blk == block]
-        nxt = min(gathered_level + 1, len(self.block_alphabets) - 1)
-        cols = [a for a, blk in self.block_alphabets[nxt] if blk == block]
-        return m.restrict(tuple(rows), tuple(cols))
-
 
 def frobenius_form(seq):
     """Permute and gather an eventually periodic reduced sequence into the
@@ -576,7 +564,8 @@ def frobenius_form(seq):
     for i, t in enumerate(times[:-1]):
         prod = partial_product(seq, t, times[i + 1] - 1)
         g = form.matrix(min(i, len(prefix)))
-        assert prod.entries == g.entries
+        if prod.entries != g.entries:
+            raise InternalError("form does not conjugate the sequence")
 
     return FrobeniusForm(decomp, form, times, permutations, block_alphabets)
 
@@ -641,22 +630,7 @@ class StationaryFrobenius:
 
 def matrix_period(m, scc):
     """gcd of cycle lengths within one SCC of a square matrix."""
-    root = scc[0]
-    depth = {root: 0}
-    queue = [root]
-    inside = set(scc)
-    while queue:
-        a = queue.pop(0)
-        for b in m.cols:
-            if m.entry(a, b) and b in inside and b not in depth:
-                depth[b] = depth[a] + 1
-                queue.append(b)
-    rho = 0
-    for a in scc:
-        for b in m.cols:
-            if m.entry(a, b) and b in inside:
-                rho = math.gcd(rho, depth[a] + 1 - depth[b])
-    return rho or 1
+    return _depths_and_period(_matrix_graph(m), scc)[1]
 
 
 def stationary_frobenius(m):
@@ -666,16 +640,11 @@ def stationary_frobenius(m):
     themselves) sit just before the first class they communicate to."""
     if set(m.rows) != set(m.cols):
         raise ShapeMismatch("stationary form needs a square matrix")
-    graph = {a: sorted(b for b in m.cols if m.entry(a, b)) for a in m.rows}
-    sccs = strongly_connected_components(graph)
-
-    def nontrivial(scc):
-        return len(scc) > 1 or m.entry(scc[0], scc[0]) > 0
-
-    classes = [scc for scc in sccs if nontrivial(scc)]
+    graph = _matrix_graph(m)
+    _, _, classes = _class_analysis(graph)
     power = 1
     for scc in classes:
-        power = math.lcm(power, matrix_period(m, scc))
+        power = math.lcm(power, _depths_and_period(graph, scc)[1])
 
     mp = m
     for _ in range(power - 1):
@@ -683,56 +652,19 @@ def stationary_frobenius(m):
 
     # re-run the class analysis on M^power: the cyclic classes split off and
     # every nontrivial class of M^power is primitive
-    graph_p = {a: sorted(b for b in mp.cols if mp.entry(a, b)) for a in mp.rows}
-    sccs_p = strongly_connected_components(graph_p)
+    scc_of, reach, order = _class_analysis(_matrix_graph(mp))
+    class_pos = {scc: i + 1 for i, scc in enumerate(order)}
 
-    def nontrivial_p(scc):
-        return len(scc) > 1 or mp.entry(scc[0], scc[0]) > 0
-
-    classes_p = [scc for scc in sccs_p if nontrivial_p(scc)]
-    scc_of = {}
-    for scc in sccs_p:
-        for a in scc:
-            scc_of[a] = scc
-
-    reach = {}
-    for scc in sccs_p:
-        seen, stack, hits = set(), list(scc), set()
-        while stack:
-            a = stack.pop()
-            if a in seen:
-                continue
-            seen.add(a)
-            for b in graph_p.get(a, ()):
-                tgt = scc_of[b]
-                if tgt is not scc and nontrivial_p(tgt):
-                    hits.add(tgt)
-                stack.append(b)
-        reach[scc] = hits
-
-    remaining = set(classes_p)
-    order = []
-    while remaining:
-        available = [scc for scc in remaining
-                     if not any(scc in reach[other]
-                                for other in remaining if other is not scc)]
-        pick = min(available)
-        order.append(pick)
-        remaining.discard(pick)
-    class_pos = {id(scc): i + 1 for i, scc in enumerate(order)}
-
-    pool_states = sorted(a for a in m.rows if not nontrivial_p(scc_of[a]))
+    pool_states = sorted(a for a in m.rows if scc_of[a] not in class_pos)
     blocks = []
     for i, scc in enumerate(order):
         pool_here = sorted(a for a in pool_states
                            if reach[scc_of[a]] and
-                           min(class_pos[id(s)] for s in reach[scc_of[a]]
-                               if id(s) in class_pos) == i + 1)
+                           min(class_pos[s] for s in reach[scc_of[a]]) == i + 1)
         if pool_here:
             blocks.append(("P%d" % (i + 1), tuple(pool_here), "pool"))
         blocks.append((str(i + 1), tuple(scc), "class"))
-    stuck = sorted(a for a in pool_states
-                   if not any(id(s) in class_pos for s in reach[scc_of[a]]))
+    stuck = sorted(a for a in pool_states if not reach[scc_of[a]])
     if stuck:
         blocks.append(("P%d" % (len(order) + 1), tuple(stuck), "pool"))
 

@@ -18,6 +18,7 @@ from .errors import (
     IncompatibleAlphabets,
     HorizonExceeded,
     ShapeMismatch,
+    InternalError,
 )
 from .verdict import Verdict
 
@@ -91,9 +92,6 @@ class GenMatrix:
     def entry_sum(self):
         return sum(self.entries.values())
 
-    def row_of(self, a):
-        return {b: self.entry(a, b) for b in self.cols if self.entry(a, b)}
-
     def mul(self, other):
         if set(self.cols) != set(other.rows):
             raise IncompatibleAlphabets(
@@ -138,15 +136,6 @@ class GenMatrix:
         rows, cols = tuple(rows), tuple(cols)
         entries = {(a, b): v for (a, b), v in self.entries.items()
                    if a in set(rows) and b in set(cols)}
-        return GenMatrix(rows, cols, entries)
-
-    def relabel(self, row_map=None, col_map=None):
-        rm = row_map or {}
-        cm = col_map or {}
-        rows = tuple(rm.get(a, a) for a in self.rows)
-        cols = tuple(cm.get(b, b) for b in self.cols)
-        entries = {(rm.get(a, a), cm.get(b, b)): v
-                   for (a, b), v in self.entries.items()}
         return GenMatrix(rows, cols, entries)
 
     def mul_vec(self, vec):
@@ -211,12 +200,6 @@ class MatrixSequence:
     @property
     def horizon(self):
         return None
-
-    def unroll(self, n):
-        return [self.matrix(i) for i in range(n)]
-
-    def alphabet_sizes(self, n):
-        return [len(self.alphabet(i)) for i in range(n)]
 
 
 class EventuallyPeriodic(MatrixSequence):
@@ -318,10 +301,6 @@ def constant(mat_lists, labels=None):
     return EventuallyPeriodic([], [m])
 
 
-def matmul(a, b):
-    return a.mul(b)
-
-
 def partial_product(seq, i, n):
     """The product matrix(i) * matrix(i+1) * ... * matrix(n), mapping level
     i to level n+1 (both endpoints inclusive)."""
@@ -416,6 +395,22 @@ def gather(seq, times=None, blocks=None):
 # reduction
 
 
+def _right_alive_step(m, nxt):
+    """Rows of m with an edge into the set `nxt` of next-level symbols."""
+    return {a for (a, b) in m.entries if b in nxt}
+
+
+def _survive_step(m, cur, alive):
+    """Symbols of `alive` reached by an edge of m from the set `cur`."""
+    return frozenset(b for (a, b) in m.entries if a in cur and b in alive)
+
+
+def _restrict_to(m, rows, cols):
+    """m restricted to the symbol sets rows x cols, keeping label order."""
+    return m.restrict(tuple(a for a in m.rows if a in rows),
+                      tuple(b for b in m.cols if b in cols))
+
+
 def _right_alive_cycle(seq):
     """Greatest fixpoint of 'has an edge into a surviving next-phase symbol'
     on the cycle alphabets.  Returns one frozenset per cycle phase."""
@@ -425,9 +420,7 @@ def _right_alive_cycle(seq):
     while changed:
         changed = False
         for p in range(T):
-            nxt = alive[(p + 1) % T]
-            keep = {a for a in alive[p]
-                    if any(b in nxt for (x, b) in seq.cycle[p].entries if x == a)}
+            keep = _right_alive_step(seq.cycle[p], alive[(p + 1) % T])
             if keep != alive[p]:
                 alive[p] = keep
                 changed = True
@@ -448,12 +441,9 @@ def reduce_sequence(seq):
         cyc_alive = _right_alive_cycle(seq)
         right = {}
         # backward through the prefix, seeded by the cycle fixpoint
-        nxt = set(cyc_alive[0])
+        nxt = cyc_alive[0]
         for k in range(P - 1, -1, -1):
-            m = seq.prefix[k]
-            right[k] = {a for a in m.rows
-                        if any(b in nxt for (x, b) in m.entries if x == a)}
-            nxt = right[k]
+            nxt = right[k] = _right_alive_step(seq.prefix[k], nxt)
 
         def right_alive(k):
             if k < P:
@@ -471,24 +461,17 @@ def reduce_sequence(seq):
                     loop_start = seen[state]
                     break
                 seen[state] = k
-            m = seq.matrix(k)
-            cur = survive[k]
-            nxt = frozenset(b for b in right_alive(k + 1)
-                            if any(a in cur for (a, x) in m.entries if x == b))
-            survive.append(nxt)
+            survive.append(_survive_step(seq.matrix(k), survive[k],
+                                         right_alive(k + 1)))
             k += 1
         loop_len = k - loop_start
-        new_prefix = [seq.matrix(i).restrict(
-            tuple(a for a in seq.matrix(i).rows if a in survive[i]),
-            tuple(b for b in seq.matrix(i).cols if b in survive[i + 1]))
-            for i in range(loop_start)]
+        new_prefix = [_restrict_to(seq.matrix(i), survive[i], survive[i + 1])
+                      for i in range(loop_start)]
         new_cycle = []
         for j in range(loop_len):
             i = loop_start + j
             tgt = survive[i + 1] if j < loop_len - 1 else survive[loop_start]
-            new_cycle.append(seq.matrix(i).restrict(
-                tuple(a for a in seq.matrix(i).rows if a in survive[i]),
-                tuple(b for b in seq.matrix(i).cols if b in tgt)))
+            new_cycle.append(_restrict_to(seq.matrix(i), survive[i], tgt))
         reduced = EventuallyPeriodic(new_prefix, new_cycle)
         log = {
             "levels": {i: sorted(set(seq.matrix(i).rows) - set(survive[i]))
@@ -504,19 +487,12 @@ def reduce_sequence(seq):
     h = seq.horizon
     right = {h: set(seq.alphabet(h))}
     for k in range(h - 1, -1, -1):
-        m = seq.matrix(k)
-        right[k] = {a for a in m.rows
-                    if any(b in right[k + 1] for (x, b) in m.entries if x == a)}
+        right[k] = _right_alive_step(seq.matrix(k), right[k + 1])
     survive = [frozenset(right[0])]
     for k in range(h):
-        m = seq.matrix(k)
-        cur = survive[k]
-        survive.append(frozenset(b for b in right[k + 1]
-                                 if any(a in cur for (a, x) in m.entries if x == b)))
-    terms = [seq.matrix(i).restrict(
-        tuple(a for a in seq.matrix(i).rows if a in survive[i]),
-        tuple(b for b in seq.matrix(i).cols if b in survive[i + 1]))
-        for i in range(h)]
+        survive.append(_survive_step(seq.matrix(k), survive[k], right[k + 1]))
+    terms = [_restrict_to(seq.matrix(i), survive[i], survive[i + 1])
+             for i in range(h)]
     log = {
         "levels": {i: sorted(set(seq.matrix(i).rows) - set(survive[i]))
                    for i in range(h)},
@@ -646,7 +622,9 @@ class StateSplit:
         for i in range(seq.prefix_len + seq.period
                        if seq.is_eventually_periodic else seq.horizon):
             A, B = self.pair(i)
-            assert A.mul(B).same_as(self.seq.matrix(i))
+            if not A.mul(B).same_as(self.seq.matrix(i)):
+                raise InternalError("split factors do not multiply back "
+                                    "at level %d" % i)
 
     def pair(self, i):
         if self.seq.is_eventually_periodic:
@@ -678,10 +656,6 @@ def state_split(seq):
 
 # ---------------------------------------------------------------------------
 # JSON
-
-
-def matrix_to_json(m):
-    return m.to_lists()
 
 
 def to_json(seq):

@@ -16,6 +16,7 @@ from .errors import (
     NoFiniteBaseMeasure,
     NotEigenvector,
     ShapeMismatch,
+    InternalError,
 )
 from .verdict import Verdict
 from . import matrixseq, cones
@@ -77,31 +78,31 @@ class CanonicalCover:
         self.mhat = mhat
         self.leq = leq  # the nesting verdict that was checked
 
-    def ambient_labels(self, k):
-        return tuple(primed(a) for a in self.mhat.alphabet(k))
 
-    def base_labels(self, k):
-        return tuple(self.mhat.alphabet(k))
+def _block_matrix(a, c, b):
+    """The block matrix [[A, C], [0, B]]: rows are A's rows primed, then B's
+    rows; columns are A's columns primed, then B's columns."""
+    rows = tuple(primed(x) for x in a.rows) + tuple(b.rows)
+    cols = tuple(primed(y) for y in a.cols) + tuple(b.cols)
+    entries = {(primed(x), primed(y)): v for (x, y), v in a.entries.items()}
+    entries.update(((primed(x), y), v) for (x, y), v in c.entries.items())
+    entries.update(b.entries)
+    return GenMatrix(rows, cols, entries)
+
+
+def _zero_extend(mb, mh):
+    """The base matrix mb on the ambient alphabets of mh."""
+    return GenMatrix(mh.rows, mh.cols, mb.entries)
 
 
 def _cover_matrix(mh, mb):
     """One level of the cover: [[Mhat, Mhat - M], [0, M]] over doubled
     (primed + unprimed) ambient alphabets, with M zero-extended."""
-    rows = tuple(primed(a) for a in mh.rows) + tuple(mh.rows)
-    cols = tuple(primed(b) for b in mh.cols) + tuple(mh.cols)
-    entries = {}
-    for (a, b), v in mh.entries.items():
-        entries[(primed(a), primed(b))] = v
-        c = v - mb.entry(a, b)
-        if c < 0:
-            raise NotNested("entry (%r,%r): %d > %d" % (a, b, mb.entry(a, b), v))
-        if c:
-            entries[(primed(a), b)] = c
     for (a, b), v in mb.entries.items():
         if v > mh.entry(a, b):
             raise NotNested("entry (%r,%r): %d > %d" % (a, b, v, mh.entry(a, b)))
-        entries[(a, b)] = v
-    return GenMatrix(rows, cols, entries)
+    base = _zero_extend(mb, mh)
+    return _block_matrix(mh, mh.sub(base), base)
 
 
 def canonical_cover(m, mhat):
@@ -124,8 +125,8 @@ def canonical_cover(m, mhat):
         mats = [_cover_matrix(mhat.matrix(k), m.matrix(k)) for k in range(h)]
         cover = Truncated(mats)
     for k, mat in enumerate(mats):
-        assert mat.entry_sum() == 2 * mhat.matrix(k).entry_sum(), \
-            "entry-sum doubling failed at level %d" % k
+        if mat.entry_sum() != 2 * mhat.matrix(k).entry_sum():
+            raise InternalError("entry-sum doubling failed at level %d" % k)
     return CanonicalCover(cover, m, mhat, leq)
 
 
@@ -150,33 +151,31 @@ def chat_block(a, b, c, i, n):
     A, B, C = _as_matrices(a), _as_matrices(b), _as_matrices(c)
     if not (len(A) > n and len(B) > n and len(C) > n):
         raise ShapeMismatch("need matrices through level %d" % n)
-    chat = C[i]
-    a_prod = A[i]
+    chat = _chat_partials(A, B, C, i, n)[-1]
+
+    # independent cross-check: assemble and multiply the block matrices
+    full = _block_matrix(A[i], C[i], B[i])
+    for k in range(i + 1, n + 1):
+        full = full.mul(_block_matrix(A[k], C[k], B[k]))
+    for x in A[i].rows:
+        for y in B[n].cols:
+            if full.entry(primed(x), y) != chat.entry(x, y):
+                raise InternalError(
+                    "chat recursion disagrees with the direct product")
+    return chat
+
+
+def _chat_partials(A, B, C, i, n):
+    """The upper-right blocks Chat_i^k of the products over levels i..k of
+    [[A_j, C_j], [0, B_j]], for k = i..n, by the forward recursion
+    Chat_i^k = (A_i ... A_{k-1}) C_k + Chat_i^{k-1} B_k."""
+    chat, a_prod = C[i], A[i]
+    out = [chat]
     for k in range(i + 1, n + 1):
         chat = a_prod.mul(C[k]).add(chat.mul(B[k]))
         a_prod = a_prod.mul(A[k])
-
-    # independent cross-check: assemble and multiply the block matrices
-    def assembled(k):
-        rows = tuple(primed(x) for x in A[k].rows) + tuple(B[k].rows)
-        cols = tuple(primed(x) for x in A[k].cols) + tuple(B[k].cols)
-        entries = {}
-        for (x, y), v in A[k].entries.items():
-            entries[(primed(x), primed(y))] = v
-        for (x, y), v in C[k].entries.items():
-            entries[(primed(x), y)] = v
-        for (x, y), v in B[k].entries.items():
-            entries[(x, y)] = v
-        return GenMatrix(rows, cols, entries)
-
-    full = assembled(i)
-    for k in range(i + 1, n + 1):
-        full = full.mul(assembled(k))
-    for x in A[i].rows:
-        for y in B[n].cols:
-            assert full.entry(primed(x), y) == chat.entry(x, y), \
-                "chat recursion disagrees with the direct product"
-    return chat
+        out.append(chat)
+    return out
 
 
 class SeriesResult:
@@ -395,20 +394,10 @@ def _monotone_partials(w, m, mhat, upto):
     """Partial vectors Chat_0^n w_{n+1} of the cover series; componentwise
     nondecreasing in n."""
     A = [mhat.matrix(k) for k in range(upto)]
-    # zero-extend the base matrices onto the ambient alphabets
-    B = []
-    for k in range(upto):
-        mb = m.matrix(k)
-        B.append(GenMatrix(mhat.alphabet(k), mhat.alphabet(k + 1),
-                           dict(mb.entries)))
+    B = [_zero_extend(m.matrix(k), A[k]) for k in range(upto)]
     C = [A[k].sub(B[k]) for k in range(upto)]
     out = []
-    chat = C[0]
-    a_prod = A[0]
-    for n in range(upto):
-        if n > 0:
-            chat = a_prod.mul(C[n]).add(chat.mul(B[n]))
-            a_prod = a_prod.mul(A[n])
+    for n, chat in enumerate(_chat_partials(A, B, C, 0, upto - 1)):
         wn = {a: Fraction(w.value(n + 1).get(a, 0))
               for a in mhat.alphabet(n + 1)}
         out.append({a: Fraction(x) for a, x in chat.mul_vec(wn).items()})

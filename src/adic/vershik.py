@@ -14,13 +14,10 @@ from .errors import (
     UndeterminedTail,
     NotInBase,
     ShapeMismatch,
+    InternalError,
 )
 from .diagram import check_word
 from .matrixseq import partial_product
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
 
 
 class LazyPath:
@@ -116,28 +113,29 @@ class LazyPath:
         return "LazyPath(%r%s)" % (self.prefix_edges, tail)
 
 
+def _word_into(pick, vertex, level, start=0):
+    """The edge word covering levels start..level-1 and ending at `vertex`
+    (at `level`), built backward: pick(k, v) chooses the edge into v at
+    level k+1."""
+    edges = []
+    for k in range(level - 1, start - 1, -1):
+        e = pick(k, vertex)
+        edges.append(e)
+        vertex = e[1]
+    edges.reverse()
+    return tuple(edges)
+
+
 def min_word_into(diagram, vertex, level, start=0):
     """The minimal edge word covering levels start..level-1 and ending at
     `vertex` (at `level`): built backward with minimal edges."""
-    edges = []
-    v = vertex
-    for k in range(level - 1, start - 1, -1):
-        e = diagram.order.min_edge_into(k, v)
-        edges.append(e)
-        v = e[1]
-    edges.reverse()
-    return tuple(edges)
+    return _word_into(diagram.order.min_edge_into, vertex, level, start)
 
 
 def max_word_into(diagram, vertex, level, start=0):
-    edges = []
-    v = vertex
-    for k in range(level - 1, start - 1, -1):
-        e = diagram.order.max_edge_into(k, v)
-        edges.append(e)
-        v = e[1]
-    edges.reverse()
-    return tuple(edges)
+    """The maximal edge word covering levels start..level-1 and ending at
+    `vertex` (at `level`): built backward with maximal edges."""
+    return _word_into(diagram.order.max_edge_into, vertex, level, start)
 
 
 def _extremal_continuation(diagram, vertex, level, kind):
@@ -277,24 +275,9 @@ def extremal_paths(diagram, kind=None):
     sel = (diagram.order.min_edge_into if kind == "min"
            else diagram.order.max_edge_into)
     P, T = seq.prefix_len, seq.period
-
-    def down(vertex, level, stop):
-        """Follow extremal edges backward from (level, vertex) to `stop`;
-        returns (edges, vertex at stop)."""
-        edges = []
-        v = vertex
-        for k in range(level - 1, stop - 1, -1):
-            e = sel(k, v)
-            edges.append(e)
-            v = e[1]
-        edges.reverse()
-        return tuple(edges), v
-
     A0 = list(seq.alphabet(P))
-    F = {}
-    for b in A0:
-        _, v = down(b, P + T, P)
-        F[b] = v
+    # F(b): where the extremal edges lead back from b over one period
+    F = {b: _word_into(sel, b, P + T, P)[0][1] for b in A0}
     image = set(A0)
     while True:
         nxt = {F[b] for b in image}
@@ -321,11 +304,12 @@ def extremal_paths(diagram, kind=None):
             expect = v0
             for n in range(len(orbit)):
                 v_above = orbit[(start_pos - n - 1) % len(orbit)]
-                block, v_start = down(v_above, P + (n + 1) * T, P + n * T)
-                assert v_start == expect
+                block = _word_into(sel, v_above, P + (n + 1) * T, P + n * T)
+                if block[0][1] != expect:
+                    raise InternalError("extremal orbit does not close")
                 cycle_edges.extend(block)
                 expect = v_above
-            prefix, _ = down(v0, P, 0)
+            prefix = _word_into(sel, v0, P)
             path = LazyPath(diagram, prefix, cycle_edges)
             paths.append(path)
     # deterministic order
@@ -394,24 +378,10 @@ class SubdiagramEmbedding:
         return edges[pos + 1] if pos + 1 < len(edges) else None
 
     def base_min_word_into(self, vertex, level, start=0):
-        edges = []
-        v = vertex
-        for k in range(level - 1, start - 1, -1):
-            e = self.base_edges_into(k, v)[0]
-            edges.append(e)
-            v = e[1]
-        edges.reverse()
-        return tuple(edges)
-
-    def base_max_word_into(self, vertex, level, start=0):
-        edges = []
-        v = vertex
-        for k in range(level - 1, start - 1, -1):
-            e = self.base_edges_into(k, v)[-1]
-            edges.append(e)
-            v = e[1]
-        edges.reverse()
-        return tuple(edges)
+        """The base-minimal edge word covering levels start..level-1 and
+        ending at `vertex`."""
+        return _word_into(lambda k, v: self.base_edges_into(k, v)[0],
+                          vertex, level, start)
 
 
 def _check_in_base(embedding, word):
@@ -437,7 +407,7 @@ def _word_to_change_level(embedding, path):
                                "unknown")
     span = len(path.tail_cycle)
     if base.is_eventually_periodic:
-        span = _lcm(span, base.period)
+        span = math.lcm(span, base.period)
         extra = max(0, base.prefix_len - path.tail_start)
     else:
         raise UndeterminedTail("base sequence is not eventually periodic")
@@ -498,7 +468,8 @@ def return_time(embedding, p):
     succ_word = head + (new_edge,)
     diagram = embedding.ambient
     r = anti_lex_rank(diagram, succ_word) - anti_lex_rank(diagram, word[:m + 1])
-    assert r >= 1
+    if r < 1:
+        raise InternalError("return time %d is not positive" % r)
     return r
 
 
@@ -526,7 +497,8 @@ def cyclic_return_time(embedding, word):
         first = embedding.base_min_word_into(v, depth)
         r = _count_into(diagram.seq, depth, v) \
             - anti_lex_rank(diagram, word) + anti_lex_rank(diagram, first)
-    assert r >= 1
+    if r < 1:
+        raise InternalError("cyclic return time %d is not positive" % r)
     return r
 
 
@@ -592,8 +564,10 @@ def simulate_orbit(path, steps, depth=2):
         change_levels[m] = change_levels.get(m, 0) + 1
         cur = nxt
         performed += 1
-    word = cur.word(depth)
-    visits[word] = visits.get(word, 0) + 1
+    else:
+        # every step ran: record the path the last one reached
+        word = cur.word(depth)
+        visits[word] = visits.get(word, 0) + 1
     n = sum(visits.values())
     freqs = {w: Fraction(c, n) for w, c in visits.items()}
     return {"visits": visits, "frequencies": freqs,

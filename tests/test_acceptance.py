@@ -2,9 +2,12 @@
 tolerances.  Everything on a verdict path is exact rational arithmetic;
 the only tolerance below is the interval width in the rotation test."""
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
+import adic
 from adic.matrixseq import (
     constant,
     from_int_matrices,
@@ -280,13 +283,13 @@ def test_meta_verdicts_carry_reverifiable_witnesses():
             assert e.verdict.witness
             if isinstance(e.ray, ExactEigvec):
                 assert e.ray.check()
-    # primitivity: re-verify the recorded positivity power by hand
+    # primitivity: re-verify every recorded positivity power by hand
     seq = constant([[1, 1], [1, 0]], ["0", "1"])
     v = is_primitive(seq)
     assert v.is_yes()
-    power = v.witness.get("positivity_power") or v.witness.get("power")
-    if power:
-        prod = partial_product(seq, 0, power - 1)
+    assert v.witness["positive_after"]
+    for k, n in v.witness["positive_after"].items():
+        prod = partial_product(seq, k, k + n - 1)
         assert all(prod.entry(a, b) > 0 for a in prod.rows
                    for b in prod.cols)
     # rotation verdicts: re-verify the eigenvalue data in the witness.
@@ -296,3 +299,13 @@ def test_meta_verdicts_carry_reverifiable_witnesses():
     (t1, D1) = r.detail["lambda_period_eigenvalue"]
     (t2, D2) = r.detail["lambda_hat_period_eigenvalue"]
     assert t2 >= t1 and D2 >= D1 and (t2 > t1 or D2 > D1)
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert statements, so internal guards must raise
+    package = pathlib.Path(adic.__file__).parent
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -18,9 +18,14 @@ from conftest import random_reduced_sequence
 
 
 def test_scc_basic():
-    graph = {1: [2], 2: [1, 3], 3: [3], 4: []}
-    comps = strongly_connected_components(graph)
-    assert sorted(sorted(c) for c in comps) == [[1, 2], [3], [4]]
+    cases = [
+        ({1: [2], 2: [1, 3], 3: [3], 4: []}, [[1, 2], [3], [4]]),
+        # a cycle deeper than the default recursion limit
+        ({i: [(i + 1) % 5000] for i in range(5000)}, [list(range(5000))]),
+    ]
+    for graph, expected in cases:
+        comps = strongly_connected_components(graph)
+        assert sorted(sorted(c) for c in comps) == expected
 
 
 def test_stream_decompose_requires_reduced():

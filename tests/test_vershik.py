@@ -232,6 +232,7 @@ def test_simulate_stops_at_top():
     top = LazyPath(d, [], tail_cycle=[(0, "1", "1", 2)])
     out = simulate_orbit(top, 10, depth=1)
     assert out["steps_performed"] == 0
+    assert sum(out["visits"].values()) == out["steps_performed"] + 1
 
 
 def test_simulate_chacon_frequencies_track_measure():
