@@ -196,21 +196,18 @@ class EigvecSeqApprox:
 def eigvec_sequences(seq, depth):
     """One depth-limited eigenvector sequence per extreme point of the
     depth-limited simplex, built by exact backward substitution through the
-    recorded column provenance."""
+    recorded column provenance: w_{depth+1} = e_b and w_i = M_i w_{i+1},
+    scaled so that w_0 sums to 1."""
     extreme = simplex_image(seq, 0, depth)
     out = []
     for point, provenance in extreme:
         b = provenance[0]
-        col = {a: partial_product(seq, 0, depth).entry(a, b)
-               for a in seq.alphabet(0)}
-        scale = Fraction(1, sum(col.values()))
-        levels = []
-        for i in range(depth + 1):
-            prod = partial_product(seq, i, depth)
-            levels.append({a: scale * prod.entry(a, b)
-                           for a in seq.alphabet(i)})
-        levels.append({a: (scale if a == b else Fraction(0))
-                       for a in seq.alphabet(depth + 1)})
+        cols = [{a: int(a == b) for a in seq.alphabet(depth + 1)}]
+        for i in range(depth, -1, -1):
+            cols.append(seq.matrix(i).mul_vec(cols[-1]))
+        scale = Fraction(1, sum(cols[-1].values()))
+        levels = [{a: scale * v for a, v in c.items()}
+                  for c in reversed(cols)]
         out.append(EigvecSeqApprox(levels, depth, provenance))
     return out
 
@@ -376,37 +373,33 @@ class ExactEigvec:
         return True
 
 
-def stream_period_eigenvalue(stream):
-    """Per-period Perron eigenvalue of a stream, exact when rational.
-    Returns a Fraction, or None when the eigenvalue is irrational."""
-    q = stream.period_product()
-    if len(q.rows) == 1:
-        a = q.rows[0]
-        return Fraction(q.entry(a, a))
+def _perron_root(q):
+    """The largest real root of the characteristic polynomial of the square
+    matrix q, as an exact sympy number.  sympy lists real roots in
+    ascending order, so the last one is the largest."""
     import sympy
-    labels = list(q.rows)
-    M = sympy.Matrix([[q.entry(a, b) for b in labels] for a in labels])
-    poly = M.charpoly()
-    roots = sympy.Poly(poly.as_expr(), poly.gens[0]).real_roots()
-    top = max(roots, key=lambda r: r.evalf(50))
-    if top.is_rational:
-        return Fraction(int(sympy.numer(top)), int(sympy.denom(top)))
-    return None
-
-
-def stream_exact_eigenvalue_expr(stream):
-    """The per-period Perron eigenvalue as an exact sympy expression (always
-    available, used for exact comparisons between blocks)."""
-    import sympy
-    q = stream.period_product()
     if len(q.rows) == 1:
         a = q.rows[0]
         return sympy.Integer(q.entry(a, a))
     labels = list(q.rows)
     M = sympy.Matrix([[q.entry(a, b) for b in labels] for a in labels])
     poly = M.charpoly()
-    roots = sympy.Poly(poly.as_expr(), poly.gens[0]).real_roots()
-    return max(roots, key=lambda r: r.evalf(50))
+    return sympy.Poly(poly.as_expr(), poly.gens[0]).real_roots()[-1]
+
+
+def stream_period_eigenvalue(stream):
+    """Per-period Perron eigenvalue of a stream, exact when rational.
+    Returns a Fraction, or None when the eigenvalue is irrational."""
+    top = _perron_root(stream.period_product())
+    if top.is_rational:
+        return Fraction(int(top.p), int(top.q))
+    return None
+
+
+def stream_exact_eigenvalue_expr(stream):
+    """The per-period Perron eigenvalue as an exact sympy expression (always
+    available, used for exact comparisons between blocks)."""
+    return _perron_root(stream.period_product())
 
 
 def exact_ray(decomp, stream):

@@ -164,17 +164,34 @@ class BratteliDiagram:
         order_obj = obj.get("order")
         if order_obj is None:
             return cls(seq)
+        if not isinstance(order_obj, dict):
+            raise ShapeMismatch("'order' must be a JSON object")
 
-        def conv(levels):
+        def conv(key, n):
+            """The level orders under `key`: none, or exactly n of them."""
+            levels = order_obj.get(key, [])
+            if not isinstance(levels, list) or len(levels) not in (0, n) \
+                    or not all(_is_level_order(lo) for lo in levels):
+                raise ShapeMismatch(
+                    "order %r must be a list of %d level orders mapping "
+                    "symbols to [source, index] pairs" % (key, n))
             return [{b: [tuple(e) for e in pairs] for b, pairs in lo.items()}
-                    for lo in levels]
+                    for lo in levels] or None
         if seq.is_eventually_periodic:
             order = StableOrder(seq,
-                                prefix_orders=conv(order_obj.get("prefix", [])) or None,
-                                cycle_orders=conv(order_obj.get("cycle", [])) or None)
+                                prefix_orders=conv("prefix", seq.prefix_len),
+                                cycle_orders=conv("cycle", seq.period))
         else:
-            order = StableOrder(seq, term_orders=conv(order_obj.get("terms", [])) or None)
+            order = StableOrder(seq, term_orders=conv("terms", seq.horizon))
         return cls(seq, order)
+
+
+def _is_level_order(lo):
+    return isinstance(lo, dict) and all(
+        isinstance(pairs, list) and all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+            and type(e[1]) is int for e in pairs)
+        for pairs in lo.values())
 
 
 def substitution_order(seq, substitutions, prefix_substitutions=None):

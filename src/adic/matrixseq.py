@@ -134,8 +134,9 @@ class GenMatrix:
 
     def restrict(self, rows, cols):
         rows, cols = tuple(rows), tuple(cols)
+        rowset, colset = set(rows), set(cols)
         entries = {(a, b): v for (a, b), v in self.entries.items()
-                   if a in set(rows) and b in set(cols)}
+                   if a in rowset and b in colset}
         return GenMatrix(rows, cols, entries)
 
     def mul_vec(self, vec):
@@ -672,12 +673,37 @@ def to_json(seq):
             "terms": [m.to_lists() for m in seq.terms]}
 
 
+def _json_list(obj, key, item, what, default=None):
+    """The list obj[key], each element checked by `item`; ShapeMismatch
+    naming `what` when the key is missing or an element is malformed."""
+    value = obj.get(key, default)
+    if not isinstance(value, list) or not all(item(x) for x in value):
+        raise ShapeMismatch("%r must be a list of %s" % (key, what))
+    return value
+
+
+def _is_symbol_list(x):
+    return isinstance(x, list) and all(isinstance(a, str) for a in x)
+
+
+def _is_int_array(x):
+    return isinstance(x, list) and all(
+        isinstance(row, list) and all(type(v) is int for v in row)
+        for row in x)
+
+
 def from_json(obj):
+    if not isinstance(obj, dict):
+        raise ShapeMismatch("a sequence must be a JSON object")
     kind = obj.get("kind", "eventually_periodic" if "cycle" in obj else "truncated")
-    alphs = [tuple(a) for a in obj["alphabets"]]
+    if kind not in ("eventually_periodic", "truncated"):
+        raise ShapeMismatch("unknown kind %r" % (kind,))
+    alphs = [tuple(a) for a in _json_list(obj, "alphabets", _is_symbol_list,
+                                          "lists of string symbols")]
+    matrices = "matrices (lists of rows of integers)"
     if kind == "eventually_periodic":
-        prefix_arrays = obj.get("prefix", [])
-        cycle_arrays = obj["cycle"]
+        prefix_arrays = _json_list(obj, "prefix", _is_int_array, matrices, [])
+        cycle_arrays = _json_list(obj, "cycle", _is_int_array, matrices)
         P, T = len(prefix_arrays), len(cycle_arrays)
         if len(alphs) != P + T:
             raise ShapeMismatch("need one alphabet per prefix/cycle matrix")
@@ -690,7 +716,7 @@ def from_json(obj):
                 cols = alphs[P]  # cycle closes
             mats.append(GenMatrix.from_lists(rows, cols, arr))
         return EventuallyPeriodic(mats[:P], mats[P:])
-    arrays = obj["terms"]
+    arrays = _json_list(obj, "terms", _is_int_array, matrices)
     if len(alphs) != len(arrays) + 1:
         raise ShapeMismatch("need one alphabet per level incl. final")
     mats = [GenMatrix.from_lists(alphs[i], alphs[i + 1], arr)

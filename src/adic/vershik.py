@@ -17,7 +17,8 @@ from .errors import (
     InternalError,
 )
 from .diagram import check_word
-from .matrixseq import partial_product
+# unused here; perfbench/test_tracer.py still expects this module binding
+from .matrixseq import partial_product  # noqa: F401
 
 
 class LazyPath:
@@ -165,28 +166,29 @@ def _extremal_continuation(diagram, vertex, level, kind):
         return out
 
     edges = []
-    seen = {}
-
-    def dfs(k, v):
-        if k >= P:
-            st = ((k - P) % T, v)
-            if st in seen:
-                return seen[st]
-            seen[st] = len(edges)
-        for e in options(k, v):
-            edges.append(e)
-            res = dfs(k + 1, e[2])
-            if res is not None:
-                return res
-            edges.pop()
-        if k >= P:
-            del seen[((k - P) % T, v)]
-        return None
-
-    idx = dfs(level, vertex)
-    if idx is None:
-        raise MalformedWord("no all-%simal continuation from %r at level %d"
-                            % (kind, vertex, level))
+    seen = {}  # state on the current branch -> position of its first edge
+    branch = []  # (state, untried options) along the current branch
+    k, v = level, vertex
+    while True:
+        # prefix states get negative phases; they never repeat on a branch
+        st = ((k - P) % T if k >= P else k - P, v)
+        if st in seen:
+            idx = seen[st]
+            break
+        seen[st] = len(edges)
+        branch.append((st, iter(options(k, v))))
+        while branch:
+            e = next(branch[-1][1], None)
+            if e is not None:
+                break
+            del seen[branch.pop()[0]]
+            if branch:
+                edges.pop()
+        else:
+            raise MalformedWord("no all-%simal continuation from %r at "
+                                "level %d" % (kind, vertex, level))
+        edges.append(e)
+        k, v = e[0] + 1, e[2]
     return tuple(edges[:idx]), tuple(edges[idx:])
 
 
@@ -423,23 +425,24 @@ def _word_to_change_level(embedding, path):
 def anti_lex_rank(diagram, word):
     """Number of ambient words with the same final vertex that are strictly
     below `word` in the anti-lexicographic order."""
-    seq = diagram.seq
+    counts = _word_counts(diagram.seq, max((e[0] for e in word), default=0))
     rank = 0
     for e in word:
         k = e[0]
         for low in diagram.order.incoming(k, e[2]):
             if low == e:
                 break
-            rank += _count_into(seq, k, low[1])
+            rank += counts[k][low[1]]
     return rank
 
 
-def _count_into(seq, k, vertex):
-    """Number of ambient words of levels 0..k-1 ending at vertex."""
-    if k == 0:
-        return 1
-    ones = {a: 1 for a in seq.alphabet(0)}
-    return partial_product(seq, 0, k - 1).vec_mul(ones)[vertex]
+def _word_counts(seq, n):
+    """counts[k][v] = number of words of levels 0..k-1 ending at v, for
+    k = 0..n, by one forward pass of row-vector products."""
+    counts = [{a: 1 for a in seq.alphabet(0)}]
+    for k in range(n):
+        counts.append(seq.matrix(k).vec_mul(counts[k]))
+    return counts
 
 
 def return_time(embedding, p):
@@ -495,7 +498,7 @@ def cyclic_return_time(embedding, word):
         # wrap to the minimal base word ending at the same vertex
         v = word[-1][2]
         first = embedding.base_min_word_into(v, depth)
-        r = _count_into(diagram.seq, depth, v) \
+        r = _word_counts(diagram.seq, depth)[depth][v] \
             - anti_lex_rank(diagram, word) + anti_lex_rank(diagram, first)
     if r < 1:
         raise InternalError("cyclic return time %d is not positive" % r)
@@ -510,12 +513,12 @@ def kac_partial_sum(embedding, base_measure, depth):
     the total collapses to sum_v N_ambient(v) * w_d[v] over endpoints v
     reached by base words; that aggregate is computed here exactly.
     Nondecreasing in depth; equals the tower mass when it is finite."""
+    if depth < 1:
+        raise ShapeMismatch("Kac sums need depth >= 1, got %d" % depth)
     amb = embedding.ambient.seq
     base = embedding.base_seq
-    ones = {a: 1 for a in amb.alphabet(0)}
-    amb_counts = partial_product(amb, 0, depth - 1).vec_mul(ones)
-    base_ones = {a: 1 for a in base.alphabet(0)}
-    base_counts = partial_product(base, 0, depth - 1).vec_mul(base_ones)
+    amb_counts = _word_counts(amb, depth)[depth]
+    base_counts = _word_counts(base, depth)[depth]
     total = Fraction(0)
     for v, n in amb_counts.items():
         if base_counts.get(v, 0) > 0:

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from adic.matrixseq import GenMatrix, EventuallyPeriodic, reduce_sequence
 
 
@@ -73,3 +75,17 @@ def random_nested_pair(rng, max_dim=4, max_period=3, max_prefix=2):
     ambient = EventuallyPeriodic([bump(base.matrix(k)) for k in range(P)],
                                  [bump(base.cycle[p]) for p in range(T)])
     return base, ambient
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """A list that gets one entry per GenMatrix.mul call during the test."""
+    calls = []
+    original = GenMatrix.mul
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(GenMatrix, "mul", counting_mul)
+    return calls

@@ -88,6 +88,24 @@ def test_missing_file_is_an_error():
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"alphabets": 5, "cycle": [[[1]]]},
+    [1, 2],
+    {"alphabets": [["0"]], "cycle": [[["x"]]]},
+    {"alphabets": [["0"]], "cycle": [[[1.5]]]},
+    {"alphabets": [["0"]], "cycle": [[[1]]], "order": [1]},
+    {"alphabets": [["0"]], "cycle": [[[2]]],
+     "order": {"cycle": [{"0": [1, 2]}]}},
+])
+def test_malformed_diagram_is_a_one_line_error(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("classify", str(path))
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_unknown_example_is_an_error():
     r = run_cli("example", "definitely-not-a-thing")
     assert r.returncode == 1

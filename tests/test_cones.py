@@ -1,9 +1,15 @@
 import random
 from fractions import Fraction
 
-from adic.matrixseq import constant
+import sympy
+
+from adic import gallery
+from adic.matrixseq import GenMatrix, Truncated, constant, partial_product
 from adic.frobenius import stream_decompose
+from adic.vershik import SubdiagramEmbedding
 from adic.cones import (
+    _perron_root,
+    eigvec_sequences,
     in_convex_hull,
     simplex_image,
     raw_extreme_count,
@@ -15,7 +21,7 @@ from adic.cones import (
     DEFAULT_EPS,
 )
 
-from conftest import random_reduced_sequence
+from conftest import labels, random_ep_sequence, random_reduced_sequence
 
 
 def test_in_convex_hull_exact():
@@ -128,3 +134,77 @@ def test_exact_rays_random_check():
             assert ray.check()
             checked += 1
     assert checked >= 10
+
+
+def _gallery_sequences():
+    for name in sorted(gallery.EXAMPLES):
+        obj = gallery.EXAMPLES[name]()
+        if isinstance(obj, SubdiagramEmbedding):
+            yield obj.base_seq
+            yield obj.ambient.seq
+        else:
+            yield obj.seq
+
+
+def test_eigvec_sequences_match_product_columns():
+    """Reference: level i of each sequence is column b of the product of
+    levels i..depth, scaled so that level 0 sums to 1."""
+    rng = random.Random(29)
+    seqs = list(_gallery_sequences())
+    seqs += [random_ep_sequence(rng, max_dim=5) for _ in range(15)]
+    seqs += [Truncated([random_ep_sequence(rng).matrix(0)])]
+    for seq in seqs:
+        depths = (0,) if seq.horizon == 1 else (0, 1, 5)
+        for depth in depths:
+            for ev in eigvec_sequences(seq, depth):
+                b = ev.provenance[0]
+                top = partial_product(seq, 0, depth)
+                scale = Fraction(1, sum(top.entry(a, b)
+                                        for a in seq.alphabet(0)))
+                want = [{a: scale * partial_product(seq, i, depth).entry(a, b)
+                         for a in seq.alphabet(i)}
+                        for i in range(depth + 1)]
+                want.append({a: (scale if a == b else Fraction(0))
+                             for a in seq.alphabet(depth + 1)})
+                assert [list(lev.items()) for lev in ev.levels] == \
+                    [list(lev.items()) for lev in want]
+                assert ev.check(seq)
+
+
+def test_eigvec_sequences_make_only_the_simplex_product(mul_calls):
+    seq = constant([[1, 1, 0], [0, 2, 1], [1, 0, 1]], labels(3))
+    for depth in (1, 6):
+        mul_calls.clear()
+        assert eigvec_sequences(seq, depth)
+        assert len(mul_calls) == depth
+
+
+def test_perron_root_is_the_largest_real_root():
+    """Reference: the evalf-50 maximum over sympy's real roots."""
+    rng = random.Random(53)
+    arrays = [
+        [[5]],
+        [[0, 1], [0, 0]],                     # nilpotent: 0 repeated
+        [[2, 0], [0, 2]],                     # repeated rational root
+        [[1, 1], [1, 0]],                     # irrational root
+        [[1, 1, 0, 0], [1, 0, 0, 0],          # (x^2-x-1)^2: repeated
+         [0, 0, 1, 1], [0, 0, 1, 0]],         # irrational root
+        [[3, 1, 0], [0, 2, 1], [0, 0, 3]],    # reducible charpoly
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],    # one real root of x^3-1
+    ]
+    for _ in range(40):
+        d = rng.randrange(1, 5)
+        block = [[rng.randrange(4) for _ in range(d)] for _ in range(d)]
+        if rng.random() < 0.3:
+            # block-diagonal doubling repeats every root
+            block = [row + [0] * d for row in block] + \
+                [[0] * d + row for row in block]
+        arrays.append(block)
+    for arr in arrays:
+        d = len(arr)
+        M = sympy.Matrix(arr)
+        poly = M.charpoly()
+        roots = sympy.Poly(poly.as_expr(), poly.gens[0]).real_roots()
+        want = max(roots, key=lambda r: r.evalf(50))
+        got = _perron_root(GenMatrix.from_lists(labels(d), labels(d), arr))
+        assert got == want and str(got) == str(want)

@@ -1,14 +1,22 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from adic.errors import NotInBase, UndeterminedTail
-from adic.matrixseq import constant, from_int_matrices
-from adic.diagram import BratteliDiagram, enumerate_paths
+from adic.errors import MalformedWord, NotInBase, UndeterminedTail
+from adic.matrixseq import (
+    EventuallyPeriodic,
+    GenMatrix,
+    constant,
+    from_int_matrices,
+    partial_product,
+)
+from adic.diagram import BratteliDiagram, StableOrder, enumerate_paths
 from adic.measures import classify_measures, CentralMeasure
 from adic.vershik import (
+    _extremal_continuation,
     LazyPath,
     min_word_into,
     max_word_into,
@@ -25,7 +33,7 @@ from adic.vershik import (
 )
 from adic.gallery import chacon, ics, odometer
 
-from conftest import random_reduced_sequence
+from conftest import random_ep_sequence, random_reduced_sequence
 
 
 def dyadic():
@@ -54,6 +62,45 @@ def test_rank_is_bijective_per_endpoint_class_random():
                     anti_lex_rank(d, w))
             for ranks in classes.values():
                 assert sorted(ranks) == list(range(len(ranks)))
+
+
+def _rank_by_products(d, word):
+    """Reference rank: one product of levels 0..k-1 per lower edge at
+    level k, summed over the word."""
+    def count_into(k, vertex):
+        if k == 0:
+            return 1
+        ones = {a: 1 for a in d.seq.alphabet(0)}
+        return partial_product(d.seq, 0, k - 1).vec_mul(ones)[vertex]
+    return sum(count_into(e[0], low[1]) for e in word
+               for low in itertools.takewhile(
+                   lambda low: low != e, d.order.incoming(e[0], e[2])))
+
+
+def test_anti_lex_rank_matches_product_formula():
+    rng = random.Random(17)
+    diagrams = [dyadic(), chacon()] + [
+        BratteliDiagram(random_reduced_sequence(rng, max_dim=3))
+        for _ in range(8)]
+    for d in diagrams:
+        words = list(itertools.islice(enumerate_paths(d, 5), 150))
+        for w in words:
+            assert anti_lex_rank(d, w) == _rank_by_products(d, w)
+            # the same word with its first two levels cut off
+            assert anti_lex_rank(d, w[2:]) == _rank_by_products(d, w[2:])
+
+
+def test_rank_and_kac_sum_make_no_matrix_products(mul_calls):
+    d = dyadic()
+    word = tuple((k, "0", "0", 1) for k in range(12))
+    mul_calls.clear()
+    assert anti_lex_rank(d, word) == 2 ** 12 - 1
+    assert mul_calls == []
+    emb = ics("triadic")
+    mu = _base_measure(emb.base_seq)
+    mul_calls.clear()
+    assert kac_partial_sum(emb, mu, 8) == Fraction(3, 2) ** 8
+    assert mul_calls == []
 
 
 def _any_tail(d, vertex, level):
@@ -150,6 +197,78 @@ def test_extremal_paths_bounded_by_alphabet():
 
 # ---------------------------------------------------------------------------
 # embeddings and return times
+
+
+def test_extremal_tail_after_a_long_prefix():
+    one = GenMatrix.from_lists(("0",), ("0",), [[1]])
+    two = GenMatrix.from_lists(("0",), ("0",), [[2]])
+    d = BratteliDiagram(EventuallyPeriodic([one] * 3000, [two]))
+    for kind, index in (("min", 0), ("max", 1)):
+        p = LazyPath(d, [], tail=kind, start_vertex="0")
+        assert p.tail_start == 3000
+        assert p.tail_cycle == ((3000, "0", "0", index),)
+
+
+def _continuation_by_recursion(d, vertex, level, kind):
+    """Reference: the recursive lasso search, or None when it fails."""
+    seq = d.seq
+    P, T = seq.prefix_len, seq.period
+    sel = d.order.min_edge_into if kind == "min" else d.order.max_edge_into
+    edges, seen = [], {}
+
+    def dfs(k, v):
+        if k >= P:
+            st = ((k - P) % T, v)
+            if st in seen:
+                return seen[st]
+            seen[st] = len(edges)
+        mat = seq.matrix(k)
+        for e in sorted((sel(k, b) for b in mat.cols if mat.entry(v, b)),
+                        key=lambda e: (e[2], e[3])):
+            if e[1] == v:
+                edges.append(e)
+                res = dfs(k + 1, e[2])
+                if res is not None:
+                    return res
+                edges.pop()
+        if k >= P:
+            del seen[((k - P) % T, v)]
+        return None
+
+    idx = dfs(level, vertex)
+    return None if idx is None else (tuple(edges[:idx]), tuple(edges[idx:]))
+
+
+def test_extremal_continuation_matches_recursive_search():
+    rng = random.Random(7)
+
+    def shuffled(mats):
+        orders = []
+        for m in mats:
+            level = {}
+            for b in m.cols:
+                into = [(a, i) for a in m.rows for i in range(m.entry(a, b))]
+                rng.shuffle(into)
+                level[b] = into
+            orders.append(level)
+        return orders
+
+    found = 0
+    for _ in range(80):
+        seq = random_ep_sequence(rng, max_period=3, max_prefix=3)
+        d = BratteliDiagram(seq, StableOrder(seq, shuffled(seq.prefix),
+                                             shuffled(seq.cycle)))
+        for kind in ("min", "max"):
+            for level in range(seq.prefix_len + 2):
+                for v in seq.alphabet(level):
+                    want = _continuation_by_recursion(d, v, level, kind)
+                    try:
+                        got = _extremal_continuation(d, v, level, kind)
+                    except MalformedWord:
+                        got = None
+                    assert got == want
+                    found += got is not None
+    assert found >= 100
 
 
 def test_embedding_rejects_non_nested():
