@@ -175,8 +175,9 @@ class Stream:
         mats = []
         for j in range(L):
             m = self.decomp.seq.matrix(P + j)
-            rows = tuple(a for a in m.rows if a in self.members_at(P + j))
-            cols = tuple(b for b in m.cols if b in self.members_at(P + j + 1))
+            here, there = self.members_at(P + j), self.members_at(P + j + 1)
+            rows = tuple(a for a in m.rows if a in here)
+            cols = tuple(b for b in m.cols if b in there)
             mats.append(m.restrict(rows, cols))
         return EventuallyPeriodic([], mats)
 
@@ -222,7 +223,7 @@ class StreamDecomposition:
         self.streams = []
         self.lcm_period = period
         self._reach = {}            # (m mod L, a) -> frozenset of stream ids
-        self._prefix_assign = {}    # (k, a) -> stream index
+        self._prefix_assign = {}    # (k, a) -> block, for k < valid_from
         self.certificates = {}
 
     # -- membership ---------------------------------------------------
@@ -266,13 +267,14 @@ class StreamDecomposition:
 
     def block_assignment(self, k):
         """Map each level-k symbol to ('stream', i) or ('pool', i)."""
+        if k < self.valid_from:
+            return {a: self._prefix_assign[(k, a)]
+                    for a in self.seq.alphabet(k)}
         out = {}
         for a in self.seq.alphabet(k):
             i = self.stream_of(k, a)
             if i is not None:
                 out[a] = ("stream", i)
-            elif k < self.valid_from:
-                out[a] = ("stream", self._prefix_assign[(k, a)])
             else:
                 out[a] = ("pool", self.pool_group(k, a))
         return out
@@ -308,13 +310,14 @@ class StreamDecomposition:
                    ", provisional" if self.provisional else ""))
 
 
-def _lifted_graph(seq):
-    """Graph on (phase, symbol) nodes of the cycle part."""
+def _lifted_graph(seq, n):
+    """Graph on (level offset mod n, symbol) nodes of the cycle part; n is a
+    multiple of the period."""
     T = seq.period
     graph = {}
-    for p in range(T):
-        for a, succs in _matrix_graph(seq.cycle[p]).items():
-            graph[(p, a)] = [((p + 1) % T, b) for b in succs]
+    for p in range(n):
+        for a, succs in _matrix_graph(seq.cycle[p % T]).items():
+            graph[(p, a)] = [((p + 1) % n, b) for b in succs]
     return graph
 
 
@@ -328,7 +331,7 @@ def stream_decompose(seq):
     if not matrixseq.is_reduced(seq):
         raise NotReduced("reduce the sequence before decomposing")
     P, T = seq.prefix_len, seq.period
-    graph = _lifted_graph(seq)
+    graph = _lifted_graph(seq, T)
     _, _, order = _class_analysis(graph)
 
     # cyclic structure of each SCC
@@ -373,64 +376,65 @@ def stream_decompose(seq):
             idx += 1
     decomp.streams = final
 
-    _fill_reach(decomp, graph)
+    _fill_reach(decomp)
     _assign_prefix(decomp)
     _certify(decomp)
     return decomp
 
 
-def _fill_reach(decomp, graph):
-    """Least fixpoint of 'which streams are reachable' on the L-periodic
-    lifted graph with nodes (level offset mod L, symbol)."""
-    seq, P, T, L = decomp.seq, decomp.valid_from, decomp.period, decomp.lcm_period
-    nodes = [(m, a) for m in range(L) for a in seq.cycle[m % T].rows]
+def _fill_reach(decomp):
+    """For each node (level offset mod L, symbol) of the L-periodic lifted
+    graph, the set of streams it reaches.  One pass over the graph's SCCs,
+    sinks first: an SCC reaches the streams owning its nodes plus what its
+    successors outside it reach."""
+    P, L = decomp.valid_from, decomp.lcm_period
+    graph = _lifted_graph(decomp.seq, L)
     own = {}
-    for (m, a) in nodes:
-        i = decomp.stream_of(P + m, a)
-        own[(m, a)] = frozenset([i]) if i is not None else frozenset()
-    reach = dict(own)
-    changed = True
-    while changed:
-        changed = False
-        for (m, a) in nodes:
-            mat = seq.cycle[m % T]
-            acc = set(own[(m, a)])
-            for (x, b) in mat.entries:
-                if x == a:
-                    acc |= reach[((m + 1) % L, b)]
-            acc = frozenset(acc)
-            if acc != reach[(m, a)]:
-                reach[(m, a)] = acc
-                changed = True
+    for s in decomp.streams:
+        for m in range(L):
+            for a in s.members_at(P + m):
+                own[(m, a)] = s.index
+    reach = {}
+    for scc in strongly_connected_components(graph):
+        acc = {own[node] for node in scc if node in own}
+        for node in scc:
+            for succ in graph[node]:
+                if succ in reach:
+                    acc |= reach[succ]
+        acc = frozenset(acc)
+        for node in scc:
+            reach[node] = acc
     decomp._reach = reach
 
 
 def _assign_prefix(decomp):
     """Extend the streams backward: each prefix symbol joins the
-    least-indexed stream it can reach."""
+    least-indexed stream i it can reach.  Its block is ('pool', i) when it
+    has an edge into a ('pool', i) block at the next level, which keeps the
+    block matrices upper triangular, and ('stream', i) otherwise."""
     seq, P = decomp.seq, decomp.valid_from
-    level_reach = {a: decomp._reach.get((0, a), frozenset())
-                   for a in seq.alphabet(P)} if P > 0 else {}
+    if P == 0:
+        return
+    level_reach = {a: decomp._reach[(0, a)] for a in seq.alphabet(P)}
+    blocks = decomp.block_assignment(P)
     for k in range(P - 1, -1, -1):
         m = seq.matrix(k)
-        cur = {}
+        reach = {a: set() for a in m.rows}
+        targets = {a: set() for a in m.rows}
+        for (a, b) in m.entries:
+            reach[a] |= level_reach[b]
+            targets[a].add(blocks[b])
+        blocks = {}
         for a in m.rows:
-            acc = set()
-            for (x, b) in m.entries:
-                if x == a:
-                    acc |= level_reach.get(b, frozenset())
-            cur[a] = frozenset(acc)
-        for a, rs in cur.items():
-            if rs:
-                decomp._prefix_assign[(k, a)] = min(rs)
-            else:
-                decomp._prefix_assign[(k, a)] = len(decomp.streams) + 1
-        level_reach = cur
+            i = min(reach[a]) if reach[a] else len(decomp.streams) + 1
+            kind = "pool" if ("pool", i) in targets[a] else "stream"
+            blocks[a] = decomp._prefix_assign[(k, a)] = (kind, i)
+        level_reach = reach
     for s in decomp.streams:
         for k in range(P):
             s.prefix_members[k] = frozenset(
                 a for a in seq.alphabet(k)
-                if decomp._prefix_assign.get((k, a)) == s.index)
+                if decomp._prefix_assign[(k, a)][1] == s.index)
 
 
 def _certify(decomp):
@@ -445,31 +449,31 @@ def _certify(decomp):
                 "internal error: stream %d failed primitivity" % s.index)
     # pool acyclicity: no pool node may sit on a cycle of the lifted graph;
     # by construction pool nodes are exactly the trivial SCCs, so a direct
-    # re-check is cheap: follow pool-only paths, lengths are bounded.
+    # re-check is cheap: peel pool nodes with no pool successor left, sinks
+    # first, recording the longest pool-only path from each.  A node never
+    # peeled lies on or leads into a cycle.
     seq, P, T, L = decomp.seq, decomp.valid_from, decomp.period, decomp.lcm_period
-    pool_nodes = [(m, a) for m in range(L)
-                  for a in decomp.pool_members_at(P + m)]
-    longest = {}
-
-    def longest_from(node, visiting):
-        if node in longest:
-            return longest[node]
-        if node in visiting:
-            raise NotIrreducible("internal error: pool contains a cycle")
-        visiting.add(node)
-        m, a = node
-        mat = seq.cycle[m % T]
-        best = 0
-        for (x, b) in mat.entries:
-            if x == a and b in decomp.pool_members_at(P + m + 1):
-                best = max(best, 1 + longest_from(((m + 1) % L, b), visiting))
-        visiting.discard(node)
-        longest[node] = best
-        return best
-
-    maxlen = 0
-    for node in pool_nodes:
-        maxlen = max(maxlen, longest_from(node, set()))
+    pool = [decomp.pool_members_at(P + m) for m in range(L)]
+    pool_nodes = [(m, a) for m in range(L) for a in pool[m]]
+    preds = {node: [] for node in pool_nodes}
+    waiting = dict.fromkeys(pool_nodes, 0)
+    for m in range(L):
+        for (a, b) in seq.cycle[m % T].entries:
+            if a in pool[m] and b in pool[(m + 1) % L]:
+                preds[((m + 1) % L, b)].append((m, a))
+                waiting[(m, a)] += 1
+    longest = dict.fromkeys(pool_nodes, 0)
+    ready = [node for node in pool_nodes if not waiting[node]]
+    while ready:
+        node = ready.pop()
+        for pred in preds[node]:
+            longest[pred] = max(longest[pred], 1 + longest[node])
+            waiting[pred] -= 1
+            if not waiting[pred]:
+                ready.append(pred)
+    if any(waiting.values()):
+        raise NotIrreducible("internal error: pool contains a cycle")
+    maxlen = max(longest.values(), default=0)
     certs["pool"] = {"longest_pool_path": maxlen,
                      "pool_nodes": len(pool_nodes)}
     decomp.certificates = certs
@@ -549,7 +553,8 @@ def frobenius_form(seq):
         permutations[k] = order
         block_alphabets.append([(a, asg[a]) for a in order])
 
-    # verify the form: upper block-triangular, pool diagonal zero
+    # verify the form: upper block-triangular, and the square cycle matrix
+    # has zero pool diagonal blocks
     for gl in range(len(prefix) + 1):
         m = form.matrix(gl)
         asg_r = dict(block_alphabets[gl])
@@ -558,7 +563,8 @@ def frobenius_form(seq):
         for (a, b) in m.entries:
             if decomp.block_key(asg_r[a]) > decomp.block_key(asg_c[b]):
                 raise NotIrreducible("internal error: form is not triangular")
-            if (asg_r[a][0] == "pool" and asg_r[a] == asg_c[b]):
+            if (gl == len(prefix) and asg_r[a][0] == "pool"
+                    and asg_r[a] == asg_c[b]):
                 raise NotIrreducible("internal error: pool diagonal nonzero")
     # conjugation identity: the permuted matrices have the same entries
     for i, t in enumerate(times[:-1]):

@@ -81,10 +81,6 @@ class GenMatrix:
     def is_zero_one(self):
         return all(v == 1 for v in self.entries.values())
 
-    def boolean(self):
-        return GenMatrix(self.rows, self.cols,
-                         {k: 1 for k in self.entries})
-
     def transpose(self):
         return GenMatrix(self.cols, self.rows,
                          {(b, a): v for (a, b), v in self.entries.items()})
@@ -518,35 +514,50 @@ def wielandt_bound(d):
     return (d - 1) ** 2 + 1
 
 
-def _bool_key(m):
-    return (m.rows, m.cols, frozenset(m.entries))
-
-
 def _positivity_from(seq, k):
     """Iterate boolean partial products starting at level k until a strictly
     positive product appears or (for eventually periodic input) the state
-    (phase, boolean matrix) repeats.  Returns ('yes', n) / ('no', n) /
-    ('horizon', n)."""
+    (phase, boolean product) repeats.  Returns ('yes', n) / ('no', n) /
+    ('horizon', n).
+
+    The product is kept as one int bitmask per column, in column order:
+    bit i of a column's mask is set iff row i of matrix(k) reaches that
+    column.  Multiplying by the next matrix is one OR per nonzero entry."""
     P = seq.prefix_len if seq.is_eventually_periodic else None
-    B = seq.matrix(k).boolean()
+    first = seq.matrix(k)
+    full = (1 << len(first.rows)) - 1
+    bit = {a: 1 << i for i, a in enumerate(first.rows)}
+    cols, masks = first.cols, dict.fromkeys(first.cols, 0)
+    for (a, b) in first.entries:
+        masks[b] |= bit[a]
     m = k + 1
     seen = set()
     while True:
-        if B.is_positive():
+        if full and cols and all(v == full for v in masks.values()):
             return ("yes", m - k)
         # an all-zero row can never fill in again
-        if any(all(B.entry(a, b) == 0 for b in B.cols) for a in B.rows):
+        hit = 0
+        for v in masks.values():
+            hit |= v
+        if hit != full:
             return ("no", m - k)
         if seq.is_eventually_periodic:
             if m >= P:
-                state = ((m - P) % seq.period, _bool_key(B))
+                state = ((m - P) % seq.period, cols, tuple(masks.values()))
                 if state in seen:
                     return ("no", m - k)
                 seen.add(state)
         else:
             if m >= seq.horizon:
                 return ("horizon", m - k)
-        B = B.mul(seq.matrix(m).boolean())
+        nxt = seq.matrix(m)
+        if set(cols) != set(nxt.rows):
+            raise IncompatibleAlphabets(
+                "cannot multiply: cols %r vs rows %r" % (cols, nxt.rows))
+        new = dict.fromkeys(nxt.cols, 0)
+        for (a, b) in nxt.entries:
+            new[b] |= masks[a]
+        cols, masks = nxt.cols, new
         m += 1
 
 

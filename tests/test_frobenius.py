@@ -1,9 +1,15 @@
+import collections
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from adic.errors import NotReduced
-from adic.matrixseq import constant
+from adic.errors import NotIrreducible, NotReduced
+from adic.matrixseq import (
+    GenMatrix, EventuallyPeriodic, constant, from_json, reduce_sequence)
 from adic.frobenius import (
     strongly_connected_components,
     stream_decompose,
@@ -11,6 +17,7 @@ from adic.frobenius import (
     minimal_components,
     stationary_frobenius,
     matrix_period,
+    _certify,
 )
 from adic.gallery import seven_matrix_example, three_cycle
 
@@ -117,3 +124,153 @@ def test_stationary_frobenius_triangular_example():
     assert sf.power == 1
     kinds = [b[2] for b in sf.blocks]
     assert kinds.count("class") == 2
+
+
+def stationary_graph(symbols, edges):
+    """The stationary 0-1 sequence with the given edges."""
+    labs = tuple(symbols)
+    return EventuallyPeriodic([], [GenMatrix(labs, labs,
+                                             {e: 1 for e in edges})])
+
+
+def stream_chain(n):
+    """n one-symbol streams s_i -> s_i, each feeding the next."""
+    labs = ["s%03d" % i for i in range(n)]
+    edges = [(a, a) for a in labs] + list(zip(labs, labs[1:]))
+    return stationary_graph(labs, edges)
+
+
+def bfs_reach(dec):
+    """Reference for dec._reach: breadth-first search from every node of the
+    lcm-period lifted graph, collecting the streams of the nodes visited."""
+    seq, P, T, L = dec.seq, dec.valid_from, dec.period, dec.lcm_period
+    succs, owner = {}, {}
+    for m in range(L):
+        for a in seq.cycle[m % T].rows:
+            succs[(m, a)] = []
+            owner[(m, a)] = dec.stream_of(P + m, a)
+        for (a, b) in seq.cycle[m % T].entries:
+            succs[(m, a)].append(((m + 1) % L, b))
+    out = {}
+    for start in succs:
+        seen = {start}
+        queue = collections.deque(seen)
+        while queue:
+            for nxt in succs[queue.popleft()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        out[start] = frozenset(owner[node] for node in seen
+                               if owner[node] is not None)
+    return out
+
+
+def test_reach_matches_bfs():
+    rng = random.Random(29)
+    seqs = [random_reduced_sequence(rng, max_dim=6, max_period=4,
+                                    max_prefix=2) for _ in range(60)]
+    for seq in seqs + [stream_chain(400)]:
+        dec = stream_decompose(seq)
+        assert dec._reach == bfs_reach(dec)
+
+
+def recursive_longest_pool_path(dec):
+    """Reference for the pool certificate: the longest pool-only path of
+    the lcm-period lifted graph, by memoised recursion."""
+    seq, P, T, L = dec.seq, dec.valid_from, dec.period, dec.lcm_period
+    memo = {}
+
+    def longest_from(m, a):
+        if (m, a) not in memo:
+            nxt = dec.pool_members_at(P + m + 1)
+            memo[(m, a)] = max((1 + longest_from((m + 1) % L, b)
+                                for (x, b) in seq.cycle[m % T].entries
+                                if x == a and b in nxt), default=0)
+        return memo[(m, a)]
+
+    return max((longest_from(m, a) for m in range(L)
+                for a in dec.pool_members_at(P + m)), default=0)
+
+
+def random_triangular_sequence(rng):
+    """A reduced sequence whose cycle matrices are upper triangular on one
+    alphabet, with a few diagonal loops: long pool paths between streams."""
+    labs = tuple("%02d" % j for j in range(rng.randrange(4, 13)))
+    cycle = []
+    for _ in range(rng.randrange(1, 3)):
+        entries = {(a, b): 1 for i, a in enumerate(labs) for b in labs[i + 1:]
+                   if rng.random() < 0.3}
+        for a in labs:
+            if a == labs[-1] or rng.random() < 0.2:
+                entries[(a, a)] = 1
+        cycle.append(GenMatrix(labs, labs, entries))
+    return reduce_sequence(EventuallyPeriodic([], cycle))[0]
+
+
+def test_pool_longest_path_matches_recursive_search():
+    rng = random.Random(31)
+    lengths = set()
+    for _ in range(300):
+        seq = random_triangular_sequence(rng)
+        dec = stream_decompose(seq)
+        expected = recursive_longest_pool_path(dec)
+        assert dec.certificates["pool"]["longest_pool_path"] == expected
+        lengths.add(expected)
+    assert len(lengths) > 2
+
+
+def test_pool_certificate_rejects_a_cycle():
+    dec = stream_decompose(constant([[1, 1], [0, 1]], ["0", "1"]))
+    # drop stream 2, so that its loop is left in the pool
+    dec.streams = dec.streams[:1]
+    with pytest.raises(NotIrreducible, match="pool contains a cycle"):
+        _certify(dec)
+
+
+def block_key(label):
+    return (int(label[1:]), 0) if label.startswith("P") else (int(label), 1)
+
+
+def test_frobenius_form_prefix_symbol_into_pool_group():
+    # prefix symbol 5 reaches stream 2 only through pool group P2 at level
+    # 1; labelled stream 2 it sat below the diagonal and the form raised
+    seq = from_json(json.loads("""
+    {"kind": "eventually_periodic",
+     "alphabets": [["9","7","1","8","2","4","3","6","5","0"],
+                   ["9","7","1","8","2","4"], ["9","7"]],
+     "prefix": [[[0,1,0,0,0,1],[0,0,1,0,1,1],[0,0,0,1,0,0],[0,1,1,1,1,0],
+                 [1,1,0,0,1,0],[2,1,0,1,0,1],[1,1,1,1,1,2],[1,1,0,0,0,0],
+                 [0,0,0,0,0,1],[1,1,0,2,1,0]]],
+     "cycle": [[[0,1],[1,0],[1,1],[0,1],[0,1],[0,1]],
+               [[1,1,1,2,1,1],[0,0,0,1,1,0]]]}"""))
+    form = frobenius_form(seq)
+    dec = form.decomposition
+    assert dec.block_assignment(0)["5"] == ("pool", 2)
+    assert dec.stream_of(0, "5") == 2
+    for k in range(dec.valid_from + dec.lcm_period):
+        for (r, c) in dec.block_matrix(k).entries:
+            assert block_key(r) <= block_key(c)
+
+
+CHAIN_SCRIPT = """
+from adic.frobenius import stream_decompose
+from test_frobenius import stationary_graph
+labs = ["s0"] + ["p%04d" % i for i in range(1, 1501)] + ["s1"]
+edges = [("s0", "s0"), ("s1", "s1")] + list(zip(labs, labs[1:]))
+dec = stream_decompose(stationary_graph(labs, edges))
+print(len(dec.streams), dec.certificates["pool"]["longest_pool_path"])
+"""
+
+
+def test_long_pool_chain_under_every_hash_seed():
+    # the pool certificate walks a 1500-node chain; its start node follows
+    # set (hash) order, so run it under several hash seeds
+    here = os.path.dirname(os.path.abspath(__file__))
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        r = subprocess.run([sys.executable, "-c", CHAIN_SCRIPT], cwd=here,
+                           env=env, capture_output=True, text=True,
+                           timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == ["2", "1499"]

@@ -10,6 +10,7 @@ from adic.errors import (
 from adic import matrixseq
 from adic.matrixseq import (
     GenMatrix,
+    EventuallyPeriodic,
     Truncated,
     constant,
     from_int_matrices,
@@ -173,6 +174,65 @@ def test_is_primitive_truncated_undecided():
                                         [[1, 1], [1, 0]])] * 2)
     v = is_primitive(t)
     assert not v.is_decided()
+
+
+def _dict_positivity_from(seq, k):
+    """Reference: the boolean partial products as dict matrices, with the
+    state (phase, rows, cols, entry set) as the repeat key."""
+    def boolean(m):
+        return GenMatrix(m.rows, m.cols, {e: 1 for e in m.entries})
+
+    B = boolean(seq.matrix(k))
+    m = k + 1
+    seen = set()
+    while True:
+        if B.is_positive():
+            return ("yes", m - k)
+        if any(all(B.entry(a, b) == 0 for b in B.cols) for a in B.rows):
+            return ("no", m - k)
+        if seq.is_eventually_periodic:
+            if m >= seq.prefix_len:
+                state = ((m - seq.prefix_len) % seq.period,
+                         B.rows, B.cols, frozenset(B.entries))
+                if state in seen:
+                    return ("no", m - k)
+                seen.add(state)
+        elif m >= seq.horizon:
+            return ("horizon", m - k)
+        B = B.mul(boolean(seq.matrix(m)))
+        m += 1
+
+
+def test_positivity_from_matches_dict_boolean_products():
+    rng = random.Random(71)
+    for trial in range(600):
+        seq = random_ep_sequence(rng, max_dim=5, max_period=4, max_prefix=3)
+        if trial % 2:
+            # the closing matrix lists its columns in another order
+            last = seq.cycle[-1]
+            cols = list(last.cols)
+            rng.shuffle(cols)
+            seq = EventuallyPeriodic(
+                seq.prefix,
+                seq.cycle[:-1] + [GenMatrix(last.rows, cols, last.entries)])
+        for k in range(seq.prefix_len + seq.period):
+            assert (matrixseq._positivity_from(seq, k)
+                    == _dict_positivity_from(seq, k))
+        n = rng.randrange(1, 8)
+        trunc = Truncated([seq.matrix(j) for j in range(n)])
+        for k in range(n):
+            assert (matrixseq._positivity_from(trunc, k)
+                    == _dict_positivity_from(trunc, k))
+
+
+def test_is_primitive_makes_no_matrix_products(mul_calls):
+    n = 68
+    labs = tuple(str(j) for j in range(n))
+    entries = {(labs[j], labs[(j + 1) % n]): 1 for j in range(n)}
+    entries[(labs[0], labs[0])] = 1
+    v = is_primitive(EventuallyPeriodic([], [GenMatrix(labs, labs, entries)]))
+    assert v.is_yes()
+    assert mul_calls == []
 
 
 def test_wielandt_bound():
