@@ -8,12 +8,11 @@ strings "p/q" (or integers); no floats.
 
 import json
 import sys
-from fractions import Fraction
 
 import click
 
 from .errors import AdicError
-from .verdict import Verdict
+from .verdict import Verdict, _frac, _jsonable
 from . import matrixseq
 from .diagram import BratteliDiagram, cylinder
 from .frobenius import stream_decompose, frobenius_form
@@ -24,24 +23,6 @@ from . import gallery
 
 DEFAULT_DEPTH = 64
 DEFAULT_BOUND = 10 ** 18
-
-
-def _frac(x):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return "%d/%d" % (x.numerator, x.denominator)
-    return x
-
-
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return _frac(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def _load_diagram(path):

@@ -387,19 +387,47 @@ def _perron_root(q):
     return sympy.Poly(poly.as_expr(), poly.gens[0]).real_roots()[-1]
 
 
+def _fraction(root):
+    return Fraction(int(root.p), int(root.q))
+
+
+def compare_perron(qa, qb):
+    """Exact sign (-1, 0 or 1) of lambda_a - lambda_b for the Perron roots
+    of two square matrices, with a witness.
+
+    Rational roots compare as Fractions.  Otherwise each root is the
+    largest real root of its minimal polynomial (a factor of the
+    charpoly), so equal minimal polynomials mean equal roots, and
+    different ones mean different roots, whose isolating intervals are
+    refined until they are disjoint.  sympy's root expressions are not
+    canonical, so they are never compared with ==."""
+    import sympy
+    ra, rb = _perron_root(qa), _perron_root(qb)
+    if ra.is_rational and rb.is_rational:
+        la, lb = _fraction(ra), _fraction(rb)
+        return (la > lb) - (la < lb), {"lambda": [la, lb], "exact": True}
+    x = sympy.Symbol("x")
+    polys = [sympy.minimal_polynomial(r, x, polys=True) for r in (ra, rb)]
+    coeffs = [[int(c) for c in p.all_coeffs()] for p in polys]
+    if coeffs[0] == coeffs[1]:
+        return 0, {"minpoly": coeffs, "equal": True}
+    eps = sympy.Rational(1, 10 ** 8)
+    while True:
+        ia, ib = [tuple(_fraction(v) for v in p.intervals(eps=eps)[-1][0])
+                  for p in polys]
+        if ia[1] < ib[0] or ib[1] < ia[0]:
+            sign = 1 if ib[1] < ia[0] else -1
+            return sign, {"minpoly": coeffs, "intervals": [ia, ib]}
+        eps = eps * eps
+
+
 def stream_period_eigenvalue(stream):
     """Per-period Perron eigenvalue of a stream, exact when rational.
     Returns a Fraction, or None when the eigenvalue is irrational."""
     top = _perron_root(stream.period_product())
     if top.is_rational:
-        return Fraction(int(top.p), int(top.q))
+        return _fraction(top)
     return None
-
-
-def stream_exact_eigenvalue_expr(stream):
-    """The per-period Perron eigenvalue as an exact sympy expression (always
-    available, used for exact comparisons between blocks)."""
-    return _perron_root(stream.period_product())
 
 
 def exact_ray(decomp, stream):
@@ -418,63 +446,37 @@ def exact_ray(decomp, stream):
     lam = stream_period_eigenvalue(stream)
     if lam is None:
         return None
-    Q = partial_product(seq, P, P + L - 1)
     active = set(stream.members_at(P))
     for a in seq.alphabet(P):
         if stream.index in decomp._reach.get((0, a), frozenset()):
             active.add(a)
     labels = [a for a in seq.alphabet(P) if a in active]
-    basis = solve_kernel(labels, Q.entries, lam)
-    if len(basis) != 1:
-        return None
-    vec = basis[0]
-    if all(v <= 0 for v in vec.values()):
-        vec = {a: -v for a, v in vec.items()}
-    if any(v < 0 for v in vec.values()):
-        return None
-    v_p = {a: vec.get(a, Fraction(0)) for a in seq.alphabet(P)}
-    # fill one period backward from w_{P+L} = w_P / Lambda
-    base = [None] * L
-    base[0] = v_p
-    nxt = {a: v / Fraction(lam) for a, v in v_p.items()}
-    for r in range(L - 1, 0, -1):
-        m = seq.matrix(P + r)
-        cur = {a: Fraction(x) for a, x in m.mul_vec(nxt).items()}
-        base[r] = cur
-        nxt = cur
-    m0 = seq.matrix(P)
-    chk = m0.mul_vec(base[1] if L > 1 else
-                     {a: v / Fraction(lam) for a, v in v_p.items()})
-    if any(Fraction(chk.get(a, 0)) != v_p.get(a, Fraction(0))
-           for a in m0.rows):
-        raise InternalError("eigen relation failed at the period seam")
-    prefix = [None] * P
-    nxt = v_p
-    for k in range(P - 1, -1, -1):
-        m = seq.matrix(k)
-        prefix[k] = {a: Fraction(x) for a, x in m.mul_vec(nxt).items()}
-        nxt = prefix[k]
-    # normalize at the first level with mass
-    level0 = prefix[0] if P > 0 else v_p
-    total = sum(level0.values())
-    if total:
-        scale = Fraction(1) / total
-        base = [{a: v * scale for a, v in lev.items()} for lev in base]
-        prefix = [{a: v * scale for a, v in lev.items()} for lev in prefix]
-    return ExactEigvec(seq, P, L, lam, base, prefix, stream.index)
+    return _ray(decomp, stream, lam, labels,
+                partial_product(seq, P, P + L - 1))
 
 
 def stream_base_ray(decomp, stream):
     """Exact eigenvector sequence supported on the stream itself (zero off
     the stream); always exists when the per-period eigenvalue is rational.
     This is the base ray of the stream's tower."""
-    seq = decomp.seq
-    P, L = decomp.valid_from, decomp.lcm_period
     lam = stream_period_eigenvalue(stream)
     if lam is None:
         return None
     q = stream.period_product()
-    basis = solve_kernel(list(q.rows), q.entries, lam)
+    return _ray(decomp, stream, lam, list(q.rows), q, stream.members_at)
+
+
+def _ray(decomp, stream, lam, labels, q, rows_at=None):
+    """The eigenvector sequence through the kernel of (q - lam I) on
+    `labels`, or None unless that kernel is one nonnegative direction.
+    The kernel vector is w_P, scaled to sum 1; levels P+L-1 down to 0 are
+    filled by w_k = M_k w_{k+1} from w_{P+L} = w_P / lam, and level P must
+    come back as w_P.  With `rows_at`, each w_k is restricted to the
+    symbols rows_at(k), so each product only sees restricted vectors.  The
+    result is normalised at level 0 when level 0 carries mass."""
+    seq = decomp.seq
+    P, L = decomp.valid_from, decomp.lcm_period
+    basis = solve_kernel(labels, q.entries, lam)
     if len(basis) != 1:
         return None
     vec = basis[0]
@@ -482,36 +484,23 @@ def stream_base_ray(decomp, stream):
         vec = {a: -v for a, v in vec.items()}
     if any(v < 0 for v in vec.values()):
         return None
-    v_p = {a: vec.get(a, Fraction(0)) for a in seq.alphabet(P)}
-    total = sum(v_p.values())
-    v_p = {a: v / total for a, v in v_p.items()}
-    base = [None] * L
-    base[0] = v_p
-    nxt = {a: v / Fraction(lam) for a, v in v_p.items()}
-    for r in range(L - 1, 0, -1):
-        m = seq.matrix(P + r)
-        sub = {a: (nxt[a] if a in stream.members_at(P + r + 1) else Fraction(0))
-               for a in nxt}
-        cur = {a: Fraction(x) for a, x in m.mul_vec(sub).items()}
-        cur = {a: (cur[a] if a in stream.members_at(P + r) else Fraction(0))
-               for a in cur}
-        base[r] = cur
-        nxt = cur
-    prefix = [None] * P
-    nxt = v_p
-    for k in range(P - 1, -1, -1):
+    total = sum(vec.values())
+    v_p = {a: vec.get(a, Fraction(0)) / total for a in seq.alphabet(P)}
+    levels = [None] * (P + L)
+    nxt = {a: v / lam for a, v in v_p.items()}
+    for k in range(P + L - 1, -1, -1):
         m = seq.matrix(k)
-        sub = {a: (nxt[a] if a in stream.members_at(k + 1) else Fraction(0))
-               for a in nxt}
-        cur = {a: Fraction(x) for a, x in m.mul_vec(sub).items()}
-        prefix[k] = {a: (cur[a] if a in stream.members_at(k) else Fraction(0))
-                     for a in cur}
-        nxt = prefix[k]
-    level0 = prefix[0] if P > 0 else base[0]
-    total = sum(level0.values())
+        cur = {a: Fraction(x) for a, x in m.mul_vec(nxt).items()}
+        if rows_at is not None:
+            keep = rows_at(k)
+            cur = {a: (v if a in keep else Fraction(0)) for a, v in cur.items()}
+        if k == P:
+            if any(cur[a] != v_p.get(a, Fraction(0)) for a in m.rows):
+                raise InternalError("eigen relation failed at the period seam")
+            cur = v_p
+        levels[k] = nxt = cur
+    total = sum(levels[0].values())
     if total:
-        scale = Fraction(1) / total
-        base = [{a: v * scale for a, v in lev.items()} for lev in base]
-        prefix = [{a: v * scale for a, v in lev.items()} for lev in prefix]
-    return ExactEigvec(seq, P, L, lam, base, prefix, stream.index,
-                       rows_at=stream.members_at)
+        levels = [{a: v / total for a, v in lev.items()} for lev in levels]
+    return ExactEigvec(seq, P, L, lam, levels[P:], levels[:P], stream.index,
+                       rows_at=rows_at)

@@ -150,16 +150,18 @@ class Stream:
         self.rho = rho              # rotation period in levels
         self.residue = residue
         self.prefix_members = {}    # level -> frozenset, filled by decomp
+        groups = {}                 # (phase, cyclic class) -> symbols
+        for (ph, a) in scc:
+            groups.setdefault((ph, ell[(ph, a)]), []).append(a)
+        self._groups = {key: frozenset(g) for key, g in groups.items()}
 
     def members_at(self, k):
         P = self.decomp.valid_from
         if k < P:
             return self.prefix_members.get(k, frozenset())
-        T = self.decomp.period
-        p = (k - P) % T
-        c = (self.residue + (k - P)) % self.rho
-        return frozenset(a for (ph, a) in self.scc
-                         if ph == p and self.ell[(ph, a)] == c)
+        return self._groups.get(((k - P) % self.decomp.period,
+                                 (self.residue + (k - P)) % self.rho),
+                                frozenset())
 
     @property
     def starting_time(self):

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 from .errors import NotNested
 from .verdict import Verdict
-from .matrixseq import constant, from_int_matrices
+from .matrixseq import GenMatrix, constant, from_int_matrices
 from .diagram import BratteliDiagram, substitution_order
+from .cones import compare_perron
 from .vershik import SubdiagramEmbedding
 
 
@@ -139,40 +140,22 @@ def rotation_lambda_interval(spec, index):
 
 
 def _period_matrix(prefix, cycle, start, length):
-    """Product of [[n_i,1],[1,0]] over one scalar period from `start`."""
+    """Product of [[n_i,1],[1,0]] over one scalar period from `start`, as
+    a 2x2 GenMatrix."""
     a, b, c, d = 1, 0, 0, 1
     for i in range(start, start + length):
         n = _cf_term(prefix, cycle, i)
         a, b, c, d = n * a + c, n * b + d, a, b
-    return a, b, c, d
+    return GenMatrix.from_lists(("0", "1"), ("0", "1"), [[a, b], [c, d]])
 
 
-def _perron_2x2(a, b, c, d):
+def _perron_2x2(q):
     """(t, D) with Perron eigenvalue (t + sqrt(D)) / 2 of a nonnegative
     integer 2x2 matrix."""
+    (a, b), (c, d) = q.to_lists()
     t = a + d
     D = t * t - 4 * (a * d - b * c)
     return t, D
-
-
-def _compare_quadratic(t1, D1, t2, D2):
-    """Sign of (t1 + sqrt(D1)) - (t2 + sqrt(D2)), in exact integer
-    arithmetic (D1, D2 >= 0)."""
-    dt = t1 - t2
-    if D1 == D2:
-        return (dt > 0) - (dt < 0)
-    u_neg = dt < 0 and dt * dt > D1  # u = dt + sqrt(D1) < 0
-    if u_neg:
-        return -1
-    # u >= 0: sign(u - sqrt(D2)) = sign(u^2 - D2) = sign(A + B sqrt(D1))
-    A = dt * dt + D1 - D2
-    B = 2 * dt
-    if B >= 0 and A >= 0:
-        return 1 if (A > 0 or B * B * D1 > 0) else 0
-    if B <= 0 and A <= 0:
-        return -1 if (A < 0 or B * B * D1 > 0) else 0
-    lhs, rhs = (B * B * D1, A * A) if B > 0 else (A * A, B * B * D1)
-    return (lhs > rhs) - (lhs < rhs)
 
 
 class NestedRotation:
@@ -205,8 +188,10 @@ def nested_rotation(n_spec, nhat_spec):
     # identical tails: bounded ratio regardless of eigenvalues
     tails_equal = all(_cf_term(np_, nc, P + j) == _cf_term(hp, hc, P + j)
                       for j in range(L))
-    t1, D1 = _perron_2x2(*_period_matrix(np_, nc, P, L))
-    t2, D2 = _perron_2x2(*_period_matrix(hp, hc, P, L))
+    q1 = _period_matrix(np_, nc, P, L)
+    q2 = _period_matrix(hp, hc, P, L)
+    t1, D1 = _perron_2x2(q1)
+    t2, D2 = _perron_2x2(q2)
     detail = {
         "period": L,
         "lambda_period_eigenvalue": (t1, D1),
@@ -214,14 +199,10 @@ def nested_rotation(n_spec, nhat_spec):
     }
     if tails_equal:
         verdict = Verdict.yes({"reason": "identical tails", **detail})
+    elif compare_perron(q2, q1)[0] <= 0:  # lambda-hat vs lambda
+        verdict = Verdict.yes({"reason": "per-period ratio <= 1", **detail})
     else:
-        s = _compare_quadratic(t2, D2, t1, D1)  # lambda-hat vs lambda
-        if s <= 0:
-            verdict = Verdict.yes({"reason": "per-period ratio <= 1",
-                                   **detail})
-        else:
-            verdict = Verdict.no({"reason": "per-period ratio > 1",
-                                  **detail})
+        verdict = Verdict.no({"reason": "per-period ratio > 1", **detail})
     return NestedRotation(base, ambient, verdict, detail)
 
 

@@ -278,27 +278,9 @@ def two_by_two_series(a, b, c, n=40):
 
 def compare_streams(stream_a, stream_b):
     """Exact comparison of per-period Perron eigenvalues: -1, 0 or 1, with
-    a machine-checkable witness (rational enclosures, or exact equality)."""
-    la = cones.stream_period_eigenvalue(stream_a)
-    lb = cones.stream_period_eigenvalue(stream_b)
-    if la is not None and lb is not None:
-        sign = (la > lb) - (la < lb)
-        return sign, {"lambda": [la, lb], "exact": True}
-    ea = cones.stream_exact_eigenvalue_expr(stream_a)
-    eb = cones.stream_exact_eigenvalue_expr(stream_b)
-    eq = ea.equals(eb)
-    if eq:
-        return 0, {"lambda_expr": [str(ea), str(eb)], "equal": True}
-    # not equal: refine certified intervals until they separate
-    eps = Fraction(1, 10 ** 8)
-    while True:
-        ia = cones.periodic_pf(stream_a.period_product(), eps)["eigenvalue"]
-        ib = cones.periodic_pf(stream_b.period_product(), eps)["eigenvalue"]
-        if ia[1] < ib[0]:
-            return -1, {"intervals": [ia, ib]}
-        if ib[1] < ia[0]:
-            return 1, {"intervals": [ia, ib]}
-        eps = eps * eps
+    a machine-checkable witness (see cones.compare_perron)."""
+    return cones.compare_perron(stream_a.period_product(),
+                                stream_b.period_product())
 
 
 def communicating_streams(decomp, stream):

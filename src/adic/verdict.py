@@ -6,6 +6,8 @@ checker can re-verify; an Undecided verdict records the horizon up to which
 the question was examined.
 """
 
+from fractions import Fraction
+
 
 class Verdict:
     YES = "yes"
@@ -60,11 +62,20 @@ class Verdict:
         return out
 
 
+def _frac(x):
+    """A Fraction as "p/q", or "p" when it is an integer."""
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return str(x.numerator)
+        return "%d/%d" % (x.numerator, x.denominator)
+    return x
+
+
 def _jsonable(obj):
-    """Best-effort conversion of witness payloads to JSON-safe values."""
-    from fractions import Fraction
+    """Best-effort conversion of witness payloads and reports to JSON-safe
+    values."""
     if isinstance(obj, Fraction):
-        return "%d/%d" % (obj.numerator, obj.denominator)
+        return _frac(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -213,13 +213,19 @@ def _first_special(path, which):
 def successor(path):
     """The next path in the anti-lexicographic order, or None when every
     edge is maximal (the path has no successor)."""
+    return _successor_at(path)[1]
+
+
+def _successor_at(path):
+    """(m, successor) with m the level the successor changes at, or
+    (None, None) when every edge is maximal."""
     m = _first_special(path, "succ")
     if m is None:
-        return None
+        return None, None
     order = path.diagram.order
     new_edge = order.next_edge(path.edge(m))
     head = min_word_into(path.diagram, new_edge[1], m, path.start)
-    return _rebuild(path, head + (new_edge,), m)
+    return m, _rebuild(path, head + (new_edge,), m)
 
 
 def predecessor(path):
@@ -560,10 +566,9 @@ def simulate_orbit(path, steps, depth=2):
     for _ in range(steps):
         word = cur.word(depth)
         visits[word] = visits.get(word, 0) + 1
-        nxt = successor(cur)
+        m, nxt = _successor_at(cur)
         if nxt is None:
             break
-        m = _first_special(cur, "succ")
         change_levels[m] = change_levels.get(m, 0) + 1
         cur = nxt
         performed += 1

@@ -1,0 +1,23 @@
+"""Every demo in demos/ runs to completion."""
+
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+def test_all_five_demos_are_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
+def test_demo_exits_zero(demo):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    r = subprocess.run([sys.executable, demo], cwd=ROOT, env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr

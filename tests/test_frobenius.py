@@ -274,3 +274,25 @@ def test_long_pool_chain_under_every_hash_seed():
                            timeout=60)
         assert r.returncode == 0, r.stderr
         assert r.stdout.split() == ["2", "1499"]
+
+
+def test_members_at_matches_a_scan_of_the_scc():
+    """Reference: the symbols of the stream's SCC in the phase and cyclic
+    class of level k, found by scanning the SCC (prefix levels come from
+    prefix_members)."""
+    rng = random.Random(71)
+    seqs = [seven_matrix_example().seq, three_cycle().seq]
+    seqs += [random_reduced_sequence(rng, max_dim=5) for _ in range(40)]
+    for seq in seqs:
+        dec = stream_decompose(seq)
+        P, T, L = dec.valid_from, dec.period, dec.lcm_period
+        for s in dec.streams:
+            for k in range(P + 3 * L + 1):
+                if k < P:
+                    want = s.prefix_members.get(k, frozenset())
+                else:
+                    c = (s.residue + k - P) % s.rho
+                    want = frozenset(a for (ph, a) in s.scc
+                                     if ph == (k - P) % T
+                                     and s.ell[(ph, a)] == c)
+                assert s.members_at(k) == want

@@ -363,3 +363,38 @@ def test_simulate_chacon_frequencies_track_measure():
     mu = CentralMeasure(cls.seq, ray)
     for w, f in out["frequencies"].items():
         assert abs(f - mu.cylinder_mass(list(w))) < Fraction(1, 50)
+
+
+def test_simulate_scans_once_per_step(monkeypatch):
+    """simulate_orbit takes the change level from the successor step: one
+    _first_special scan per attempted step, and the same change levels as a
+    separate scan of each visited path."""
+    import adic.vershik as vershik
+    cases = [(LazyPath(chacon(), [], tail="min", start_vertex="1"), 200),
+             (LazyPath(dyadic(), [], tail="min", start_vertex="0"), 50),
+             (LazyPath(chacon(), [], tail_cycle=[(0, "1", "1", 2)]), 10)]
+    want = []
+    for p, steps in cases:
+        levels = {}
+        for _ in range(steps):
+            nxt = successor(p)
+            if nxt is None:
+                break
+            m = vershik._first_special(p, "succ")
+            levels[m] = levels.get(m, 0) + 1
+            p = nxt
+        want.append(levels)
+    calls = []
+    original = vershik._first_special
+
+    def counting(path, which):
+        calls.append(which)
+        return original(path, which)
+
+    monkeypatch.setattr(vershik, "_first_special", counting)
+    for (p, steps), levels in zip(cases, want):
+        calls.clear()
+        out = simulate_orbit(p, steps, depth=2)
+        attempted = out["steps_performed"] + (out["steps_performed"] < steps)
+        assert calls == ["succ"] * attempted
+        assert out["change_levels"] == levels
