@@ -14,7 +14,7 @@ import click
 from .errors import AdicError
 from .verdict import Verdict, _frac, _jsonable
 from . import matrixseq
-from .diagram import BratteliDiagram, cylinder
+from .diagram import BratteliDiagram
 from .frobenius import stream_decompose, frobenius_form
 from .cones import extreme_count
 from .measures import classify_measures, canonical_cover, CentralMeasure
@@ -22,12 +22,14 @@ from . import vershik
 from . import gallery
 
 DEFAULT_DEPTH = 64
-DEFAULT_BOUND = 10 ** 18
 
 
 def _load_diagram(path):
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise AdicError("%s: JSON nested too deeply" % path) from None
     return BratteliDiagram.from_json(obj)
 
 
@@ -163,10 +165,8 @@ def decompose(diagram, as_json, emit):
 
 @cli.command()
 @click.argument("diagram", type=click.Path(exists=True))
-@click.option("--depth", default=DEFAULT_DEPTH, show_default=True)
-@click.option("--bound", default=DEFAULT_BOUND, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-def classify(diagram, depth, bound, as_json):
+def classify(diagram, as_json):
     """Ergodic measure classification: rays and Finite/Infinite verdicts."""
     d = _load_diagram(diagram)
     cls = classify_measures(d.seq)
@@ -187,8 +187,6 @@ def classify(diagram, depth, bound, as_json):
         entries.append(entry)
     report = {
         "command": "classify",
-        "depth": depth,
-        "bound": bound,
         "measures": entries,
         "finite": cls.finite_count,
         "infinite": cls.infinite_count,
@@ -223,9 +221,8 @@ def cover(base, ambient, as_json, emit):
               help="Index of the ergodic measure, in classification order.")
 @click.option("--cylinder", "cyl", default="",
               help="Edge word 'a>b.i,a>b.i,...' from level 0.")
-@click.option("--depth", default=DEFAULT_DEPTH, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-def measure(diagram, ray_index, cyl, depth, as_json):
+def measure(diagram, ray_index, cyl, as_json):
     """Cylinder mass under one of the ergodic measures."""
     d = _load_diagram(diagram)
     cls = classify_measures(d.seq)

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from .errors import (EmptyCone, NotPrimitive, NonPositiveEntry, DepthExceeded,
                      InternalError)
-from . import matrixseq
 from .matrixseq import (
     GenMatrix,
     EventuallyPeriodic,

@@ -11,7 +11,6 @@ from .errors import (
     InsufficientPrefix,
     AbelianizationMismatch,
     EmptyEdgeAlphabet,
-    HorizonExceeded,
     ShapeMismatch,
 )
 from . import matrixseq
@@ -30,23 +29,24 @@ def edges_from_matrix(level, m):
 class StableOrder:
     """Per-level, per-target edge orders for an eventually periodic (or
     truncated) diagram.  Orders are stored level-free as (source, index)
-    pairs; for eventually periodic diagrams the cycle part repeats.
+    pairs, one level order per stored matrix of the sequence, and read
+    through `seq.index(k)`; for eventually periodic diagrams the cycle part
+    repeats.
     """
 
     def __init__(self, seq, prefix_orders=None, cycle_orders=None,
                  term_orders=None):
         self.seq = seq
-        if seq.is_eventually_periodic:
-            self.prefix_orders = [self._fill(seq.matrix(i), o) for i, o in
-                                  enumerate(prefix_orders
-                                            or [None] * seq.prefix_len)]
-            self.cycle_orders = [self._fill(seq.cycle[p], o) for p, o in
-                                 enumerate(cycle_orders
-                                           or [None] * seq.period)]
-        else:
-            self.term_orders = [self._fill(seq.matrix(i), o) for i, o in
-                                enumerate(term_orders
-                                          or [None] * seq.horizon)]
+        given = {"prefix": prefix_orders, "cycle": cycle_orders,
+                 "terms": term_orders}
+        orders = []
+        for part, n in seq._parts:
+            levels = given[part] or [None] * n
+            if len(levels) != n:
+                raise ShapeMismatch("%d %s orders for %d levels"
+                                    % (len(levels), part, n))
+            orders += levels
+        self._orders = [self._fill(m, o) for m, o in zip(seq.stored, orders)]
 
     @staticmethod
     def _fill(m, order):
@@ -66,13 +66,7 @@ class StableOrder:
         return full
 
     def level_orders(self, k):
-        if self.seq.is_eventually_periodic:
-            if k < self.seq.prefix_len:
-                return self.prefix_orders[k]
-            return self.cycle_orders[self.seq.phase(k)]
-        if k >= self.seq.horizon:
-            raise HorizonExceeded(k)
-        return self.term_orders[k]
+        return self._orders[self.seq.index(k)]
 
     def incoming(self, k, b):
         """Ordered edge list into symbol b at level k+1."""
@@ -129,13 +123,13 @@ class StableOrder:
         return (k, a, b, i)
 
     def to_json(self):
-        def conv(levels):
-            return [{b: [[a, i] for (a, i) in pairs]
-                     for b, pairs in lo.items()} for lo in levels]
-        if self.seq.is_eventually_periodic:
-            return {"prefix": conv(self.prefix_orders),
-                    "cycle": conv(self.cycle_orders)}
-        return {"terms": conv(self.term_orders)}
+        out, start = {}, 0
+        for part, n in self.seq._parts:
+            out[part] = [{b: [[a, i] for (a, i) in pairs]
+                          for b, pairs in lo.items()}
+                         for lo in self._orders[start:start + n]]
+            start += n
+        return out
 
 
 class BratteliDiagram:
@@ -177,13 +171,9 @@ class BratteliDiagram:
                     "symbols to [source, index] pairs" % (key, n))
             return [{b: [tuple(e) for e in pairs] for b, pairs in lo.items()}
                     for lo in levels] or None
-        if seq.is_eventually_periodic:
-            order = StableOrder(seq,
-                                prefix_orders=conv("prefix", seq.prefix_len),
-                                cycle_orders=conv("cycle", seq.period))
-        else:
-            order = StableOrder(seq, term_orders=conv("terms", seq.horizon))
-        return cls(seq, order)
+        given = {part: conv(part, n) for part, n in seq._parts}
+        return cls(seq, StableOrder(seq, given.get("prefix"),
+                                    given.get("cycle"), given.get("terms")))
 
 
 def _is_level_order(lo):

@@ -182,21 +182,27 @@ def _check_chain(mats):
 
 
 class MatrixSequence:
-    """Base class; see EventuallyPeriodic and Truncated."""
+    """Base class; see EventuallyPeriodic and Truncated.
 
-    def matrix(self, i):
-        raise NotImplementedError
+    A sequence keeps its finitely many matrices in one list `stored`: the
+    prefix then the cycle, or the terms.  `index(k)` is the only map from
+    a level k to its position in `stored`; it raises IndexError for k < 0
+    and HorizonExceeded at or past a truncated horizon.  Any per-level table
+    kept parallel to `stored` is read as `table[seq.index(k)]`.  `_parts`
+    names the runs of `stored` as the JSON format does, with their lengths.
+    """
 
-    def alphabet(self, i):
-        raise NotImplementedError
+    horizon = None
+
+    def matrix(self, k):
+        return self.stored[self.index(k)]
+
+    def alphabet(self, k):
+        return self.matrix(k).rows
 
     @property
     def is_eventually_periodic(self):
         return isinstance(self, EventuallyPeriodic)
-
-    @property
-    def horizon(self):
-        return None
 
 
 class EventuallyPeriodic(MatrixSequence):
@@ -209,29 +215,22 @@ class EventuallyPeriodic(MatrixSequence):
             raise IncompatibleAlphabets("cycle does not close")
         self.prefix = prefix
         self.cycle = cycle
+        self.stored = prefix + cycle
+        self.prefix_len = len(prefix)
+        self.period = len(cycle)
+        self._parts = (("prefix", self.prefix_len), ("cycle", self.period))
 
-    @property
-    def prefix_len(self):
-        return len(self.prefix)
+    def index(self, k):
+        if k < self.prefix_len:
+            if k < 0:
+                raise IndexError(k)
+            return k
+        return self.prefix_len + (k - self.prefix_len) % self.period
 
-    @property
-    def period(self):
-        return len(self.cycle)
-
-    def phase(self, i):
-        if i < self.prefix_len:
-            raise ValueError("level %d is in the prefix" % i)
-        return (i - self.prefix_len) % self.period
-
-    def matrix(self, i):
-        if i < 0:
-            raise IndexError(i)
-        if i < self.prefix_len:
-            return self.prefix[i]
-        return self.cycle[self.phase(i)]
-
-    def alphabet(self, i):
-        return self.matrix(i).rows
+    def phase(self, k):
+        if k < self.prefix_len:
+            raise ValueError("level %d is in the prefix" % k)
+        return self.index(k) - self.prefix_len
 
     def liminf_alphabet_size(self):
         return min(len(m.rows) for m in self.cycle)
@@ -247,26 +246,25 @@ class Truncated(MatrixSequence):
         if not terms:
             raise ShapeMismatch("need at least one term")
         _check_chain(terms)
-        self.terms = terms
+        self.terms = self.stored = terms
+        self.horizon = len(terms)
+        self._parts = (("terms", self.horizon),)
 
-    @property
-    def horizon(self):
-        return len(self.terms)
+    def index(self, k):
+        if k < 0:
+            raise IndexError(k)
+        if k >= self.horizon:
+            raise HorizonExceeded("level %d beyond horizon %d"
+                                  % (k, self.horizon))
+        return k
 
-    def matrix(self, i):
-        if i < 0:
-            raise IndexError(i)
-        if i >= len(self.terms):
-            raise HorizonExceeded("level %d beyond horizon %d" % (i, len(self.terms)))
-        return self.terms[i]
-
-    def alphabet(self, i):
-        if i == len(self.terms):
+    def alphabet(self, k):
+        if k == self.horizon:
             return self.terms[-1].cols
-        return self.matrix(i).rows
+        return self.matrix(k).rows
 
     def __repr__(self):
-        return "Truncated(%d terms)" % len(self.terms)
+        return "Truncated(%d terms)" % self.horizon
 
 
 def from_int_matrices(mats, cycle_from=None, labels=None):
@@ -408,22 +406,6 @@ def _restrict_to(m, rows, cols):
                       tuple(b for b in m.cols if b in cols))
 
 
-def _right_alive_cycle(seq):
-    """Greatest fixpoint of 'has an edge into a surviving next-phase symbol'
-    on the cycle alphabets.  Returns one frozenset per cycle phase."""
-    T = seq.period
-    alive = [set(seq.cycle[p].rows) for p in range(T)]
-    changed = True
-    while changed:
-        changed = False
-        for p in range(T):
-            keep = _right_alive_step(seq.cycle[p], alive[(p + 1) % T])
-            if keep != alive[p]:
-                alive[p] = keep
-                changed = True
-    return [frozenset(s) for s in alive]
-
-
 def reduce_sequence(seq):
     """Remove symbols that cannot be extended infinitely to the right or
     reached from level 0 on the left.  Returns (reduced, log).
@@ -434,32 +416,33 @@ def reduce_sequence(seq):
     is optimistic at the horizon, and the log says so.
     """
     if seq.is_eventually_periodic:
-        P, T = seq.prefix_len, seq.period
-        cyc_alive = _right_alive_cycle(seq)
-        right = {}
-        # backward through the prefix, seeded by the cycle fixpoint
-        nxt = cyc_alive[0]
-        for k in range(P - 1, -1, -1):
-            nxt = right[k] = _right_alive_step(seq.prefix[k], nxt)
+        P, stored = seq.prefix_len, seq.stored
+        # right[i]: the right-extendable rows of stored[i].  Greatest
+        # fixpoint on the cycle, then backward through the prefix.
+        right = [set(m.rows) for m in stored]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(P, len(stored)):
+                keep = _right_alive_step(stored[i], right[seq.index(i + 1)])
+                if keep != right[i]:
+                    right[i] = keep
+                    changed = True
+        for i in range(P - 1, -1, -1):
+            right[i] = _right_alive_step(stored[i], right[i + 1])
 
-        def right_alive(k):
-            if k < P:
-                return right[k]
-            return cyc_alive[(k - P) % T]
-
-        # forward sweep with cycle detection on (phase, surviving set)
-        survive = [frozenset(right_alive(0))]
+        # forward sweep until (stored position, surviving set) repeats
+        survive = [frozenset(right[0])]
         seen = {}
         k = 0
         while True:
-            if k >= P:
-                state = ((k - P) % T, survive[k])
-                if state in seen:
-                    loop_start = seen[state]
-                    break
-                seen[state] = k
+            state = (seq.index(k), survive[k])
+            if state in seen:
+                loop_start = seen[state]
+                break
+            seen[state] = k
             survive.append(_survive_step(seq.matrix(k), survive[k],
-                                         right_alive(k + 1)))
+                                         right[seq.index(k + 1)]))
             k += 1
         loop_len = k - loop_start
         new_prefix = [_restrict_to(seq.matrix(i), survive[i], survive[i + 1])
@@ -482,7 +465,7 @@ def reduce_sequence(seq):
 
     # truncated: optimistic at the horizon
     h = seq.horizon
-    right = {h: set(seq.alphabet(h))}
+    right = [None] * h + [set(seq.alphabet(h))]
     for k in range(h - 1, -1, -1):
         right[k] = _right_alive_step(seq.matrix(k), right[k + 1])
     survive = [frozenset(right[0])]
@@ -516,14 +499,13 @@ def wielandt_bound(d):
 
 def _positivity_from(seq, k):
     """Iterate boolean partial products starting at level k until a strictly
-    positive product appears or (for eventually periodic input) the state
-    (phase, boolean product) repeats.  Returns ('yes', n) / ('no', n) /
-    ('horizon', n).
+    positive product appears, the state (stored position, boolean product)
+    repeats, or a truncated sequence runs out.  Returns ('yes', n) /
+    ('no', n) / ('horizon', n).
 
     The product is kept as one int bitmask per column, in column order:
     bit i of a column's mask is set iff row i of matrix(k) reaches that
     column.  Multiplying by the next matrix is one OR per nonzero entry."""
-    P = seq.prefix_len if seq.is_eventually_periodic else None
     first = seq.matrix(k)
     full = (1 << len(first.rows)) - 1
     bit = {a: 1 << i for i, a in enumerate(first.rows)}
@@ -541,16 +523,15 @@ def _positivity_from(seq, k):
             hit |= v
         if hit != full:
             return ("no", m - k)
-        if seq.is_eventually_periodic:
-            if m >= P:
-                state = ((m - P) % seq.period, cols, tuple(masks.values()))
-                if state in seen:
-                    return ("no", m - k)
-                seen.add(state)
-        else:
-            if m >= seq.horizon:
-                return ("horizon", m - k)
-        nxt = seq.matrix(m)
+        try:
+            i = seq.index(m)
+        except HorizonExceeded:
+            return ("horizon", m - k)
+        state = (i, cols, tuple(masks.values()))
+        if state in seen:
+            return ("no", m - k)
+        seen.add(state)
+        nxt = seq.stored[i]
         if set(cols) != set(nxt.rows):
             raise IncompatibleAlphabets(
                 "cannot multiply: cols %r vs rows %r" % (cols, nxt.rows))
@@ -566,30 +547,22 @@ def is_primitive(seq):
     from k to n strictly positive.  Exact for eventually periodic input;
     Truncated input can only be refuted (a zero row persists forever), never
     confirmed."""
-    if seq.is_eventually_periodic:
-        if any(not seq.matrix(i).rows for i in
-               range(seq.prefix_len + seq.period)):
-            return Verdict.no({"reason": "empty alphabet"})
-        witness = {}
-        for k in range(seq.prefix_len + seq.period):
-            res, n = _positivity_from(seq, k)
-            if res == "no":
-                return Verdict.no({"start_level": k, "steps_explored": n})
-            witness[k] = n
-        d = max(len(seq.matrix(i).rows)
-                for i in range(seq.prefix_len + seq.period))
-        return Verdict.yes({"positive_after": witness,
-                            "wielandt_bound": wielandt_bound(d)})
-    hits = {}
-    for k in range(seq.horizon):
+    if seq.is_eventually_periodic and any(not m.rows for m in seq.stored):
+        return Verdict.no({"reason": "empty alphabet"})
+    witness = {}
+    for k in range(len(seq.stored)):
         res, n = _positivity_from(seq, k)
         if res == "no":
             return Verdict.no({"start_level": k, "steps_explored": n})
         if res == "horizon":
-            return Verdict.undecided(seq.horizon, {"positive_after": hits,
+            return Verdict.undecided(seq.horizon, {"positive_after": witness,
                                                    "stuck_at": k})
-        hits[k] = n
-    return Verdict.undecided(seq.horizon, {"positive_after": hits})
+        witness[k] = n
+    if seq.horizon is not None:
+        return Verdict.undecided(seq.horizon, {"positive_after": witness})
+    d = max(len(m.rows) for m in seq.stored)
+    return Verdict.yes({"positive_after": witness,
+                        "wielandt_bound": wielandt_bound(d)})
 
 
 # ---------------------------------------------------------------------------
@@ -626,27 +599,14 @@ class StateSplit:
 
     def __init__(self, seq):
         self.seq = seq
-        if seq.is_eventually_periodic:
-            self._prefix = [split_matrix(m) for m in seq.prefix]
-            self._cycle = [split_matrix(m) for m in seq.cycle]
-        else:
-            self._terms = [split_matrix(m) for m in seq.terms]
-        for i in range(seq.prefix_len + seq.period
-                       if seq.is_eventually_periodic else seq.horizon):
-            A, B = self.pair(i)
-            if not A.mul(B).same_as(self.seq.matrix(i)):
+        self._pairs = [split_matrix(m) for m in seq.stored]
+        for i, (m, (A, B)) in enumerate(zip(seq.stored, self._pairs)):
+            if not A.mul(B).same_as(m):
                 raise InternalError("split factors do not multiply back "
                                     "at level %d" % i)
 
     def pair(self, i):
-        if self.seq.is_eventually_periodic:
-            P = self.seq.prefix_len
-            if i < P:
-                return self._prefix[i]
-            return self._cycle[(i - P) % self.seq.period]
-        if i >= self.seq.horizon:
-            raise HorizonExceeded(i)
-        return self._terms[i]
+        return self._pairs[self.seq.index(i)]
 
     def a(self, i):
         return self.pair(i)[0]

@@ -19,7 +19,7 @@ from .errors import (
     InternalError,
 )
 from .verdict import Verdict
-from . import matrixseq, cones
+from . import cones
 from .matrixseq import (
     GenMatrix,
     EventuallyPeriodic,
@@ -57,10 +57,6 @@ class CentralMeasure:
 
     def total_mass(self):
         return sum(self.eigvec.value(0).values())
-
-
-def measure_of_cylinder(measure, word, start=0):
-    return measure.cylinder_mass(word, start)
 
 
 # ---------------------------------------------------------------------------

@@ -309,3 +309,25 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_has_no_unused_imports():
+    # every module-level import binding is read somewhere in its module;
+    # __init__.py re-exports, and the benchmark tracer wraps vershik's
+    # binding of partial_product by name
+    exempt = {("vershik", "partial_product")}
+    package = pathlib.Path(adic.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used and (path.stem, name) not in exempt:
+                        found.append("%s.%s" % (path.stem, name))
+    assert found == []

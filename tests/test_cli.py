@@ -172,3 +172,23 @@ def test_table_output_is_plain_text(chacon_file):
     assert r.returncode == 0
     assert "finite" in r.stdout
     assert not r.stdout.lstrip().startswith("{")
+
+
+def test_classify_has_no_depth_or_bound(chacon_file):
+    assert run_cli("classify", chacon_file, "--bound", "5").returncode == 1
+    assert run_cli("classify", chacon_file, "--depth", "5").returncode == 1
+    r = run_cli("classify", chacon_file, "--json")
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert "depth" not in out and "bound" not in out
+
+
+@pytest.mark.parametrize("command", ["classify", "cover"])
+def test_deeply_nested_json_is_a_one_line_error(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    args = [str(path)] * (2 if command == "cover" else 1)
+    r = run_cli(command, *args)
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -8,7 +8,6 @@ from adic.matrixseq import constant, from_int_matrices
 from adic.cones import ExactEigvec, stream_period_eigenvalue
 from adic.measures import (
     CentralMeasure,
-    measure_of_cylinder,
     canonical_cover,
     chat_block,
     two_by_two_series,
@@ -248,13 +247,6 @@ def test_central_measure_additive_and_invariant_random():
             _measure_fc_invariant(cls.seq, mu, 4)
             done += 1
     assert done >= 10
-
-
-def test_measure_of_cylinder_wrapper():
-    seq = constant([[2]], ["0"])
-    mu = CentralMeasure(seq, _finite_ray(seq))
-    word = [(0, "0", "0", 1), (1, "0", "0", 0)]
-    assert measure_of_cylinder(mu, word) == Fraction(1, 4)
 
 
 # ---------------------------------------------------------------------------
