@@ -1,9 +1,10 @@
 """Command-line front end.
 
 JSON diagrams in, JSON or aligned-table reports out.  Exit codes: 0 when
-every verdict in the report is decided, 2 when some verdict is Undecided,
-1 on input or usage errors.  All numbers in reports are exact fraction
-strings "p/q" (or integers); no floats.
+every verdict in the report is decided and every ray is exact, 2 when some
+verdict is Undecided or some ray is a depth-limited approximation (marked
+"exact": false), 1 on input or usage errors.  All numbers in reports are
+exact fraction strings "p/q" (or integers); no floats.
 """
 
 import json
@@ -16,12 +17,14 @@ from .verdict import Verdict, _frac, _jsonable
 from . import matrixseq
 from .diagram import BratteliDiagram
 from .frobenius import stream_decompose, frobenius_form
-from .cones import extreme_count
+from .cones import extreme_count, EigvecSeqApprox
 from .measures import classify_measures, canonical_cover, CentralMeasure
 from . import vershik
 from . import gallery
 
 DEFAULT_DEPTH = 64
+# the keys `adic example --emit` writes for a subdiagram embedding
+EMBEDDING_KEYS = {"ambient", "base", "base_edge_indices"}
 
 
 def _load_diagram(path):
@@ -30,6 +33,9 @@ def _load_diagram(path):
             obj = json.load(fh)
         except RecursionError:
             raise AdicError("%s: JSON nested too deeply" % path) from None
+    if isinstance(obj, dict) and EMBEDDING_KEYS <= obj.keys():
+        raise AdicError("%s is a subdiagram embedding, not a diagram; its "
+                        "\"ambient\" object is the diagram" % path)
     return BratteliDiagram.from_json(obj)
 
 
@@ -180,6 +186,8 @@ def classify(diagram, as_json):
         }
         if m.ray is not None:
             entry["ray"] = {a: _frac(v) for a, v in sorted(m.ray.ray0.items())}
+            if isinstance(m.ray, EigvecSeqApprox):
+                entry["exact"] = False
         if m.verdict.value == Verdict.UNDECIDED:
             entry["horizon"] = m.verdict.horizon
         if m.atomic and m.atom:
@@ -193,7 +201,8 @@ def classify(diagram, as_json):
         "undecided": sum(1 for m in cls.measures
                          if not m.verdict.is_decided()),
     }
-    _finish(report, as_json, undecided=report["undecided"] > 0)
+    approx = any(isinstance(m.ray, EigvecSeqApprox) for m in cls.measures)
+    _finish(report, as_json, undecided=report["undecided"] > 0 or approx)
 
 
 @cli.command()
@@ -238,12 +247,16 @@ def measure(diagram, ray_index, cyl, as_json):
         "verdict": ("Finite" if m.verdict.is_yes() else
                     "Infinite" if m.verdict.is_no() else "Undecided"),
     }
+    approx = isinstance(m.ray, EigvecSeqApprox)
+    if approx:
+        report["exact"] = False
     if cyl:
         word = [_edge_token(tok.strip(), k)
                 for k, tok in enumerate(cyl.split(","))]
         report["cylinder"] = [_edge_str(e) for e in word]
         report["mass"] = _frac(cm.cylinder_mass(tuple(word)))
-    _finish(report, as_json, undecided=not m.verdict.is_decided())
+    _finish(report, as_json,
+            undecided=approx or not m.verdict.is_decided())
 
 
 @cli.command("count-ergodic")

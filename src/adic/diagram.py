@@ -85,10 +85,12 @@ class StableOrder:
         return len(self.level_orders(k)[b])
 
     def is_max(self, edge):
-        return self.position(edge) == self.class_size(edge) - 1
+        k, a, b, i = edge
+        return self.level_orders(k)[b][-1] == (a, i)
 
     def is_min(self, edge):
-        return self.position(edge) == 0
+        k, a, b, i = edge
+        return self.level_orders(k)[b][0] == (a, i)
 
     def next_edge(self, edge):
         k, a, b, i = edge

@@ -4,8 +4,14 @@ Paths are represented lazily: an explicit edge prefix plus, for eventually
 periodic diagrams, a periodic tail (one period of edges, repeated).  The
 successor map increments the least non-maximal edge and rewrites everything
 below it minimally; paths whose edges are all maximal have no successor.
+
+Paths are validated once, at the boundary: the public `LazyPath(...)`
+constructor checks every edge of the prefix and the tail.  The paths that
+`successor` and `predecessor` derive from a valid path are assembled by
+`_rebuild`, valid by construction, and are not checked again.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -34,7 +40,12 @@ class LazyPath:
     tail="min" / tail="max" instead asks for a continuation all of whose
     edges are minimal (resp. maximal) in the order; it is resolved at
     construction into a concrete periodic tail (least vertex chosen at
-    branches).  An empty prefix then needs start_vertex."""
+    branches).  An empty prefix then needs start_vertex.
+
+    This constructor is the validation boundary: it checks the edge words,
+    the tail shape and how prefix and tail compose, and raises
+    MalformedWord, ShapeMismatch or UndeterminedTail.  Paths derived by the
+    successor map skip it (see `_rebuild`)."""
 
     def __init__(self, diagram, prefix_edges, tail_cycle=None, start=0,
                  tail=None, start_vertex=None):
@@ -80,6 +91,18 @@ class LazyPath:
             if self.tail_cycle[-1][2] != self.tail_cycle[0][1]:
                 raise MalformedWord("tail cycle does not close")
 
+    @classmethod
+    def _derived(cls, diagram, start, prefix_edges, tail_cycle):
+        """A path assembled by `_rebuild` from a valid one: the fields are
+        set as given (tuples of edge tuples), with no checks."""
+        path = cls.__new__(cls)
+        path.diagram = diagram
+        path.start = start
+        path.prefix_edges = prefix_edges
+        path.tail_cycle = tail_cycle
+        path.tail_rule = "periodic" if tail_cycle else None
+        return path
+
     @property
     def tail_start(self):
         return self.start + len(self.prefix_edges)
@@ -97,7 +120,11 @@ class LazyPath:
 
     def word(self, upto):
         """Edges for levels start..upto-1."""
-        return tuple(self.edge(k) for k in range(self.start, upto))
+        n = max(upto - self.start, 0)
+        if n <= len(self.prefix_edges):
+            return self.prefix_edges[:n]
+        return self.prefix_edges + tuple(
+            self.edge(k) for k in range(self.tail_start, upto))
 
     def vertex(self, k):
         if k == self.start:
@@ -195,18 +222,13 @@ def _extremal_continuation(diagram, vertex, level, kind):
 def _first_special(path, which):
     """Least level whose edge is non-maximal ('succ') / non-minimal ('pred'),
     or None if certified absent, scanning the prefix and then one full tail
-    period (enough, by periodicity)."""
+    period (enough, by periodicity).  The stored edges are read as they are:
+    their levels are start, start+1, ... through the tail period."""
     order = path.diagram.order
     test = order.is_max if which == "succ" else order.is_min
-    for k in range(path.start, path.tail_start):
-        if not test(path.edge(k)):
-            return k
-    if path.tail_cycle is None:
-        return None
-    for j in range(len(path.tail_cycle)):
-        k = path.tail_start + j
-        if not test(path.edge(k)):
-            return k
+    for e in itertools.chain(path.prefix_edges, path.tail_cycle or ()):
+        if not test(e):
+            return e[0]
     return None
 
 
@@ -240,32 +262,29 @@ def predecessor(path):
 
 def _rebuild(path, new_head, m):
     """Reassemble a path that changed at level m (new_head covers levels
-    start..m), keeping everything beyond m."""
-    if path.tail_cycle is None:
-        rest = path.prefix_edges[m + 1 - path.start:]
-        return LazyPath(path.diagram, new_head + rest, None, path.start)
-    if m + 1 <= path.tail_start:
-        rest = path.prefix_edges[m + 1 - path.start:]
-        return LazyPath(path.diagram, new_head + rest, path.tail_cycle,
-                        path.start)
-    carry = tuple(path.edge(k) for k in range(m + 1, _next_tail_boundary(path, m)))
-    ts = m + 1 + len(carry)
-    rot = (ts - path.tail_start) % len(path.tail_cycle)
-    cycle = tuple(path.tail_cycle[(rot + j) % len(path.tail_cycle)]
-                  for j in range(len(path.tail_cycle)))
-    # shift the rotated cycle so its stored levels are consistent patterns
-    return LazyPath(path.diagram, new_head + carry,
-                    [( ts + j, cycle[j][1], cycle[j][2], cycle[j][3])
-                     for j in range(len(cycle))], path.start)
+    start..m), keeping everything beyond m.
 
-
-def _next_tail_boundary(path, m):
-    L = len(path.tail_cycle)
-    ts = path.tail_start
-    n = m + 1
-    while (n - ts) % L != 0:
-        n += 1
-    return n
+    The result is valid whenever `path` is, so it is built without the
+    public constructor's checks:
+    - new_head[-1] is order.next_edge / prev_edge of the old edge at level
+      m, so it is an edge at level m with the old edge's target, which is
+      where the kept part of `path` continues;
+    - new_head[:-1] is min_word_into / max_word_into of new_head[-1]'s
+      source, so it is a word over levels start..m-1 ending there;
+    - the carry and the tail cycle are edges of the old valid closed tail.
+      When m is inside the tail, the carry runs to the next tail boundary
+      at or past m + 1, so the new tail starts at a whole number of
+      periods past the old tail start (still in the periodic region) and
+      repeats the old pattern unrotated; only its stored levels shift."""
+    rest = path.prefix_edges[m + 1 - path.start:]
+    cycle = path.tail_cycle
+    if cycle is not None and m + 1 > path.tail_start:
+        L = len(cycle)
+        ts = m + 1 + (path.tail_start - m - 1) % L
+        rest = tuple(path.edge(k) for k in range(m + 1, ts))
+        cycle = tuple((ts + j,) + e[1:] for j, e in enumerate(cycle))
+    return LazyPath._derived(path.diagram, path.start, new_head + rest,
+                             cycle)
 
 
 def extremal_paths(diagram, kind=None):

@@ -331,3 +331,25 @@ def test_package_has_no_unused_imports():
                     if name not in used and (path.stem, name) not in exempt:
                         found.append("%s.%s" % (path.stem, name))
     assert found == []
+
+
+def test_private_path_constructor_is_used_only_by_rebuild():
+    # LazyPath._derived skips the public constructor's checks; its one user
+    # is vershik._rebuild, which only assembles paths that are valid by
+    # construction (see its docstring and tests/test_vershik.py)
+    package = pathlib.Path(adic.__file__).parent
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Attribute, ast.Name)) and \
+                    getattr(child, "attr", getattr(child, "id", None)) \
+                    == "_derived":
+                found.append((module, where))
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(child, module, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert found == [("vershik", "_rebuild")]

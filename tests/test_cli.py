@@ -192,3 +192,52 @@ def test_deeply_nested_json_is_a_one_line_error(tmp_path, command):
     assert r.returncode == 1
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_approximate_ray_is_marked_inexact(tmp_path):
+    # golden-mean's ray is irrational; the report gives a depth-limited
+    # rational direction, which must not pass as exact
+    gm = tmp_path / "gm.json"
+    assert run_cli("example", "golden-mean", "--emit", str(gm)).returncode == 0
+    r = run_cli("classify", str(gm), "--json")
+    assert r.returncode == 2
+    (entry,) = json.loads(r.stdout)["measures"]
+    assert entry["exact"] is False and entry["verdict"] == "Finite"
+    r = run_cli("measure", str(gm), "--ray", "0", "--cylinder", "0>0.0",
+                "--json")
+    assert r.returncode == 2
+    assert json.loads(r.stdout)["exact"] is False
+
+
+def test_exact_ray_reports_are_unchanged(chacon_file):
+    def text(obj):
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    r = run_cli("classify", chacon_file, "--json")
+    assert r.returncode == 0
+    assert r.stdout == text({
+        "command": "classify", "finite": 2, "infinite": 0, "undecided": 0,
+        "measures": [
+            {"atom": {"cycle_edges": [[0, "0", "0", 0]], "prefix_edges": [],
+                      "start": 0},
+             "atomic": True, "ray": {"0": "1", "1": "0"}, "stream": 1,
+             "verdict": "Finite"},
+            {"atomic": False, "ray": {"0": "1/3", "1": "2/3"}, "stream": 2,
+             "verdict": "Finite"}]})
+    r = run_cli("measure", chacon_file, "--ray", "1", "--cylinder", "1>1.0",
+                "--json")
+    assert r.returncode == 0
+    assert r.stdout == text({
+        "command": "measure", "cylinder": ["1>1.0"], "mass": "2/9",
+        "ray": {"0": "1/3", "1": "2/3"}, "verdict": "Finite"})
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose"])
+def test_embedding_file_is_named_as_such(tmp_path, command):
+    path = tmp_path / "tri.json"
+    assert run_cli("example", "ics-triadic", "--emit",
+                   str(path)).returncode == 0
+    r = run_cli(command, str(path))
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "subdiagram embedding" in lines[0] and '"ambient"' in lines[0]

@@ -32,6 +32,9 @@ from adic.vershik import (
     simulate_orbit,
 )
 from adic.gallery import chacon, ics, odometer
+from adic.diagram import check_word
+from adic import gallery
+import adic.vershik as vershik
 
 from conftest import random_ep_sequence, random_reduced_sequence
 
@@ -398,3 +401,159 @@ def test_simulate_scans_once_per_step(monkeypatch):
         attempted = out["steps_performed"] + (out["steps_performed"] < steps)
         assert calls == ["succ"] * attempted
         assert out["change_levels"] == levels
+
+
+# ---------------------------------------------------------------------------
+# derived paths: the successor map builds paths without the public
+# constructor's checks, so every derived path is re-checked here
+
+
+def _shuffled_orders(rng, mats):
+    orders = []
+    for m in mats:
+        level = {}
+        for b in m.cols:
+            into = [(a, i) for a in m.rows for i in range(m.entry(a, b))]
+            rng.shuffle(into)
+            level[b] = into
+        orders.append(level)
+    return orders
+
+
+def _random_word(rng, d, depth):
+    v = rng.choice(sorted(d.seq.alphabet(0)))
+    word = []
+    for k in range(depth):
+        m = d.seq.matrix(k)
+        b, i = rng.choice([(b, i) for b in m.cols
+                           for i in range(m.entry(v, b))])
+        word.append((k, v, b, i))
+        v = b
+    return word
+
+
+def _periodic_tail(d, vertex, level):
+    """(pad, cycle): first available edges from `vertex` at `level` until
+    a (phase, vertex) state of the periodic region repeats."""
+    seq = d.seq
+    P, T = seq.prefix_len, seq.period
+    seen, edges, k = {}, [], level
+    while True:
+        if k >= P:
+            state = ((k - P) % T, vertex)
+            if state in seen:
+                i = seen[state]
+                return edges[:i], edges[i:]
+            seen[state] = len(edges)
+        m = seq.matrix(k)
+        b = next(b for b in m.cols if m.entry(vertex, b))
+        edges.append((k, vertex, b, 0))
+        k, vertex = k + 1, b
+
+
+def _start_paths(rng, d):
+    """Paths with and without a periodic tail; the maximal-prefix and
+    extremal-tail ones change inside the tail after a few steps."""
+    depth = rng.randint(1, 4)
+    w = _random_word(rng, d, depth)
+    v = w[-1][2]
+    top = list(max_word_into(d, v, depth))
+    paths = [LazyPath(d, w)]
+    for word in (w, top):
+        pad, cycle = _periodic_tail(d, v, depth)
+        paths.append(LazyPath(d, word + pad, tail_cycle=cycle))
+    pad, cycle = _periodic_tail(d, w[0][1], 0)
+    paths.append(LazyPath(d, pad, tail_cycle=cycle))
+    for kind in ("min", "max"):
+        try:
+            paths.append(LazyPath(d, w, tail=kind))
+        except MalformedWord:
+            pass  # no all-extremal continuation from here
+    return paths
+
+
+def _levels(*paths):
+    """A level past which every path is periodic for two periods."""
+    tails = [len(p.tail_cycle) for p in paths if p.tail_cycle]
+    if not tails:
+        return min(p.tail_start for p in paths)
+    return max(p.tail_start for p in paths) + 2 * math.lcm(*tails)
+
+
+def _check_derived(src, m, got):
+    d = got.diagram
+    check_word(d.seq, got.prefix_edges, got.start)
+    if got.tail_cycle is not None:
+        check_word(d.seq, got.tail_cycle, got.tail_start)
+    again = LazyPath(d, got.prefix_edges, got.tail_cycle, got.start)
+    assert (again.start, again.prefix_edges, again.tail_cycle,
+            again.tail_rule) == (got.start, got.prefix_edges,
+                                 got.tail_cycle, got.tail_rule)
+    n = _levels(src, got)
+    assert got.word(n)[m + 1:] == src.word(n)[m + 1:]
+
+
+def _check_step(p, s):
+    """s = successor(p): the rank rises by 1 inside an endpoint class, and
+    predecessor undoes the step."""
+    d = p.diagram
+    m = vershik._first_special(p, "succ")
+    for n in {m + 1, max(m + 1, _levels(p, s))}:
+        pw, sw = p.word(n), s.word(n)
+        assert sw[-1][2] == pw[-1][2]
+        assert anti_lex_rank(d, sw) == anti_lex_rank(d, pw) + 1
+    n = _levels(p, s)
+    assert predecessor(s).word(n) == p.word(n)
+
+
+def test_derived_paths_pass_the_public_checks(monkeypatch):
+    """Every path _rebuild makes during successor, predecessor and
+    simulate_orbit walks passes check_word, survives the public
+    constructor unchanged and agrees with its source beyond the change
+    level; each successor step raises the rank by 1 in its endpoint class
+    and predecessor undoes it.  Gallery diagrams plus seeded random ones
+    with shuffled orders; paths with and without a periodic tail."""
+    rebuilt = []
+    original = vershik._rebuild
+
+    def recording(path, new_head, m):
+        out = original(path, new_head, m)
+        rebuilt.append((path, m, out))
+        return out
+
+    monkeypatch.setattr(vershik, "_rebuild", recording)
+    rng = random.Random(4242)
+    diagrams = [d for d in (f() for f in gallery.EXAMPLES.values())
+                if isinstance(d, BratteliDiagram)]
+    for _ in range(24):
+        seq = random_reduced_sequence(rng, max_dim=3)
+        diagrams.append(BratteliDiagram(seq, StableOrder(
+            seq, _shuffled_orders(rng, seq.prefix),
+            _shuffled_orders(rng, seq.cycle))))
+    steps, walk = 0, 60
+    for d in diagrams:
+        for p in _start_paths(rng, d):
+            cur = p
+            for _ in range(walk):
+                nxt = successor(cur)
+                if nxt is None:
+                    break
+                _check_step(cur, nxt)
+                cur, steps = nxt, steps + 1
+            back = predecessor(p)
+            if back is not None:
+                n = _levels(p, back)
+                assert successor(back).word(n) == p.word(n)
+            out = simulate_orbit(p, walk, depth=1)
+            final = out["final"]
+            assert (final.prefix_edges, final.tail_cycle) \
+                == (cur.prefix_edges, cur.tail_cycle)
+    in_tail = carried = 0
+    for src, m, got in rebuilt:
+        _check_derived(src, m, got)
+        if src.tail_cycle is not None and m >= src.tail_start:
+            in_tail += 1
+            carried += len(got.prefix_edges) > m + 1
+    # the tail branch of _rebuild, with and without a carry, is exercised
+    assert steps >= 3000 and len(rebuilt) > 3 * steps
+    assert in_tail >= 400 and carried >= 100
