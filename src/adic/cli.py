@@ -137,7 +137,9 @@ def cli():
 def decompose(diagram, as_json, emit):
     """Stream decomposition: streams, pool, and block matrices."""
     d = _load_diagram(diagram)
-    dec = stream_decompose(d.seq)
+    # the form holds the decomposition it was built from
+    form = frobenius_form(d.seq) if emit else None
+    dec = form.decomposition if emit else stream_decompose(d.seq)
     K = dec.valid_from
     certs = dec.certificates.get("streams", {})
     report = {
@@ -159,7 +161,6 @@ def decompose(diagram, as_json, emit):
         not v.is_decided() for v in certs.values())
     report["undecided"] = undecided
     if emit:
-        form = frobenius_form(d.seq)
         payload = matrixseq.to_json(form.form)
         payload["permutation"] = _jsonable(form.permutations)
         payload["gathering_times"] = list(form.gathering_times)

@@ -191,8 +191,10 @@ def substitution_order(seq, substitutions, prefix_substitutions=None):
 
     `substitutions` maps each target symbol to the word of source symbols
     read off in edge order, one dict per cycle phase (or a single dict used
-    for every phase).  The letter counts must reproduce the matrix columns,
-    otherwise AbelianizationMismatch is raised.
+    for every phase); `prefix_substitutions` holds one dict per prefix
+    matrix.  A list of another length raises ValueError.  The letter counts
+    must reproduce the matrix columns, otherwise AbelianizationMismatch is
+    raised.
     """
     if not seq.is_eventually_periodic:
         raise ShapeMismatch("substitution orders need an eventually periodic input")
@@ -217,12 +219,12 @@ def substitution_order(seq, substitutions, prefix_substitutions=None):
             out[b] = pairs
         return out
 
-    cycle_orders = [order_for(seq.cycle[p], substitutions[p])
-                    for p in range(seq.period)]
+    cycle_orders = [order_for(m, subs)
+                    for m, subs in zip(seq.cycle, substitutions, strict=True)]
     prefix_orders = None
     if prefix_substitutions is not None:
-        prefix_orders = [order_for(seq.prefix[i], prefix_substitutions[i])
-                         for i in range(seq.prefix_len)]
+        prefix_orders = [order_for(m, subs) for m, subs
+                         in zip(seq.prefix, prefix_substitutions, strict=True)]
     return StableOrder(seq, prefix_orders=prefix_orders,
                        cycle_orders=cycle_orders)
 

@@ -315,10 +315,10 @@ class StreamDecomposition:
 def _lifted_graph(seq, n):
     """Graph on (level offset mod n, symbol) nodes of the cycle part; n is a
     multiple of the period."""
-    T = seq.period
+    P = seq.prefix_len
     graph = {}
     for p in range(n):
-        for a, succs in _matrix_graph(seq.cycle[p % T]).items():
+        for a, succs in _matrix_graph(seq.matrix(P + p)).items():
             graph[(p, a)] = [((p + 1) % n, b) for b in succs]
     return graph
 
@@ -454,13 +454,13 @@ def _certify(decomp):
     # re-check is cheap: peel pool nodes with no pool successor left, sinks
     # first, recording the longest pool-only path from each.  A node never
     # peeled lies on or leads into a cycle.
-    seq, P, T, L = decomp.seq, decomp.valid_from, decomp.period, decomp.lcm_period
+    seq, P, L = decomp.seq, decomp.valid_from, decomp.lcm_period
     pool = [decomp.pool_members_at(P + m) for m in range(L)]
     pool_nodes = [(m, a) for m in range(L) for a in pool[m]]
     preds = {node: [] for node in pool_nodes}
     waiting = dict.fromkeys(pool_nodes, 0)
     for m in range(L):
-        for (a, b) in seq.cycle[m % T].entries:
+        for (a, b) in seq.matrix(P + m).entries:
             if a in pool[m] and b in pool[(m + 1) % L]:
                 preds[((m + 1) % L, b)].append((m, a))
                 waiting[(m, a)] += 1

@@ -222,15 +222,8 @@ def nested_odometer(a_spec, b_spec):
     """Nested pair of adding machines with digit counts b_i <= a_i; the
     verdict is the finiteness of the tower measure over the base, decided
     by classifying the canonical cover."""
-    ap, ac = _cf_scalars(a_spec)
-    bp, bc = _cf_scalars(b_spec)
-    P = max(len(ap), len(bp))
-    L = len(ac) * len(bc) // math.gcd(len(ac), len(bc))
-    for i in range(P + L):
-        if _cf_term(bp, bc, i) > _cf_term(ap, ac, i):
-            raise NotNested("b_%d exceeds a_%d" % (i, i))
-    ambient = odometer((ap, ac))
-    base = odometer((bp, bc))
+    ambient = odometer(_cf_scalars(a_spec))
+    base = odometer(_cf_scalars(b_spec))
     from .measures import classify_subdiagram
     results = classify_subdiagram(base.seq, ambient.seq)
     emb = SubdiagramEmbedding(ambient, base.seq)

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 """
 
 import itertools
+import math
 
 from .errors import (
     IncompatibleAlphabets,
@@ -227,11 +228,6 @@ class EventuallyPeriodic(MatrixSequence):
             return k
         return self.prefix_len + (k - self.prefix_len) % self.period
 
-    def phase(self, k):
-        if k < self.prefix_len:
-            raise ValueError("level %d is in the prefix" % k)
-        return self.index(k) - self.prefix_len
-
     def liminf_alphabet_size(self):
         return min(len(m.rows) for m in self.cycle)
 
@@ -308,22 +304,24 @@ def partial_product(seq, i, n):
 
 
 def _compare_horizon(m, mhat):
-    """Number of levels that must agree for two eventually periodic
-    sequences to agree everywhere (prefixes plus one lcm of periods)."""
-    import math
-    p = max(m.prefix_len, mhat.prefix_len)
-    return p + math.lcm(m.period, mhat.period)
+    """The joint layout of a pair of sequences, as (P, L).  For two
+    eventually periodic sequences P is the longer prefix and L the lcm of
+    the periods: levels P..P+L-1 repeat forever in both, so the levels
+    0..P+L-1 meet every pair of stored positions that ever meets.  When
+    either is truncated, L is 0 and P is the shorter horizon: the levels
+    both sequences define."""
+    if m.is_eventually_periodic and mhat.is_eventually_periodic:
+        return (max(m.prefix_len, mhat.prefix_len),
+                math.lcm(m.period, mhat.period))
+    return min(s.horizon for s in (m, mhat) if s.horizon is not None), 0
 
 
 def submatrix_leq(m, mhat):
     """Verdict on: m is a subsequence of mhat (alphabets contained, entries
     entrywise <=) at every level.  Exact for two eventually periodic
     sequences; Undecided(horizon) when only checkable to a horizon."""
-    if m.is_eventually_periodic and mhat.is_eventually_periodic:
-        levels, exact = _compare_horizon(m, mhat), True
-    else:
-        hs = [s.horizon for s in (m, mhat) if s.horizon is not None]
-        levels, exact = min(hs), False
+    P, L = _compare_horizon(m, mhat)
+    levels = P + L
     for k in range(levels):
         a, ahat = m.matrix(k), mhat.matrix(k)
         if not set(a.rows) <= set(ahat.rows) or not set(a.cols) <= set(ahat.cols):
@@ -332,7 +330,7 @@ def submatrix_leq(m, mhat):
             if v > ahat.entry(x, y):
                 return Verdict.no({"level": k, "entry": [x, y],
                                    "values": [v, ahat.entry(x, y)]})
-    if exact:
+    if L:
         return Verdict.yes({"levels_checked": levels, "covers": "all levels"})
     return Verdict.undecided(levels, {"levels_checked": levels})
 

@@ -8,6 +8,7 @@ rates of blocks are compared as exact algebraic numbers (integers for 1x1
 blocks), never as floats.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -26,6 +27,7 @@ from .matrixseq import (
     Truncated,
     submatrix_leq,
     reduce_sequence,
+    _compare_horizon,
 )
 from .diagram import check_word
 from .frobenius import stream_decompose
@@ -109,17 +111,9 @@ def canonical_cover(m, mhat):
     leq = submatrix_leq(m, mhat)
     if leq.is_no():
         raise NotNested("m is not a subsequence of mhat: %r" % (leq.witness,))
-    if m.is_eventually_periodic and mhat.is_eventually_periodic:
-        import math
-        P = max(m.prefix_len, mhat.prefix_len)
-        L = math.lcm(m.period, mhat.period)
-        mats = [_cover_matrix(mhat.matrix(k), m.matrix(k))
-                for k in range(P + L)]
-        cover = EventuallyPeriodic(mats[:P], mats[P:])
-    else:
-        h = min(s.horizon for s in (m, mhat) if s.horizon is not None)
-        mats = [_cover_matrix(mhat.matrix(k), m.matrix(k)) for k in range(h)]
-        cover = Truncated(mats)
+    P, L = _compare_horizon(m, mhat)
+    mats = [_cover_matrix(mhat.matrix(k), m.matrix(k)) for k in range(P + L)]
+    cover = EventuallyPeriodic(mats[:P], mats[P:]) if L else Truncated(mats)
     for k, mat in enumerate(mats):
         if mat.entry_sum() != 2 * mhat.matrix(k).entry_sum():
             raise InternalError("entry-sum doubling failed at level %d" % k)
@@ -204,7 +198,6 @@ def two_by_two_series(a, b, c, n=40):
     ap, ac = _scalar_seq(a)
     bp, bc = _scalar_seq(b)
     cp, cc = _scalar_seq(c)
-    import math
     P = max(len(ap), len(bp), len(cp))
     T = math.lcm(len(ac), len(bc), len(cc))
 
@@ -524,7 +517,6 @@ def classify_subdiagram(m, mhat):
     red, _ = reduce_sequence(cov.cover)
     decomp = stream_decompose(red)
     K = max(decomp.valid_from, base_cls.decomposition.valid_from)
-    import math
     L = math.lcm(decomp.lcm_period, base_cls.decomposition.lcm_period)
     results = []
     for e in finite:

@@ -23,6 +23,7 @@ from .errors import (
     InternalError,
 )
 from .diagram import check_word
+from .matrixseq import submatrix_leq, _compare_horizon
 # unused here; perfbench/test_tracer.py still expects this module binding
 from .matrixseq import partial_product  # noqa: F401
 
@@ -54,8 +55,6 @@ class LazyPath:
         self.prefix_edges = tuple(tuple(e) for e in prefix_edges)
         if self.prefix_edges:
             check_word(diagram.seq, self.prefix_edges, start)
-        self.tail_rule = tail if tail in ("min", "max") else (
-            "periodic" if tail_cycle else None)
         if tail in ("min", "max"):
             if tail_cycle is not None:
                 raise ShapeMismatch("give either a tail rule or an explicit "
@@ -100,7 +99,6 @@ class LazyPath:
         path.start = start
         path.prefix_edges = prefix_edges
         path.tail_cycle = tail_cycle
-        path.tail_rule = "periodic" if tail_cycle else None
         return path
 
     @property
@@ -169,7 +167,8 @@ def max_word_into(diagram, vertex, level, start=0):
 def _extremal_continuation(diagram, vertex, level, kind):
     """A continuation from (level, vertex) using only edges that are
     minimal (kind="min") / maximal (kind="max") into their targets, found
-    by depth-first lasso search over (phase, vertex) states.  Returns
+    by depth-first lasso search over (stored position, vertex) states,
+    the position being `seq.index(k)`.  Returns
     (pad_edges, cycle_edges); the pad covers the levels up to where the
     cycle begins.  Deterministic: branches are tried in (target, index)
     order."""
@@ -177,7 +176,6 @@ def _extremal_continuation(diagram, vertex, level, kind):
     if not seq.is_eventually_periodic:
         raise UndeterminedTail("extremal tails need an eventually periodic "
                                "diagram")
-    P, T = seq.prefix_len, seq.period
     sel = (diagram.order.min_edge_into if kind == "min"
            else diagram.order.max_edge_into)
 
@@ -197,8 +195,8 @@ def _extremal_continuation(diagram, vertex, level, kind):
     branch = []  # (state, untried options) along the current branch
     k, v = level, vertex
     while True:
-        # prefix states get negative phases; they never repeat on a branch
-        st = ((k - P) % T if k >= P else k - P, v)
+        # prefix positions are visited once; they never repeat on a branch
+        st = (seq.index(k), v)
         if st in seen:
             idx = seen[st]
             break
@@ -348,39 +346,78 @@ def extremal_paths(diagram, kind=None):
 # nested subdiagrams: base successor, return times, Kac sums
 
 
+def _key_level(seq, key):
+    """(k, a, b) for an embedding key, with k the first level the key
+    names; ShapeMismatch when it names no stored matrix of `seq`."""
+    if isinstance(key, tuple) and len(key) == 4 and key[0] == "cycle" \
+            and seq.is_eventually_periodic and type(key[1]) is int \
+            and 0 <= key[1] < seq.period:
+        return (seq.prefix_len + key[1],) + key[2:]
+    last = seq.prefix_len if seq.is_eventually_periodic else seq.horizon
+    if isinstance(key, tuple) and len(key) == 3 and type(key[0]) is int \
+            and 0 <= key[0] < last:
+        return key
+    raise ShapeMismatch("embedding key %r names no stored base matrix"
+                        % (key,))
+
+
 class SubdiagramEmbedding:
-    """A base diagram sitting inside an ambient ordered diagram: for every
-    level and symbol pair, the list of ambient edge indices that belong to
-    the base.  Default: the first M(a,b) of the ambient parallel edges.
-    The base inherits the ambient order."""
+    """A base diagram sitting inside an ambient ordered diagram: each base
+    edge a -> b is one of the ambient's parallel a -> b edges, and the base
+    inherits the ambient order.
+
+    `index_map` gives, per key, the list of ambient edge indices that are
+    the base's a -> b edges, in base index order.  A key names one stored
+    base matrix:
+    - `(k, a, b)`: level k, a prefix level of an eventually periodic base
+      (k < prefix_len) or a level below a truncated base's horizon;
+    - `("cycle", phase, a, b)`: the cycle matrix at 0 <= phase < period,
+      that is every level k >= prefix_len with
+      (k - prefix_len) % period == phase.
+    A pair without a key keeps the first M(a,b) ambient edges.
+
+    Everything is checked here, once.  The base must be nested in the
+    ambient (NotInBase).  Each key must name a stored base matrix, and its
+    value must list exactly M(a,b) distinct int indices, each below the
+    ambient multiplicity at every level of the pair's joint layout
+    (`matrixseq._compare_horizon`) that reads that matrix (ShapeMismatch).
+    The map is resolved into one table per stored base matrix, which level
+    k reads through `base_seq.index(k)`."""
 
     def __init__(self, ambient, base_seq, index_map=None):
         self.ambient = ambient
         self.base_seq = base_seq
         self.index_map = index_map or {}
-        from .matrixseq import submatrix_leq
         leq = submatrix_leq(base_seq, ambient.seq)
         if leq.is_no():
             raise NotInBase("base is not nested in the ambient: %r"
                             % (leq.witness,))
+        self._tables = [{pair: tuple(range(v)) for pair, v in m.entries.items()}
+                        for m in base_seq.stored]
+        for key, idxs in self.index_map.items():
+            k, a, b = _key_level(base_seq, key)
+            count = base_seq.matrix(k).entry(a, b)
+            if not isinstance(idxs, (list, tuple)) or \
+                    not all(type(i) is int for i in idxs) or \
+                    len(idxs) != count or len(set(idxs)) != count:
+                raise ShapeMismatch("embedding at %r must list %d distinct "
+                                    "ambient edge indices, got %r"
+                                    % (key, count, idxs))
+            self._tables[base_seq.index(k)][(a, b)] = tuple(idxs)
+        P, L = _compare_horizon(base_seq, ambient.seq)
+        for k in range(P + L):
+            amb = ambient.seq.matrix(k)
+            for (a, b), idxs in self._tables[base_seq.index(k)].items():
+                n = amb.entry(a, b)
+                bad = [i for i in idxs if not 0 <= i < n]
+                if bad:
+                    raise ShapeMismatch("embedding names the ambient edge "
+                                        "%s>%s.%d at level %d, which has %d "
+                                        "parallel edges" % (a, b, bad[0], k, n))
 
     def base_indices(self, k, a, b):
-        count = self.base_seq.matrix(k).entry(a, b) \
-            if a in self.base_seq.matrix(k).rows and \
-            b in self.base_seq.matrix(k).cols else 0
-        key = None
-        if self.base_seq.is_eventually_periodic and \
-                k >= self.base_seq.prefix_len:
-            key = ("cycle", self.base_seq.phase(k), a, b)
-        if key not in self.index_map:
-            key = (k, a, b)
-        if key in self.index_map:
-            idxs = list(self.index_map[key])
-            if len(idxs) != count:
-                raise ShapeMismatch("embedding at %r names %d edges, base "
-                                    "multiplicity is %d" % (key, len(idxs), count))
-            return idxs
-        return list(range(count))
+        """The ambient indices of the base's a -> b edges at level k."""
+        return list(self._tables[self.base_seq.index(k)].get((a, b), ()))
 
     def is_base_edge(self, edge):
         k, a, b, i = edge
@@ -470,6 +507,27 @@ def _word_counts(seq, n):
     return counts
 
 
+def _base_step(embedding, word):
+    """The ambient rank difference from a base word (starting at level 0)
+    to its base successor, or None when every edge is base-maximal.  The
+    successor changes the word at its first non-base-maximal level m, and
+    only levels 0..m enter the difference: the rank terms of the kept
+    edges beyond m are the same on both sides."""
+    for m, e in enumerate(word):
+        if not embedding.base_is_max(e):
+            break
+    else:
+        return None
+    new_edge = embedding.base_next(word[m])
+    head = embedding.base_min_word_into(new_edge[1], m)
+    diagram = embedding.ambient
+    r = anti_lex_rank(diagram, head + (new_edge,)) \
+        - anti_lex_rank(diagram, word[:m + 1])
+    if r < 1:
+        raise InternalError("return time %d is not positive" % r)
+    return r
+
+
 def return_time(embedding, p):
     """Return time of a base point under the ambient successor: 1 + the
     number of ambient paths strictly between the point and its base
@@ -484,20 +542,9 @@ def return_time(embedding, p):
     else:
         word = tuple(p)
         _check_in_base(embedding, word)
-    m = None
-    for k, e in enumerate(word):
-        if not embedding.base_is_max(e):
-            m = k
-            break
-    if m is None:
+    r = _base_step(embedding, word)
+    if r is None:
         raise UndeterminedTail("all edges base-maximal within the word")
-    new_edge = embedding.base_next(word[m])
-    head = embedding.base_min_word_into(new_edge[1], m)
-    succ_word = head + (new_edge,)
-    diagram = embedding.ambient
-    r = anti_lex_rank(diagram, succ_word) - anti_lex_rank(diagram, word[:m + 1])
-    if r < 1:
-        raise InternalError("return time %d is not positive" % r)
     return r
 
 
@@ -507,26 +554,16 @@ def cyclic_return_time(embedding, word):
     ambient steps to the next base word, wrapping the maximal word to the
     minimal one."""
     _check_in_base(embedding, word)
-    depth = len(word)
-    m = None
-    for k, e in enumerate(word):
-        if not embedding.base_is_max(e):
-            m = k
-            break
-    diagram = embedding.ambient
-    if m is not None:
-        new_edge = embedding.base_next(word[m])
-        head = embedding.base_min_word_into(new_edge[1], m)
-        succ = head + (new_edge,) + word[m + 1:]
-        r = anti_lex_rank(diagram, succ) - anti_lex_rank(diagram, word)
-    else:
-        # wrap to the minimal base word ending at the same vertex
+    r = _base_step(embedding, word)
+    if r is None:
+        # wrap to the minimal base word ending at the same vertex; the
+        # word's rank is below the class size, so r >= 1
+        depth = len(word)
         v = word[-1][2]
+        diagram = embedding.ambient
         first = embedding.base_min_word_into(v, depth)
         r = _word_counts(diagram.seq, depth)[depth][v] \
             - anti_lex_rank(diagram, word) + anti_lex_rank(diagram, first)
-    if r < 1:
-        raise InternalError("cyclic return time %d is not positive" % r)
     return r
 
 

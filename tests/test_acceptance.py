@@ -353,3 +353,26 @@ def test_private_path_constructor_is_used_only_by_rebuild():
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
     assert found == [("vershik", "_rebuild")]
+
+
+def test_level_layout_is_read_only_through_index():
+    # `seq.index(k)` is the one map from a level to a stored matrix: outside
+    # matrixseq.py nothing subscripts a sequence's prefix or cycle list or
+    # asks for a cycle phase
+    package = pathlib.Path(adic.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "matrixseq.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript):
+                target = node.value
+            elif isinstance(node, ast.Call):
+                target = node.func
+            else:
+                continue
+            if isinstance(target, ast.Attribute) and (
+                    target.attr == "phase" if isinstance(node, ast.Call)
+                    else target.attr in ("prefix", "cycle")):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []

@@ -1,19 +1,35 @@
 """The level layout of matrix sequences: `seq.matrix(k)`, the stable
-order's level orders and incoming edges, and the state split's pairs all
-read level k from the same stored position, and all fail with the same
-error outside the sequence (IndexError below level 0, HorizonExceeded at
-or past a truncated horizon)."""
+order's level orders and incoming edges, the state split's pairs and a
+subdiagram embedding's base edges all read level k from the same stored
+position, and all fail with the same error outside the sequence
+(IndexError below level 0, HorizonExceeded at or past a truncated
+horizon)."""
 
 import json
 import random
 
 import pytest
 
-from adic.errors import HorizonExceeded, ShapeMismatch
-from adic.matrixseq import Truncated, split_matrix, state_split
-from adic.diagram import BratteliDiagram, StableOrder
+from adic.errors import HorizonExceeded, ShapeMismatch, UndeterminedTail
+from adic.matrixseq import (
+    EventuallyPeriodic,
+    GenMatrix,
+    Truncated,
+    constant,
+    from_int_matrices,
+    split_matrix,
+    state_split,
+    submatrix_leq,
+)
+from adic.measures import canonical_cover
+from adic.diagram import BratteliDiagram, StableOrder, enumerate_paths
+from adic.vershik import (
+    SubdiagramEmbedding,
+    cyclic_return_time,
+    return_time,
+)
 
-from conftest import random_ep_sequence
+from conftest import random_ep_sequence, random_nested_pair
 
 
 def _shuffled_orders(rng, mats):
@@ -145,3 +161,200 @@ def test_order_list_of_the_wrong_length_is_rejected():
         StableOrder(seq, _shuffled_orders(rng, seq.prefix[:1]))
     with pytest.raises(ShapeMismatch):
         StableOrder(seq, cycle_orders=_shuffled_orders(rng, seq.stored))
+
+
+# ---------------------------------------------------------------------------
+# subdiagram embeddings
+
+
+def _old_base_indices(base, index_map, k, a, b):
+    """The per-call key lookup the embedding used before its tables."""
+    m = base.matrix(k)
+    count = m.entry(a, b) if a in m.rows and b in m.cols else 0
+    key = None
+    if base.is_eventually_periodic and k >= base.prefix_len:
+        key = ("cycle", (k - base.prefix_len) % base.period, a, b)
+    if key not in index_map:
+        key = (k, a, b)
+    if key in index_map:
+        return list(index_map[key])
+    return list(range(count))
+
+
+def _square(rng, d, low):
+    syms = [str(j) for j in range(d)]
+    return GenMatrix(syms, syms, {(a, b): rng.randrange(low, 4)
+                                  for a in syms for b in syms})
+
+
+def _nested(rng, d, amb_layout, base_layout):
+    """An ambient over d symbols per level and a base below it, each with
+    its own layout: (P, T) for eventually periodic, (h, None) for
+    truncated.  Each base matrix is at most the entrywise minimum of the
+    ambient matrices at the joint levels that read it, minus a random
+    amount."""
+    Pa, Ta = amb_layout
+    amb_mats = [_square(rng, d, 1) for _ in range(Pa + Ta)]
+    amb = EventuallyPeriodic(amb_mats[:Pa], amb_mats[Pa:])
+    Pb, Tb = base_layout
+    if Tb is None:
+        shape = Truncated([amb_mats[0]] * Pb)
+    else:
+        shape = EventuallyPeriodic([amb_mats[0]] * Pb, [amb_mats[0]] * Tb)
+    low = [dict.fromkeys(m.entries, 3) for m in shape.stored]
+    for k in range(max(Pa, Pb) + Ta * (Tb or 1) * 2):
+        if shape.horizon is not None and k >= shape.horizon:
+            break
+        floor = low[shape.index(k)]
+        for pair in floor:
+            floor[pair] = min(floor[pair], amb.matrix(k).entry(*pair))
+    mats = [GenMatrix(m.rows, m.cols, {pair: rng.randrange(v + 1)
+                                       for pair, v in floor.items()})
+            for m, floor in zip(shape.stored, low)]
+    if Tb is None:
+        base = Truncated(mats)
+    else:
+        base = EventuallyPeriodic(mats[:Pb], mats[Pb:])
+    return amb, base, low
+
+
+def _index_map(rng, base, low):
+    """Prefix (or truncated) keys and cycle keys for about half the pairs:
+    distinct ambient indices below the joint minimum, in random order."""
+    index_map = {}
+    P = base.prefix_len if base.is_eventually_periodic else base.horizon
+    for i, (m, floor) in enumerate(zip(base.stored, low)):
+        for (a, b), v in m.entries.items():
+            if rng.random() < 0.5:
+                key = (i, a, b) if i < P else ("cycle", i - P, a, b)
+                index_map[key] = rng.sample(range(floor[(a, b)]), v)
+    return index_map
+
+
+def _embedding(rng, amb, base, index_map):
+    """The embedding of `base` in `amb` under shuffled ambient orders."""
+    order = StableOrder(amb, _shuffled_orders(rng, amb.prefix),
+                        _shuffled_orders(rng, amb.cycle))
+    return SubdiagramEmbedding(BratteliDiagram(amb, order), base, index_map)
+
+
+def _check_embedding(amb, base, index_map, levels, rng):
+    emb = _embedding(rng, amb, base, index_map)
+    order = emb.ambient.order
+    for k in levels:
+        if base.horizon is not None and k >= base.horizon:
+            with pytest.raises(HorizonExceeded):
+                emb.base_indices(k, "0", "0")
+            continue
+        m = amb.matrix(k)
+        for b in m.cols:
+            want = [e for e in order.incoming(k, b)
+                    if e[3] in _old_base_indices(base, index_map, k, e[1], b)]
+            assert emb.base_edges_into(k, b) == want
+            for a in m.rows:
+                old = _old_base_indices(base, index_map, k, a, b)
+                assert emb.base_indices(k, a, b) == old
+                for i in range(m.entry(a, b)):
+                    assert emb.is_base_edge((k, a, b, i)) == (i in old)
+            for j, e in enumerate(want):
+                nxt = want[j + 1] if j + 1 < len(want) else None
+                assert emb.base_next(e) == nxt
+                assert emb.base_is_max(e) == (nxt is None)
+
+
+def test_embedding_layout_matches_the_key_lookup():
+    rng = random.Random(641)
+    for P in range(4):
+        for T in range(1, 4):
+            for _ in range(3):
+                amb_layout = (rng.randrange(4), rng.randrange(1, 4))
+                amb, base, low = _nested(rng, rng.randrange(1, 3),
+                                         amb_layout, (P, T))
+                for index_map in ({}, _index_map(rng, base, low)):
+                    _check_embedding(amb, base, index_map,
+                                     range(P + 3 * T + 1), rng)
+
+
+def test_truncated_embedding_layout_matches_the_key_lookup():
+    rng = random.Random(643)
+    for h in range(1, 6):
+        for _ in range(3):
+            amb_layout = (rng.randrange(4), rng.randrange(1, 4))
+            amb, base, low = _nested(rng, rng.randrange(1, 3),
+                                     amb_layout, (h, None))
+            for index_map in ({}, _index_map(rng, base, low)):
+                _check_embedding(amb, base, index_map, range(h + 2), rng)
+
+
+def test_return_times_count_ambient_steps():
+    # in each endpoint class of depth-d ambient words, sorted by the
+    # anti-lexicographic order read off the ambient level orders, a base
+    # word's cyclic return time is the number of steps to the next base
+    # word (wrapping), and its return time is the same number unless it is
+    # the last base word
+    rng = random.Random(647)
+    checked = 0
+    for _ in range(60):
+        # base_min_word_into needs a reduced base; this pair shares a layout
+        base, amb = random_nested_pair(rng, max_dim=3)
+        low = [m.entries for m in amb.stored]
+        emb = _embedding(rng, amb, base, _index_map(rng, base, low))
+        order = emb.ambient.order
+        for depth in (1, 2, 3, 4):
+            classes = {}
+            for w in enumerate_paths(emb.ambient, depth):
+                classes.setdefault(w[-1][2], []).append(w)
+            for words in classes.values():
+                words.sort(key=lambda w: [order.incoming(e[0], e[2]).index(e)
+                                          for e in reversed(w)])
+                pos = [j for j, w in enumerate(words)
+                       if all(emb.is_base_edge(e) for e in w)]
+                for n, j in enumerate(pos):
+                    steps = (pos[(n + 1) % len(pos)] - j) % len(words) \
+                        or len(words)
+                    assert cyclic_return_time(emb, words[j]) == steps
+                    if n + 1 < len(pos):
+                        assert return_time(emb, words[j]) == steps
+                    else:
+                        with pytest.raises(UndeterminedTail):
+                            return_time(emb, words[j])
+                    checked += 1
+    assert checked >= 2000
+
+
+@pytest.mark.parametrize("index_map", [
+    {("cycle", 0, "0", "0"): [0, 5]},   # ambient index out of range
+    {("cycle", 0, "0", "0"): [1, 1]},   # repeated index
+    {("cycle", 3, "0", "0"): [0, 1]},   # no phase 3 in a period of 1
+    {(5, "0", "0"): [1, 2]},            # level 5 is in the cycle
+    {("cycle", 0, "0", "0"): [0]},      # one index for two base edges
+    {(0, "0", "0"): [0, 1]},            # no prefix
+    {"0": [0, 1]},                      # not a key shape
+])
+def test_malformed_embedding_maps_are_rejected(index_map):
+    ambient = BratteliDiagram(constant([[3]]))
+    with pytest.raises(ShapeMismatch):
+        SubdiagramEmbedding(ambient, constant([[2]]), index_map)
+
+
+@pytest.mark.parametrize("cycle_from, entries", [
+    (1, (3, 2, 2, 2)),    # a longer ambient prefix
+    (0, (3, 2, 3, 2)),    # a longer ambient period
+])
+def test_embedding_values_are_checked_at_every_joint_level(cycle_from,
+                                                           entries):
+    # the base's one cycle matrix sits at ambient level 0 (3 edges) and at
+    # level 1 (2 edges); index 2 exists only at level 0
+    amb = from_int_matrices([[[3]], [[2]]], cycle_from=cycle_from)
+    base = constant([[2]])
+    ambient = BratteliDiagram(amb)
+    with pytest.raises(ShapeMismatch, match="level 1"):
+        SubdiagramEmbedding(ambient, base, {("cycle", 0, "0", "0"): [0, 2]})
+    emb = SubdiagramEmbedding(ambient, base, {("cycle", 0, "0", "0"): [1, 0]})
+    assert emb.base_indices(0, "0", "0") == [1, 0]
+    assert emb.base_indices(9, "0", "0") == [1, 0]
+    # the nesting check and the cover read the same joint levels
+    assert submatrix_leq(constant([[3]]), amb).witness == {
+        "level": 1, "entry": ["0", "0"], "values": [3, 2]}
+    assert [canonical_cover(base, amb).cover.matrix(k).to_lists()
+            for k in range(4)] == [[[n, n - 2], [0, 2]] for n in entries]

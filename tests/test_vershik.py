@@ -486,9 +486,8 @@ def _check_derived(src, m, got):
     if got.tail_cycle is not None:
         check_word(d.seq, got.tail_cycle, got.tail_start)
     again = LazyPath(d, got.prefix_edges, got.tail_cycle, got.start)
-    assert (again.start, again.prefix_edges, again.tail_cycle,
-            again.tail_rule) == (got.start, got.prefix_edges,
-                                 got.tail_cycle, got.tail_rule)
+    assert (again.start, again.prefix_edges, again.tail_cycle) == \
+        (got.start, got.prefix_edges, got.tail_cycle)
     n = _levels(src, got)
     assert got.word(n)[m + 1:] == src.word(n)[m + 1:]
 
