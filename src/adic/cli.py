@@ -2,9 +2,10 @@
 
 JSON diagrams in, JSON or aligned-table reports out.  Exit codes: 0 when
 every verdict in the report is decided and every ray is exact, 2 when some
-verdict is Undecided or some ray is a depth-limited approximation (marked
-"exact": false), 1 on input or usage errors.  All numbers in reports are
-exact fraction strings "p/q" (or integers); no floats.
+verdict is Undecided, some ray is a depth-limited approximation (marked
+"exact": false) or the decomposition is provisional (truncated input,
+marked "provisional": true), 1 on input or usage errors.  All numbers in
+reports are exact fraction strings "p/q" (or integers); no floats.
 """
 
 import json
@@ -153,7 +154,9 @@ def decompose(diagram, as_json, emit):
         ],
         "pool_at_%d" % K: sorted(dec.pool_members_at(K)),
         "block_matrices": [dec.block_matrix(k).to_lists()
-                           for k in range(K, K + dec.lcm_period + 1)],
+                           for k in range(K, K + dec.lcm_period + 1)
+                           if dec.seq.horizon is None
+                           or k < dec.seq.horizon],
         "valid_from": K,
         "provisional": dec.provisional,
     }
@@ -202,8 +205,12 @@ def classify(diagram, as_json):
         "undecided": sum(1 for m in cls.measures
                          if not m.verdict.is_decided()),
     }
+    provisional = cls.decomposition.provisional
+    if provisional:
+        report["provisional"] = True
     approx = any(isinstance(m.ray, EigvecSeqApprox) for m in cls.measures)
-    _finish(report, as_json, undecided=report["undecided"] > 0 or approx)
+    _finish(report, as_json,
+            undecided=report["undecided"] > 0 or approx or provisional)
 
 
 @cli.command()

@@ -447,7 +447,7 @@ def exact_ray(decomp, stream):
         return None
     active = set(stream.members_at(P))
     for a in seq.alphabet(P):
-        if stream.index in decomp._reach.get((0, a), frozenset()):
+        if stream.index in decomp.reach(P, a):
             active.add(a)
     labels = [a for a in seq.alphabet(P) if a in active]
     return _ray(decomp, stream, lam, labels,

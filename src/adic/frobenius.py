@@ -13,7 +13,8 @@ import collections
 import heapq
 import math
 
-from .errors import NotReduced, ShapeMismatch, NotIrreducible, InternalError
+from .errors import (NotReduced, ShapeMismatch, NotIrreducible,
+                     InternalError, HorizonExceeded)
 from . import matrixseq
 from .matrixseq import (
     GenMatrix,
@@ -140,7 +141,8 @@ def _matrix_graph(m):
 
 class Stream:
     """One primitive stream: a cyclic class of one SCC of the lifted graph,
-    together with its backward extension through the prefix."""
+    together with its backward extension through the prefix.  Its members
+    are read from the decomposition's table."""
 
     def __init__(self, decomp, index, scc, ell, rho, residue):
         self.decomp = decomp
@@ -149,19 +151,9 @@ class Stream:
         self.ell = ell              # node -> cyclic class in Z_rho
         self.rho = rho              # rotation period in levels
         self.residue = residue
-        self.prefix_members = {}    # level -> frozenset, filled by decomp
-        groups = {}                 # (phase, cyclic class) -> symbols
-        for (ph, a) in scc:
-            groups.setdefault((ph, ell[(ph, a)]), []).append(a)
-        self._groups = {key: frozenset(g) for key, g in groups.items()}
 
     def members_at(self, k):
-        P = self.decomp.valid_from
-        if k < P:
-            return self.prefix_members.get(k, frozenset())
-        return self._groups.get(((k - P) % self.decomp.period,
-                                 (self.residue + (k - P)) % self.rho),
-                                frozenset())
+        return self.decomp._at(k).members.get(self.index, frozenset())
 
     @property
     def starting_time(self):
@@ -216,7 +208,18 @@ class Stream:
             sorted(self.members_at(self.decomp.valid_from)))
 
 
+# One layout position of a decomposition: each symbol's block, the set of
+# streams each symbol reaches, and each stream's members
+_Position = collections.namedtuple("_Position", "blocks reach members")
+
+
 class StreamDecomposition:
+    """Streams and pool of a sequence.  Its layout is the prefix levels
+    0..valid_from-1 followed by one lcm period; `index(k)` maps a level to
+    its position, and `_table` holds one `_Position` per position, resolved
+    once by stream_decompose.  Every membership and block reader below is a
+    lookup in that table."""
+
     def __init__(self, seq, valid_from, period, provisional=False):
         self.seq = seq
         self.valid_from = valid_from
@@ -224,62 +227,53 @@ class StreamDecomposition:
         self.provisional = provisional
         self.streams = []
         self.lcm_period = period
-        self._reach = {}            # (m mod L, a) -> frozenset of stream ids
-        self._prefix_assign = {}    # (k, a) -> block, for k < valid_from
+        self._table = []
         self.certificates = {}
+
+    def index(self, k):
+        """The layout position of level k: k below valid_from, then one lcm
+        period repeating.  IndexError for k < 0; HorizonExceeded past the
+        horizon of a truncated sequence."""
+        P = self.valid_from
+        if k < P:
+            if k < 0:
+                raise IndexError(k)
+            return k
+        if self.seq.horizon is not None and k > self.seq.horizon:
+            raise HorizonExceeded("level %d beyond horizon %d"
+                                  % (k, self.seq.horizon))
+        return P + (k - P) % self.lcm_period
+
+    def _at(self, k):
+        return self._table[self.index(k)]
 
     # -- membership ---------------------------------------------------
 
     def stream_of(self, k, a):
         """Stream index containing symbol a at level k, or None (pool)."""
-        for s in self.streams:
-            if a in s.members_at(k):
-                return s.index
-        return None
+        pos = self._at(k)
+        _, i = pos.blocks.get(a, (None, None))
+        return i if a in pos.members.get(i, ()) else None
+
+    def reach(self, k, a):
+        """The streams that symbol a at level k has an edge path into, its
+        own stream included."""
+        return self._at(k).reach.get(a, frozenset())
 
     def pool_members_at(self, k):
-        alive = set(self.seq.alphabet(k))
-        for s in self.streams:
-            alive -= s.members_at(k)
-        return frozenset(alive)
+        pos = self._at(k)
+        return frozenset(pos.blocks).difference(*pos.members.values())
 
     def pool_group(self, k, a):
         """Pool symbols are grouped by the least stream they connect to."""
-        P, L = self.valid_from, self.lcm_period
-        if k >= P:
-            reach = self._reach.get(((k - P) % L, a), frozenset())
-        else:
-            reach = self._prefix_reach(k, a)
-        if not reach:
-            return len(self.streams) + 1
-        return min(reach)
-
-    def _prefix_reach(self, k, a):
-        # forward reachability from a prefix node into the periodic region
-        frontier = {a}
-        for j in range(k, self.valid_from):
-            m = self.seq.matrix(j)
-            frontier = {b for (x, b) in m.entries if x in frontier}
-        out = set()
-        for b in frontier:
-            out |= self._reach.get((0, b), frozenset())
-        return frozenset(out)
+        reach = self.reach(k, a)
+        return min(reach) if reach else len(self.streams) + 1
 
     # -- blocks ---------------------------------------------------------
 
     def block_assignment(self, k):
         """Map each level-k symbol to ('stream', i) or ('pool', i)."""
-        if k < self.valid_from:
-            return {a: self._prefix_assign[(k, a)]
-                    for a in self.seq.alphabet(k)}
-        out = {}
-        for a in self.seq.alphabet(k):
-            i = self.stream_of(k, a)
-            if i is not None:
-                out[a] = ("stream", i)
-            else:
-                out[a] = ("pool", self.pool_group(k, a))
-        return out
+        return dict(self._at(k).blocks)
 
     @staticmethod
     def block_key(block):
@@ -292,12 +286,11 @@ class StreamDecomposition:
         return str(i) if kind == "stream" else "P%d" % i
 
     def block_order(self, k):
-        present = set(self.block_assignment(k).values())
-        return sorted(present, key=self.block_key)
+        return sorted(set(self._at(k).blocks.values()), key=self.block_key)
 
     def block_matrix(self, k):
         """0-1 connection matrix between the blocks at levels k and k+1."""
-        asg0, asg1 = self.block_assignment(k), self.block_assignment(k + 1)
+        asg0, asg1 = self._at(k).blocks, self._at(k + 1).blocks
         rows = [self.block_label(b) for b in self.block_order(k)]
         cols = [self.block_label(b) for b in self.block_order(k + 1)]
         entries = {}
@@ -336,107 +329,85 @@ def stream_decompose(seq):
     graph = _lifted_graph(seq, T)
     _, _, order = _class_analysis(graph)
 
-    # cyclic structure of each SCC
-    scc_data = []
+    decomp = StreamDecomposition(seq, P, T)
     for scc in order:
         depth, rho = _depths_and_period(graph, scc)
         ell = {node: depth[node] % rho for node in scc}
+        decomp.lcm_period = math.lcm(decomp.lcm_period, rho)
         # valid residues r: the stream (scc, r) is nonempty at some level,
-        # i.e. r = ell(u) - (phase(u) + t*T) mod rho for some node and t
-        residues = sorted({(ell[u] - u[0] - t * T) % rho
-                           for u in scc for t in range(max(1, rho))})
-        scc_data.append((scc, ell, rho, residues))
+        # i.e. r = ell(u) - (phase(u) + t*T) mod rho for some node and t.
+        # The streams of one SCC are ordered by their symbols at phase 0.
+        residues = {(ell[u] - u[0] - t * T) % rho
+                    for u in scc for t in range(max(1, rho))}
+        for r in sorted(residues, key=lambda r: (sorted(
+                a for (ph, a) in scc if ph == 0 and ell[(ph, a)] == r), r)):
+            decomp.streams.append(Stream(decomp, len(decomp.streams) + 1,
+                                         scc, ell, rho, r))
 
-    L = T
-    for _, _, rho, _ in scc_data:
-        L = math.lcm(L, rho)
-
-    decomp = StreamDecomposition(seq, P, T)
-    decomp.lcm_period = L
-
-    streams = []
-    for scc, ell, rho, residues in scc_data:
-        for r in residues:
-            streams.append((scc, ell, rho, r))
-    # order streams of the same SCC by their symbols at the first level
-    idx = 1
-    final = []
-    by_scc = {}
-    for scc, ell, rho, r in streams:
-        by_scc.setdefault(id(scc), []).append((scc, ell, rho, r))
-    for scc in order:
-        group = by_scc[id(scc)]
-
-        def first_members(item):
-            scc_, ell_, rho_, r_ = item
-            c = r_ % rho_
-            return sorted(a for (ph, a) in scc_
-                          if ph == 0 and ell_[(ph, a)] == c)
-        group.sort(key=first_members)
-        for scc_, ell_, rho_, r_ in group:
-            final.append(Stream(decomp, idx, scc_, ell_, rho_, r_))
-            idx += 1
-    decomp.streams = final
-
-    _fill_reach(decomp)
-    _assign_prefix(decomp)
+    _fill_table(decomp)
     _certify(decomp)
     return decomp
 
 
-def _fill_reach(decomp):
-    """For each node (level offset mod L, symbol) of the L-periodic lifted
-    graph, the set of streams it reaches.  One pass over the graph's SCCs,
-    sinks first: an SCC reaches the streams owning its nodes plus what its
-    successors outside it reach."""
-    P, L = decomp.valid_from, decomp.lcm_period
-    graph = _lifted_graph(decomp.seq, L)
+def _fill_table(decomp):
+    """Resolve the decomposition's table, one `_Position` per layout
+    position.  On the L-periodic lifted graph, a node reaches the streams
+    owning the nodes of its SCC plus what its successors outside the SCC
+    reach (one pass over the SCCs, sinks first), and a node no stream owns
+    has the block ('pool', i), i the least stream it reaches (the stream
+    count + 1 when none).  Prefix symbols, filled backward, reach what their
+    successors reach and join the least stream i they reach; the block is
+    ('pool', i) when the symbol has an edge into a ('pool', i) block, which
+    keeps the block matrices upper triangular, and ('stream', i) otherwise."""
+    seq, P, L = decomp.seq, decomp.valid_from, decomp.lcm_period
+    n = len(decomp.streams)
+    graph = _lifted_graph(seq, L)
     own = {}
     for s in decomp.streams:
-        for m in range(L):
-            for a in s.members_at(P + m):
-                own[(m, a)] = s.index
-    reach = {}
+        for (ph, a) in s.scc:
+            for m in range(ph, L, decomp.period):
+                if s.ell[(ph, a)] == (s.residue + m) % s.rho:
+                    own[(m, a)] = s.index
+    node_reach = {}
     for scc in strongly_connected_components(graph):
         acc = {own[node] for node in scc if node in own}
         for node in scc:
             for succ in graph[node]:
-                if succ in reach:
-                    acc |= reach[succ]
+                if succ in node_reach:
+                    acc |= node_reach[succ]
         acc = frozenset(acc)
         for node in scc:
-            reach[node] = acc
-    decomp._reach = reach
+            node_reach[node] = acc
 
-
-def _assign_prefix(decomp):
-    """Extend the streams backward: each prefix symbol joins the
-    least-indexed stream i it can reach.  Its block is ('pool', i) when it
-    has an edge into a ('pool', i) block at the next level, which keeps the
-    block matrices upper triangular, and ('stream', i) otherwise."""
-    seq, P = decomp.seq, decomp.valid_from
-    if P == 0:
-        return
-    level_reach = {a: decomp._reach[(0, a)] for a in seq.alphabet(P)}
-    blocks = decomp.block_assignment(P)
+    levels = []                 # (blocks, reach) per position
+    for m in range(L):
+        reach = {a: node_reach[(m, a)] for a in seq.alphabet(P + m)}
+        levels.append(({a: ("stream", own[(m, a)]) if (m, a) in own
+                        else ("pool", min(r) if r else n + 1)
+                        for a, r in reach.items()}, reach))
     for k in range(P - 1, -1, -1):
+        nxt_blocks, nxt_reach = levels[0]
         m = seq.matrix(k)
         reach = {a: set() for a in m.rows}
         targets = {a: set() for a in m.rows}
         for (a, b) in m.entries:
-            reach[a] |= level_reach[b]
-            targets[a].add(blocks[b])
+            reach[a] |= nxt_reach[b]
+            targets[a].add(nxt_blocks[b])
         blocks = {}
-        for a in m.rows:
-            i = min(reach[a]) if reach[a] else len(decomp.streams) + 1
-            kind = "pool" if ("pool", i) in targets[a] else "stream"
-            blocks[a] = decomp._prefix_assign[(k, a)] = (kind, i)
-        level_reach = reach
-    for s in decomp.streams:
-        for k in range(P):
-            s.prefix_members[k] = frozenset(
-                a for a in seq.alphabet(k)
-                if decomp._prefix_assign[(k, a)][1] == s.index)
+        for a, r in reach.items():
+            i = min(r) if r else n + 1
+            blocks[a] = ("pool" if ("pool", i) in targets[a] else "stream", i)
+        levels.insert(0, (blocks, {a: frozenset(r) for a, r in reach.items()}))
+
+    for k, (blocks, reach) in enumerate(levels):
+        members = {}
+        for a, (kind, i) in blocks.items():
+            # a prefix symbol is a member of the least stream it reaches,
+            # also when its block is ('pool', i)
+            if kind == "stream" or (k < P and reach[a]):
+                members.setdefault(i, set()).add(a)
+        decomp._table.append(_Position(
+            blocks, reach, {i: frozenset(g) for i, g in members.items()}))
 
 
 def _certify(decomp):
@@ -453,9 +424,11 @@ def _certify(decomp):
     # by construction pool nodes are exactly the trivial SCCs, so a direct
     # re-check is cheap: peel pool nodes with no pool successor left, sinks
     # first, recording the longest pool-only path from each.  A node never
-    # peeled lies on or leads into a cycle.
+    # peeled lies on or leads into a cycle.  The pool is the complement of
+    # the streams certified here.
     seq, P, L = decomp.seq, decomp.valid_from, decomp.lcm_period
-    pool = [decomp.pool_members_at(P + m) for m in range(L)]
+    pool = [frozenset(seq.alphabet(P + m)).difference(
+        *(s.members_at(P + m) for s in decomp.streams)) for m in range(L)]
     pool_nodes = [(m, a) for m in range(L) for a in pool[m]]
     preds = {node: [] for node in pool_nodes}
     waiting = dict.fromkeys(pool_nodes, 0)
@@ -489,6 +462,9 @@ def _decompose_truncated(seq):
     last = seq.terms[-1]
     if set(last.rows) != set(last.cols):
         decomp = StreamDecomposition(seq, seq.horizon, 1, provisional=True)
+        decomp._table = [_Position({a: ("pool", 1) for a in seq.alphabet(k)},
+                                   {}, {})
+                         for k in range(seq.horizon + 1)]
         decomp.certificates = {"streams": {}, "pool": None,
                                "note": "window ends rectangular"}
         return decomp
@@ -597,28 +573,18 @@ def minimal_components(seq):
     be reached — the support of its tower."""
     decomp = stream_decompose(seq)
     P, L = decomp.valid_from, decomp.lcm_period
-    incoming = {s.index: False for s in decomp.streams}
+    incoming = set()
     for j in range(L):
-        m = decomp.seq.matrix(P + j)
-        asg0 = decomp.block_assignment(P + j)
-        asg1 = decomp.block_assignment(P + j + 1)
-        for (a, b) in m.entries:
-            if asg1[b][0] == "stream" and asg0[a] != asg1[b]:
-                incoming[asg1[b][1]] = True
+        asg0, asg1 = decomp._at(P + j).blocks, decomp._at(P + j + 1).blocks
+        incoming |= {asg1[b][1] for (a, b) in decomp.seq.matrix(P + j).entries
+                     if asg1[b][0] == "stream" and asg0[a] != asg1[b]}
     out = []
     for s in decomp.streams:
-        if incoming[s.index]:
+        if s.index in incoming:
             continue
-        augmented = {}
-        for k in range(P + L):
-            members = set()
-            for a in decomp.seq.alphabet(k):
-                if s.index in (decomp._reach.get(((k - P) % L, a), frozenset())
-                               if k >= P else decomp._prefix_reach(k, a)):
-                    members.add(a)
-                if a in s.members_at(k):
-                    members.add(a)
-            augmented[k] = frozenset(members)
+        augmented = {k: frozenset(a for a, reach in decomp._at(k).reach.items()
+                                  if s.index in reach)
+                     for k in range(P + L)}
         out.append(MinimalComponent(s, augmented))
     return out
 

@@ -480,11 +480,17 @@ def reduce_sequence(seq):
 
 
 def is_reduced(seq):
-    reduced, log = reduce_sequence(seq)
-    removed = any(v for v in log["levels"].values())
-    if not removed and "periodic" in log:
-        removed = any(v for v in log["periodic"].values())
-    return not removed
+    """True iff reduce_sequence would remove no symbol: every stored matrix
+    has a nonzero entry in each row and each column.  The columns of a
+    truncated sequence's last term are not checked, because the horizon is
+    right-extendable by assumption and reduce_sequence logs no level there."""
+    last = len(seq.stored) - 1 if seq.horizon is not None else None
+    for i, m in enumerate(seq.stored):
+        if len({a for a, _ in m.entries}) < len(m.rows):
+            return False
+        if i != last and len({b for _, b in m.entries}) < len(m.cols):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def communicating_streams(decomp, stream):
             continue
         for j in range(L):
             for a in other.members_at(P + j):
-                if stream.index in decomp._reach.get((j, a), frozenset()):
+                if stream.index in decomp.reach(P + j, a):
                     out.add(other.index)
                     break
             if other.index in out:

@@ -19,6 +19,7 @@ from .errors import (
     MalformedWord,
     UndeterminedTail,
     NotInBase,
+    NotReduced,
     ShapeMismatch,
     InternalError,
 )
@@ -443,9 +444,15 @@ class SubdiagramEmbedding:
 
     def base_min_word_into(self, vertex, level, start=0):
         """The base-minimal edge word covering levels start..level-1 and
-        ending at `vertex`."""
-        return _word_into(lambda k, v: self.base_edges_into(k, v)[0],
-                          vertex, level, start)
+        ending at `vertex`.  NotReduced when no base edge enters a vertex
+        on the way, which a reduced base rules out."""
+        def pick(k, v):
+            edges = self.base_edges_into(k, v)
+            if not edges:
+                raise NotReduced("no base edge enters vertex %r at level %d"
+                                 % (v, k + 1))
+            return edges[0]
+        return _word_into(pick, vertex, level, start)
 
 
 def _check_in_base(embedding, word):
@@ -487,7 +494,13 @@ def _word_to_change_level(embedding, path):
 def anti_lex_rank(diagram, word):
     """Number of ambient words with the same final vertex that are strictly
     below `word` in the anti-lexicographic order."""
-    counts = _word_counts(diagram.seq, max((e[0] for e in word), default=0))
+    return _rank(diagram, word, 0)
+
+
+def _rank(diagram, word, start):
+    """anti_lex_rank among the words that start at level `start`."""
+    counts = _word_counts(diagram.seq, max((e[0] for e in word),
+                                           default=start), start)
     rank = 0
     for e in word:
         k = e[0]
@@ -498,31 +511,34 @@ def anti_lex_rank(diagram, word):
     return rank
 
 
-def _word_counts(seq, n):
-    """counts[k][v] = number of words of levels 0..k-1 ending at v, for
-    k = 0..n, by one forward pass of row-vector products."""
-    counts = [{a: 1 for a in seq.alphabet(0)}]
-    for k in range(n):
+def _word_counts(seq, n, start=0):
+    """counts[k][v] = number of words of levels start..k-1 ending at v, for
+    k = start..n (None below start), by one forward pass of row-vector
+    products."""
+    counts = [None] * start + [{a: 1 for a in seq.alphabet(start)}]
+    for k in range(start, n):
         counts.append(seq.matrix(k).vec_mul(counts[k]))
     return counts
 
 
 def _base_step(embedding, word):
-    """The ambient rank difference from a base word (starting at level 0)
-    to its base successor, or None when every edge is base-maximal.  The
-    successor changes the word at its first non-base-maximal level m, and
-    only levels 0..m enter the difference: the rank terms of the kept
-    edges beyond m are the same on both sides."""
+    """The ambient rank difference from a base word to its base successor,
+    among the words that start at the word's first level s, or None when
+    every edge is base-maximal.  The successor changes the word at its
+    first non-base-maximal edge, at position m and level s + m, and only
+    levels s..s+m enter the difference: the rank terms of the kept edges
+    beyond it are the same on both sides."""
     for m, e in enumerate(word):
         if not embedding.base_is_max(e):
             break
     else:
         return None
+    start = word[0][0]
     new_edge = embedding.base_next(word[m])
-    head = embedding.base_min_word_into(new_edge[1], m)
+    head = embedding.base_min_word_into(new_edge[1], new_edge[0], start)
     diagram = embedding.ambient
-    r = anti_lex_rank(diagram, head + (new_edge,)) \
-        - anti_lex_rank(diagram, word[:m + 1])
+    r = _rank(diagram, head + (new_edge,), start) \
+        - _rank(diagram, word[:m + 1], start)
     if r < 1:
         raise InternalError("return time %d is not positive" % r)
     return r
@@ -550,20 +566,19 @@ def return_time(embedding, p):
 
 def cyclic_return_time(embedding, word):
     """Return time of a base word of depth d under the cyclic adic rotation
-    on depth-d ambient words within its endpoint class: the number of
-    ambient steps to the next base word, wrapping the maximal word to the
-    minimal one."""
+    on depth-d ambient words within its endpoint class (the words over the
+    same levels): the number of ambient steps to the next base word,
+    wrapping the maximal word to the minimal one."""
     _check_in_base(embedding, word)
     r = _base_step(embedding, word)
     if r is None:
         # wrap to the minimal base word ending at the same vertex; the
         # word's rank is below the class size, so r >= 1
-        depth = len(word)
-        v = word[-1][2]
+        start, end, v = word[0][0], word[-1][0] + 1, word[-1][2]
         diagram = embedding.ambient
-        first = embedding.base_min_word_into(v, depth)
-        r = _word_counts(diagram.seq, depth)[depth][v] \
-            - anti_lex_rank(diagram, word) + anti_lex_rank(diagram, first)
+        first = embedding.base_min_word_into(v, end, start)
+        r = _word_counts(diagram.seq, end, start)[end][v] \
+            - _rank(diagram, word, start) + _rank(diagram, first, start)
     return r
 
 

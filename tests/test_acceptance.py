@@ -376,3 +376,27 @@ def test_level_layout_is_read_only_through_index():
                     else target.attr in ("prefix", "cycle")):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_decomposition_tables_are_read_only_in_frobenius():
+    # a decomposition's memberships, reach and blocks are resolved once in
+    # frobenius.py; every other module reads them through its accessors
+    # (members_at, stream_of, reach, pool_members_at, block_assignment, ...)
+    # and no private attribute of a decomposition or a stream
+    dec = stream_decompose(constant([[1, 1], [0, 1]], ["0", "1"]))
+    private = {name for obj in (dec, dec.streams[0], type(dec),
+                                type(dec.streams[0]))
+               for name in vars(obj)
+               if name.startswith("_") and not name.startswith("__")}
+    assert {"_table", "_at"} <= private
+    package = pathlib.Path(adic.__file__).parent
+    here = pathlib.Path(__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")) + sorted(here.glob("*.py")) \
+            + sorted((here.parent / "demos").glob("*.py")):
+        if path.name == "frobenius.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []

@@ -69,6 +69,40 @@ def test_classify_truncated_is_undecided(truncated_file):
     assert r.returncode == 2
 
 
+@pytest.fixture(scope="module")
+def rectangular_file(tmp_path_factory):
+    # a truncated file whose last matrix is rectangular: nothing is decided
+    t = Truncated([GenMatrix.from_lists(("0", "1"), ("0", "1"),
+                                        [[1, 1], [0, 1]]),
+                   GenMatrix.from_lists(("0", "1"), ("0",), [[1], [1]])])
+    path = tmp_path_factory.mktemp("cli") / "rect.json"
+    path.write_text(json.dumps(BratteliDiagram(t).to_json()))
+    return str(path)
+
+
+def test_decompose_truncated_rectangular_is_provisional(rectangular_file):
+    # block matrices are reported only for levels the file defines; the
+    # window ends at the valid-from level 2, so there are none
+    r = run_cli("decompose", rectangular_file, "--json")
+    assert r.returncode == 2, r.stderr
+    out = json.loads(r.stdout)
+    assert out["provisional"] is True and out["undecided"] is True
+    assert out["valid_from"] == 2 and out["streams"] == []
+    assert out["pool_at_2"] == ["0"] and out["block_matrices"] == []
+
+
+def test_classify_provisional_is_marked(rectangular_file, truncated_file,
+                                        chacon_file):
+    r = run_cli("classify", rectangular_file, "--json")
+    assert r.returncode == 2, r.stderr
+    out = json.loads(r.stdout)
+    assert out["provisional"] is True and out["measures"] == []
+    r = run_cli("classify", truncated_file, "--json")
+    assert r.returncode == 2 and json.loads(r.stdout)["provisional"] is True
+    r = run_cli("classify", chacon_file, "--json")
+    assert r.returncode == 0 and "provisional" not in json.loads(r.stdout)
+
+
 def test_count_ergodic_truncated_is_undecided(truncated_file):
     r = run_cli("count-ergodic", truncated_file, "--json")
     assert r.returncode == 2

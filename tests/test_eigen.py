@@ -309,7 +309,7 @@ def _old_exact_ray(decomp, stream):
     Q = partial_product(seq, P, P + L - 1)
     active = set(stream.members_at(P))
     for a in seq.alphabet(P):
-        if stream.index in decomp._reach.get((0, a), frozenset()):
+        if stream.index in decomp.reach(P, a):
             active.add(a)
     labels_ = [a for a in seq.alphabet(P) if a in active]
     basis = solve_kernel(labels_, Q.entries, lam)

@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from adic.errors import NotIrreducible, NotReduced
+from adic.errors import HorizonExceeded, NotIrreducible, NotReduced
 from adic.matrixseq import (
-    GenMatrix, EventuallyPeriodic, constant, from_json, reduce_sequence)
+    GenMatrix, EventuallyPeriodic, Truncated, constant, from_json,
+    reduce_sequence)
 from adic.frobenius import (
     strongly_connected_components,
     stream_decompose,
@@ -140,17 +141,19 @@ def stream_chain(n):
     return stationary_graph(labs, edges)
 
 
-def bfs_reach(dec):
-    """Reference for dec._reach: breadth-first search from every node of the
-    lcm-period lifted graph, collecting the streams of the nodes visited."""
-    seq, P, T, L = dec.seq, dec.valid_from, dec.period, dec.lcm_period
-    succs, owner = {}, {}
-    for m in range(L):
-        for a in seq.cycle[m % T].rows:
-            succs[(m, a)] = []
-            owner[(m, a)] = dec.stream_of(P + m, a)
-        for (a, b) in seq.cycle[m % T].entries:
-            succs[(m, a)].append(((m + 1) % L, b))
+def bfs_reach(dec, owner):
+    """Reference for dec.reach: breadth-first search from every node (k, a)
+    of levels 0..P+L-1, where level P+L wraps to P, collecting owner(k, a)
+    over the periodic nodes visited (None for a pool node)."""
+    seq, P, L = dec.seq, dec.valid_from, dec.lcm_period
+    succs = {}
+    for k in range(P + L):
+        nxt = k + 1 if k + 1 < P + L else P
+        m = seq.matrix(k)
+        for a in m.rows:
+            succs[(k, a)] = []
+        for (a, b) in m.entries:
+            succs[(k, a)].append((nxt, b))
     out = {}
     for start in succs:
         seen = {start}
@@ -160,8 +163,8 @@ def bfs_reach(dec):
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-        out[start] = frozenset(owner[node] for node in seen
-                               if owner[node] is not None)
+        out[start] = frozenset(owner(*node) for node in seen
+                               if node[0] >= P and owner(*node) is not None)
     return out
 
 
@@ -169,9 +172,15 @@ def test_reach_matches_bfs():
     rng = random.Random(29)
     seqs = [random_reduced_sequence(rng, max_dim=6, max_period=4,
                                     max_prefix=2) for _ in range(60)]
+    prefixed = 0
     for seq in seqs + [stream_chain(400)]:
         dec = stream_decompose(seq)
-        assert dec._reach == bfs_reach(dec)
+        P, L = dec.valid_from, dec.lcm_period
+        got = {(k, a): dec.reach(k, a)
+               for k in range(P + L) for a in seq.alphabet(k)}
+        assert got == bfs_reach(dec, dec.stream_of)
+        prefixed += P > 0
+    assert prefixed >= 10
 
 
 def recursive_longest_pool_path(dec):
@@ -277,22 +286,67 @@ def test_long_pool_chain_under_every_hash_seed():
 
 
 def test_members_at_matches_a_scan_of_the_scc():
-    """Reference: the symbols of the stream's SCC in the phase and cyclic
-    class of level k, found by scanning the SCC (prefix levels come from
-    prefix_members)."""
+    """Reference: at a periodic level, the symbols of the stream's SCC in
+    the phase and cyclic class of level k, found by scanning the SCC; at a
+    prefix level, the symbols whose forward search reaches that stream as
+    the least one it reaches."""
     rng = random.Random(71)
     seqs = [seven_matrix_example().seq, three_cycle().seq]
     seqs += [random_reduced_sequence(rng, max_dim=5) for _ in range(40)]
+    prefixed = 0
     for seq in seqs:
         dec = stream_decompose(seq)
         P, T, L = dec.valid_from, dec.period, dec.lcm_period
+        prefixed += P > 0
+
+        def scan(k, a):
+            for s in dec.streams:
+                c = (s.residue + k - P) % s.rho
+                if s.ell.get(((k - P) % T, a)) == c:
+                    return s.index
+            return None
+
+        reach = bfs_reach(dec, scan)
         for s in dec.streams:
             for k in range(P + 3 * L + 1):
                 if k < P:
-                    want = s.prefix_members.get(k, frozenset())
+                    want = frozenset(a for a in seq.alphabet(k)
+                                     if reach[(k, a)]
+                                     and min(reach[(k, a)]) == s.index)
                 else:
                     c = (s.residue + k - P) % s.rho
                     want = frozenset(a for (ph, a) in s.scc
                                      if ph == (k - P) % T
                                      and s.ell[(ph, a)] == c)
                 assert s.members_at(k) == want
+    assert prefixed >= 5
+
+
+def test_decomposition_index_mirrors_the_layout():
+    # prefix levels, then one lcm period repeating; levels that share a
+    # position share their memberships, reach and blocks
+    rng = random.Random(73)
+    for _ in range(30):
+        dec = stream_decompose(random_reduced_sequence(rng, max_dim=4))
+        P, L = dec.valid_from, dec.lcm_period
+        with pytest.raises(IndexError):
+            dec.index(-1)
+        for k in range(P + 3 * L):
+            p = dec.index(k)
+            assert p == (k if k < P else P + (k - P) % L)
+            assert dec.block_assignment(k) == dec.block_assignment(p)
+            for a in dec.seq.alphabet(k):
+                assert dec.reach(k, a) == dec.reach(p, a)
+                assert dec.stream_of(k, a) == dec.stream_of(p, a)
+    # a window that ends rectangular: every symbol up to the horizon is in
+    # the one pool block, and nothing lies beyond it
+    t = Truncated([GenMatrix.from_lists(("0", "1"), ("0", "1"),
+                                        [[1, 1], [0, 1]]),
+                   GenMatrix.from_lists(("0", "1"), ("0",), [[1], [1]])])
+    dec = stream_decompose(t)
+    assert dec.provisional and dec.streams == []
+    assert [dec.block_assignment(k) for k in range(3)] == [
+        {"0": ("pool", 1), "1": ("pool", 1)}] * 2 + [{"0": ("pool", 1)}]
+    assert dec.block_matrix(0).to_lists() == [[1]]
+    with pytest.raises(HorizonExceeded):
+        dec.block_assignment(3)

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from adic.errors import HorizonExceeded, ShapeMismatch, UndeterminedTail
+from adic.errors import (
+    HorizonExceeded, NotReduced, ShapeMismatch, UndeterminedTail)
 from adic.matrixseq import (
     EventuallyPeriodic,
     GenMatrix,
@@ -23,10 +24,14 @@ from adic.matrixseq import (
 )
 from adic.measures import canonical_cover
 from adic.diagram import BratteliDiagram, StableOrder, enumerate_paths
+from adic.gallery import ics
 from adic.vershik import (
+    LazyPath,
     SubdiagramEmbedding,
     cyclic_return_time,
+    kac_partial_sum,
     return_time,
+    successor,
 )
 
 from conftest import random_ep_sequence, random_nested_pair
@@ -320,6 +325,79 @@ def test_return_times_count_ambient_steps():
                             return_time(emb, words[j])
                     checked += 1
     assert checked >= 2000
+
+
+def _steps_to_next_base_word(emb, path, end):
+    """Successor steps from `path` until its edges below level `end` are
+    base edges again."""
+    steps = 0
+    while True:
+        path = successor(path)
+        steps += 1
+        if all(emb.is_base_edge(e) for e in path.word(end)):
+            return steps
+
+
+def test_return_times_above_level_zero_count_successor_steps():
+    # a path that starts at level s > 0 is ranked among the words that
+    # start at s: its return time is the number of successor steps to the
+    # next path that is base up to its change level, and the cyclic return
+    # time of the last base word wraps to the first one over the same levels
+    emb = ics("triadic")
+    path = LazyPath(emb.ambient, [(1, "0", "0", 2), (2, "0", "0", 0)],
+                    start=1)
+    assert return_time(emb, path) == 4
+    assert _steps_to_next_base_word(emb, path, 3) == 4
+    assert cyclic_return_time(emb, ((1, "0", "0", 2), (2, "0", "0", 2))) == 1
+    rng = random.Random(653)
+    checked = 0
+    for _ in range(40):
+        base, amb = random_nested_pair(rng, max_dim=3)
+        low = [m.entries for m in amb.stored]
+        emb = _embedding(rng, amb, base, _index_map(rng, base, low))
+        order = emb.ambient.order
+        for start in (1, 2, 3):
+            for depth in (1, 2, 3):
+                end = start + depth
+                classes = {}
+                for w in {w[start:]
+                          for w in enumerate_paths(emb.ambient, end)}:
+                    classes.setdefault(w[-1][2], []).append(w)
+                for words in classes.values():
+                    words.sort(key=lambda w: [
+                        order.incoming(e[0], e[2]).index(e)
+                        for e in reversed(w)])
+                    pos = [j for j, w in enumerate(words)
+                           if all(emb.is_base_edge(e) for e in w)]
+                    for n, j in enumerate(pos):
+                        w = words[j]
+                        steps = (pos[(n + 1) % len(pos)] - j) % len(words) \
+                            or len(words)
+                        assert cyclic_return_time(emb, w) == steps
+                        if n + 1 < len(pos):
+                            path = LazyPath(emb.ambient, w, start=start)
+                            assert return_time(emb, w) == steps
+                            assert return_time(emb, path) == steps
+                            assert _steps_to_next_base_word(
+                                emb, path, end) == steps
+                        checked += 1
+    assert checked >= 500
+
+
+def test_unreduced_base_raises_not_reduced():
+    # no base edge enters vertex 1: the base-minimal walk back from a
+    # base word cannot pass through it
+    amb = constant([[2, 1], [1, 2]])
+    base = constant([[1, 0], [1, 0]])
+    emb = SubdiagramEmbedding(BratteliDiagram(amb), base)
+    with pytest.raises(NotReduced, match="vertex '1' at level 1"):
+        cyclic_return_time(emb, ((0, "1", "0", 0), (1, "0", "0", 0)))
+    # with the edge 1 -> 0 first into 0, the Kac sum's walk takes it
+    order = StableOrder(amb, cycle_orders=[{"0": [("1", 0), ("0", 0),
+                                                  ("0", 1)]}])
+    emb = SubdiagramEmbedding(BratteliDiagram(amb, order), base)
+    with pytest.raises(NotReduced, match="vertex '1' at level 1"):
+        kac_partial_sum(emb, None, 2)
 
 
 @pytest.mark.parametrize("index_map", [

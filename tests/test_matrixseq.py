@@ -124,6 +124,41 @@ def test_reduce_drops_dead_symbol():
     assert not is_reduced(seq)
 
 
+def _removes_symbols(seq):
+    """Reference for is_reduced: reduce_sequence logs a removed symbol."""
+    _, log = reduce_sequence(seq)
+    return any(log["levels"].values()) or any(log.get("periodic", {}).values())
+
+
+def _random_truncated(rng):
+    """A random chain of 1-4 matrices, zero rows and columns allowed."""
+    dims = [rng.randrange(1, 4) for _ in range(rng.randrange(2, 6))]
+    terms = []
+    for d0, d1 in zip(dims, dims[1:]):
+        rows = tuple(str(j) for j in range(d0))
+        cols = tuple(str(j) for j in range(d1))
+        terms.append(GenMatrix(rows, cols, {
+            (a, b): 1 for a in rows for b in cols if rng.random() < 0.45}))
+    return Truncated(terms)
+
+
+def test_is_reduced_matches_the_reduction_log():
+    # every stored matrix has no zero row and no zero column, except the
+    # columns of a truncated sequence's last term
+    rng = random.Random(83)
+    kinds = {}
+    for _ in range(400):
+        seqs = [random_ep_sequence(rng), random_reduced_sequence(rng),
+                _random_truncated(rng)]
+        seqs.append(reduce_sequence(seqs[-1])[0])
+        for seq in seqs:
+            want = not _removes_symbols(seq)
+            assert is_reduced(seq) == want, seq.stored
+            key = (seq.is_eventually_periodic, want)
+            kinds[key] = kinds.get(key, 0) + 1
+    assert len(kinds) == 4 and min(kinds.values()) >= 100, kinds
+
+
 def test_reduce_constant_triangular_is_already_reduced():
     seq = constant([[3, 1], [0, 2]], ["0", "1"])
     red, _ = reduce_sequence(seq)
