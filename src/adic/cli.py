@@ -17,7 +17,7 @@ from .errors import AdicError
 from .verdict import Verdict, _frac, _jsonable
 from . import matrixseq
 from .diagram import BratteliDiagram
-from .frobenius import stream_decompose, frobenius_form
+from .frobenius import stream_decompose
 from .cones import extreme_count, EigvecSeqApprox
 from .measures import classify_measures, canonical_cover, CentralMeasure
 from . import vershik
@@ -50,14 +50,17 @@ def _flatten(report, prefix=""):
             yield (key, v)
 
 
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+
+
 def _output(report, as_json, emit=None):
     payload = _jsonable(report)
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if emit:
-        with open(emit, "w") as fh:
-            fh.write(text + "\n")
+        _write_json(emit, payload)
     if as_json:
-        click.echo(text)
+        click.echo(json.dumps(payload, indent=2, sort_keys=True))
     else:
         rows = list(_flatten(payload))
         width = max((len(k) for k, _ in rows), default=0)
@@ -137,10 +140,7 @@ def cli():
 @click.option("--emit", type=click.Path())
 def decompose(diagram, as_json, emit):
     """Stream decomposition: streams, pool, and block matrices."""
-    d = _load_diagram(diagram)
-    # the form holds the decomposition it was built from
-    form = frobenius_form(d.seq) if emit else None
-    dec = form.decomposition if emit else stream_decompose(d.seq)
+    dec = stream_decompose(_load_diagram(diagram).seq)
     K = dec.valid_from
     certs = dec.certificates.get("streams", {})
     report = {
@@ -164,12 +164,11 @@ def decompose(diagram, as_json, emit):
         not v.is_decided() for v in certs.values())
     report["undecided"] = undecided
     if emit:
+        form = dec.frobenius_form()
         payload = matrixseq.to_json(form.form)
-        payload["permutation"] = _jsonable(form.permutations)
-        payload["gathering_times"] = list(form.gathering_times)
-        with open(emit, "w") as fh:
-            fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-                     + "\n")
+        payload["permutation"] = form.permutations
+        payload["gathering_times"] = form.gathering_times
+        _write_json(emit, payload)
     _finish(report, as_json, undecided=undecided)
 
 
@@ -225,9 +224,7 @@ def cover(base, ambient, as_json, emit):
     cov = canonical_cover(b.seq, a.seq)
     payload = matrixseq.to_json(cov.cover)
     if emit:
-        with open(emit, "w") as fh:
-            fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-                     + "\n")
+        _write_json(emit, payload)
     report = {"command": "cover", "cover": payload}
     _finish(report, as_json)
 
@@ -357,9 +354,7 @@ def example(name, as_json, emit):
     if getattr(obj, "expected", None):
         report["expected"] = _jsonable(obj.expected)
     if emit:
-        with open(emit, "w") as fh:
-            fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-                     + "\n")
+        _write_json(emit, payload)
     _finish(report, as_json)
 
 

@@ -445,11 +445,8 @@ def exact_ray(decomp, stream):
     lam = stream_period_eigenvalue(stream)
     if lam is None:
         return None
-    active = set(stream.members_at(P))
-    for a in seq.alphabet(P):
-        if stream.index in decomp.reach(P, a):
-            active.add(a)
-    labels = [a for a in seq.alphabet(P) if a in active]
+    # reach(P, a) holds a's own stream, so the members are among them
+    labels = [a for a in seq.alphabet(P) if stream.index in decomp.reach(P, a)]
     return _ray(decomp, stream, lam, labels,
                 partial_product(seq, P, P + L - 1))
 

@@ -7,6 +7,12 @@ remains and carries no infinite vertex path.  Streams are found as the
 strongly connected components of the lifted (phase, symbol) graph of the
 cycle part; an SCC whose layered period is rho splits into rho cyclic
 classes, and each cyclic class traced around the cycle is one stream.
+
+A decomposition resolves one table per layout position, and the stream
+relations are lookups in it: `reach(k, a)` is the set of streams symbol a
+at level k has an edge path into, its own included; the streams that
+communicate into a stream are those whose members reach it; a stream is
+initial when only its own members reach it in the periodic part.
 """
 
 import collections
@@ -182,30 +188,32 @@ class Stream:
         return partial_product(cyc, 0, self.decomp.lcm_period - 1)
 
     def has_single_path(self):
-        """True iff the induced subdiagram carries exactly one path: every
-        induced matrix is 1x1 with entry 1 (and the backward extension is
-        single too)."""
-        cyc = self.induced_cycle()
-        for j in range(self.decomp.lcm_period):
-            m = cyc.matrix(j)
-            if len(m.rows) != 1 or len(m.cols) != 1 or m.entry_sum() != 1:
-                return False
-        for k in range(self.decomp.valid_from):
-            members = self.members_at(k)
-            if len(members) > 1:
-                return False
-            if members:
-                nxt = self.members_at(k + 1)
-                m = self.decomp.seq.matrix(k)
-                total = sum(m.entry(a, b) for a in members for b in nxt)
-                if total != 1:
-                    return False
-        return True
+        """True iff the stream's subdiagram carries exactly one path."""
+        return _single_path(self) is not None
 
     def __repr__(self):
         return "Stream(%d, at %d: %r)" % (
             self.index, self.decomp.valid_from,
             sorted(self.members_at(self.decomp.valid_from)))
+
+
+def _single_path(stream):
+    """The edges (k, a, b, 0) of a stream's only path, from its starting
+    time through valid_from + lcm_period - 1, or None when it carries more
+    than one: a stream has members at every level from its starting time
+    on, and the walk needs one member per level, joined by one edge."""
+    decomp = stream.decomp
+    edges = []
+    for k in range(stream.starting_time,
+                   decomp.valid_from + decomp.lcm_period):
+        here, there = stream.members_at(k), stream.members_at(k + 1)
+        if len(here) != 1 or len(there) != 1:
+            return None
+        (a,), (b,) = here, there
+        if decomp.seq.matrix(k).entry(a, b) != 1:
+            return None
+        edges.append((k, a, b, 0))
+    return edges
 
 
 # One layout position of a decomposition: each symbol's block, the set of
@@ -264,11 +272,6 @@ class StreamDecomposition:
         pos = self._at(k)
         return frozenset(pos.blocks).difference(*pos.members.values())
 
-    def pool_group(self, k, a):
-        """Pool symbols are grouped by the least stream they connect to."""
-        reach = self.reach(k, a)
-        return min(reach) if reach else len(self.streams) + 1
-
     # -- blocks ---------------------------------------------------------
 
     def block_assignment(self, k):
@@ -285,19 +288,73 @@ class StreamDecomposition:
         kind, i = block
         return str(i) if kind == "stream" else "P%d" % i
 
-    def block_order(self, k):
-        return sorted(set(self._at(k).blocks.values()), key=self.block_key)
-
     def block_matrix(self, k):
         """0-1 connection matrix between the blocks at levels k and k+1."""
         asg0, asg1 = self._at(k).blocks, self._at(k + 1).blocks
-        rows = [self.block_label(b) for b in self.block_order(k)]
-        cols = [self.block_label(b) for b in self.block_order(k + 1)]
-        entries = {}
-        m = self.seq.matrix(k)
-        for (a, b) in m.entries:
-            entries[(self.block_label(asg0[a]), self.block_label(asg1[b]))] = 1
-        return GenMatrix(tuple(rows), tuple(cols), entries)
+        rows, cols = (tuple(self.block_label(b) for b in sorted(
+            set(asg.values()), key=self.block_key)) for asg in (asg0, asg1))
+        entries = {(self.block_label(asg0[a]), self.block_label(asg1[b])): 1
+                   for (a, b) in self.seq.matrix(k).entries}
+        return GenMatrix(rows, cols, entries)
+
+    def frobenius_form(self):
+        """Permute and gather the decomposed sequence into the fixed-size
+        block-triangular form: after the first (possibly rectangular)
+        matrix all matrices are square with the same ordered block
+        alphabet, diagonal blocks are reduced primitive (streams) or
+        identically zero (pool), and nonzero blocks only sit on or above
+        the diagonal."""
+        if self.provisional:
+            raise ShapeMismatch(
+                "fixed-size form needs an eventually periodic input")
+        seq, P, L = self.seq, self.valid_from, self.lcm_period
+        pool_total = sum(len(self.pool_members_at(P + m)) for m in range(L))
+        G = L * (pool_total + 1)
+
+        def symbol_order(k):
+            asg = self.block_assignment(k)
+            return sorted(asg, key=lambda a: (self.block_key(asg[a]), a))
+
+        times = ([0, P] if P > 0 else [0]) + [P + G, P + 2 * G]
+
+        def gathered(i, j):
+            return GenMatrix(symbol_order(i), symbol_order(j + 1),
+                             partial_product(seq, i, j).entries)
+
+        prefix = [gathered(0, P - 1)] if P > 0 else []
+        form = EventuallyPeriodic(prefix, [gathered(P, P + G - 1)])
+
+        # the levels of the form start at the gathering times before P + G
+        block_alphabets, permutations = [], {}
+        for k in times[:len(prefix) + 1]:
+            asg = self.block_assignment(k)
+            order = symbol_order(k)
+            permutations[k] = order
+            block_alphabets.append([(a, asg[a]) for a in order])
+
+        # verify the form: upper block-triangular, and the square cycle
+        # matrix has zero pool diagonal blocks
+        for gl in range(len(prefix) + 1):
+            m = form.matrix(gl)
+            asg_r = dict(block_alphabets[gl])
+            nxt = min(gl + 1, len(block_alphabets) - 1)
+            asg_c = dict(block_alphabets[nxt])
+            for (a, b) in m.entries:
+                if self.block_key(asg_r[a]) > self.block_key(asg_c[b]):
+                    raise NotIrreducible(
+                        "internal error: form is not triangular")
+                if (gl == len(prefix) and asg_r[a][0] == "pool"
+                        and asg_r[a] == asg_c[b]):
+                    raise NotIrreducible(
+                        "internal error: pool diagonal nonzero")
+        # conjugation identity: the permuted matrices have the same entries
+        for i, t in enumerate(times[:-1]):
+            prod = partial_product(seq, t, times[i + 1] - 1)
+            g = form.matrix(min(i, len(prefix)))
+            if prod.entries != g.entries:
+                raise InternalError("form does not conjugate the sequence")
+
+        return FrobeniusForm(self, form, times, permutations, block_alphabets)
 
     def __repr__(self):
         return ("StreamDecomposition(%d streams, valid_from=%d%s)"
@@ -491,67 +548,9 @@ class FrobeniusForm:
 
 
 def frobenius_form(seq):
-    """Permute and gather an eventually periodic reduced sequence into the
-    fixed-size block-triangular form: after the first (possibly rectangular)
-    matrix all matrices are square with the same ordered block alphabet,
-    diagonal blocks are reduced primitive (streams) or identically zero
-    (pool), and nonzero blocks only sit on or above the diagonal."""
-    decomp = stream_decompose(seq)
-    if decomp.provisional:
-        raise ShapeMismatch("fixed-size form needs an eventually periodic input")
-    P, L = decomp.valid_from, decomp.lcm_period
-    pool_total = sum(len(decomp.pool_members_at(P + m)) for m in range(L))
-    G = L * (pool_total + 1)
-
-    def symbol_order(k):
-        asg = decomp.block_assignment(k)
-        return sorted(asg, key=lambda a: (decomp.block_key(asg[a]), a))
-
-    times = [0]
-    if P > 0:
-        times.append(P)
-    times += [P + G, P + 2 * G]
-
-    def gathered(i, j):
-        prod = partial_product(seq, i, j)
-        rows = tuple(symbol_order(i))
-        cols = tuple(symbol_order(j + 1))
-        return GenMatrix(rows, cols,
-                         {k: v for k, v in prod.entries.items()})
-
-    prefix = [gathered(0, P - 1)] if P > 0 else []
-    cycle = [gathered(P, P + G - 1)]
-    form = EventuallyPeriodic(prefix, cycle)
-
-    levels = ([0, P] if P > 0 else [0]) + [P + G]
-    block_alphabets, permutations = [], {}
-    for k in levels[:len(prefix) + 1]:
-        asg = decomp.block_assignment(k)
-        order = symbol_order(k)
-        permutations[k] = order
-        block_alphabets.append([(a, asg[a]) for a in order])
-
-    # verify the form: upper block-triangular, and the square cycle matrix
-    # has zero pool diagonal blocks
-    for gl in range(len(prefix) + 1):
-        m = form.matrix(gl)
-        asg_r = dict(block_alphabets[gl])
-        nxt = min(gl + 1, len(block_alphabets) - 1)
-        asg_c = dict(block_alphabets[nxt])
-        for (a, b) in m.entries:
-            if decomp.block_key(asg_r[a]) > decomp.block_key(asg_c[b]):
-                raise NotIrreducible("internal error: form is not triangular")
-            if (gl == len(prefix) and asg_r[a][0] == "pool"
-                    and asg_r[a] == asg_c[b]):
-                raise NotIrreducible("internal error: pool diagonal nonzero")
-    # conjugation identity: the permuted matrices have the same entries
-    for i, t in enumerate(times[:-1]):
-        prod = partial_product(seq, t, times[i + 1] - 1)
-        g = form.matrix(min(i, len(prefix)))
-        if prod.entries != g.entries:
-            raise InternalError("form does not conjugate the sequence")
-
-    return FrobeniusForm(decomp, form, times, permutations, block_alphabets)
+    """The fixed-size block-triangular form of an eventually periodic
+    reduced sequence (see StreamDecomposition.frobenius_form)."""
+    return stream_decompose(seq).frobenius_form()
 
 
 # ---------------------------------------------------------------------------
@@ -568,24 +567,18 @@ class MinimalComponent:
 
 
 def minimal_components(seq):
-    """The initial streams (no connections arriving from other blocks in the
+    """The initial streams (nothing outside the stream reaches it in the
     periodic part) together with, per stream, the symbols from which it can
     be reached — the support of its tower."""
     decomp = stream_decompose(seq)
     P, L = decomp.valid_from, decomp.lcm_period
-    incoming = set()
-    for j in range(L):
-        asg0, asg1 = decomp._at(P + j).blocks, decomp._at(P + j + 1).blocks
-        incoming |= {asg1[b][1] for (a, b) in decomp.seq.matrix(P + j).entries
-                     if asg1[b][0] == "stream" and asg0[a] != asg1[b]}
     out = []
     for s in decomp.streams:
-        if s.index in incoming:
-            continue
         augmented = {k: frozenset(a for a, reach in decomp._at(k).reach.items()
                                   if s.index in reach)
                      for k in range(P + L)}
-        out.append(MinimalComponent(s, augmented))
+        if all(augmented[k] == s.members_at(k) for k in range(P, P + L)):
+            out.append(MinimalComponent(s, augmented))
     return out
 
 

@@ -30,7 +30,7 @@ from .matrixseq import (
     _compare_horizon,
 )
 from .diagram import check_word
-from .frobenius import stream_decompose
+from .frobenius import stream_decompose, _single_path
 
 
 # ---------------------------------------------------------------------------
@@ -195,65 +195,33 @@ def two_by_two_series(a, b, c, n=40):
 
     Returns a SeriesResult with the first n+1 partial sums, an exact
     convergence verdict, and the exact rational limit when convergent."""
-    ap, ac = _scalar_seq(a)
-    bp, bc = _scalar_seq(b)
-    cp, cc = _scalar_seq(c)
-    P = max(len(ap), len(bp), len(cp))
-    T = math.lcm(len(ac), len(bc), len(cc))
-
-    def term_at(seq_pc, k):
-        pre, cyc = seq_pc
-        if k < len(pre):
-            return pre[k]
-        return cyc[(k - len(pre)) % len(cyc)]
-
-    def a_at(k):
-        return term_at((ap, ac), k)
-
-    def b_at(k):
-        return term_at((bp, bc), k)
-
-    def c_at(k):
-        return term_at((cp, cc), k)
-
-    for k in range(P + T):
-        if a_at(k) <= 0 or b_at(k) <= 0:
+    seqs = [_scalar_seq(x) for x in (a, b, c)]
+    P = max(len(pre) for pre, _ in seqs)
+    T = math.lcm(*(len(cyc) for _, cyc in seqs))
+    # (a_k, b_k, c_k) for every k the partial sums or the limit read
+    terms = [[pre[k] if k < len(pre) else cyc[(k - len(pre)) % len(cyc)]
+              for pre, cyc in seqs] for k in range(max(n + 1, P + T))]
+    for ak, bk, ck in terms[:P + T]:
+        if ak <= 0 or bk <= 0:
             raise NonPositiveEntry("a and b must be positive")
-        if c_at(k) < 0:
+        if ck < 0:
             raise NonPositiveEntry("c must be nonnegative")
 
-    ratio = Fraction(1)
-    for k in range(P, P + T):
-        ratio *= Fraction(a_at(k), b_at(k))
-    cycle_has_c = any(c_at(k) for k in range(P, P + T))
-
-    partial = []
-    s = Fraction(0)
-    pi = Fraction(1)  # prod_{i<k} a_i/b_i
-    for k in range(n + 1):
-        s += pi * Fraction(c_at(k), a_at(k))
-        partial.append(s)
-        pi *= Fraction(a_at(k), b_at(k))
-
-    if not cycle_has_c:
-        limit = Fraction(0)
-        pi = Fraction(1)
-        for k in range(P + T):
-            limit += pi * Fraction(c_at(k), a_at(k))
-            pi *= Fraction(a_at(k), b_at(k))
-        verdict = Verdict.yes({"limit": limit, "reason": "c vanishes on the cycle"})
-        return SeriesResult(verdict, partial, limit, ratio)
+    # sums[k]: the sum of the terms i < k; pis[k] = prod_{i<k} a_i/b_i
+    sums, pis = [Fraction(0)], [Fraction(1)]
+    for ak, bk, ck in terms:
+        sums.append(sums[-1] + pis[-1] * Fraction(ck, ak))
+        pis.append(pis[-1] * Fraction(ak, bk))
+    partial, head = sums[1:n + 2], sums[P]
+    ratio = pis[P + T] / pis[P]
+    if not any(ck for _, _, ck in terms[P:P + T]):
+        # every cycle term is 0, so the series is its head
+        verdict = Verdict.yes({"limit": head,
+                               "reason": "c vanishes on the cycle"})
+        return SeriesResult(verdict, partial, head, ratio)
     if ratio < 1:
-        head = Fraction(0)
-        pi = Fraction(1)
-        for k in range(P):
-            head += pi * Fraction(c_at(k), a_at(k))
-            pi *= Fraction(a_at(k), b_at(k))
-        tail_block = Fraction(0)
-        for k in range(P, P + T):
-            tail_block += pi * Fraction(c_at(k), a_at(k))
-            pi *= Fraction(a_at(k), b_at(k))
-        limit = head + tail_block / (1 - ratio)
+        # the tail is one period's sum, scaled by ratio^j in period j
+        limit = head + (sums[P + T] - head) / (1 - ratio)
         verdict = Verdict.yes({"limit": limit, "period_ratio": ratio})
         return SeriesResult(verdict, partial, limit, ratio)
     verdict = Verdict.no({"period_ratio": ratio,
@@ -274,20 +242,11 @@ def compare_streams(stream_a, stream_b):
 
 def communicating_streams(decomp, stream):
     """Indices of the streams with an edge path into `stream` within the
-    periodic part (transitively, possibly through the pool)."""
-    out = set()
-    P, L = decomp.valid_from, decomp.lcm_period
-    for other in decomp.streams:
-        if other.index == stream.index:
-            continue
-        for j in range(L):
-            for a in other.members_at(P + j):
-                if stream.index in decomp.reach(P + j, a):
-                    out.add(other.index)
-                    break
-            if other.index in out:
-                break
-    return sorted(out)
+    periodic part (transitively, possibly through the pool).  The nodes of
+    one stream share one reach set, so one member answers for the stream."""
+    P = decomp.valid_from
+    return [s.index for s in decomp.streams if s.index != stream.index
+            and stream.index in decomp.reach(P, min(s.members_at(P)))]
 
 
 def _finiteness_verdict(decomp, stream):
@@ -433,20 +392,10 @@ class Classification:
 
 def _atom_path(decomp, stream):
     """Edge data of the unique path of a single-path stream."""
-    P, L = decomp.valid_from, decomp.lcm_period
-    start = stream.starting_time
-    prefix_edges = []
-    for k in range(start, P):
-        (a,) = tuple(stream.members_at(k))
-        (b,) = tuple(stream.members_at(k + 1))
-        prefix_edges.append((k, a, b, 0))
-    cycle_edges = []
-    for j in range(L):
-        (a,) = tuple(stream.members_at(P + j))
-        (b,) = tuple(stream.members_at(P + j + 1))
-        cycle_edges.append((P + j, a, b, 0))
-    return {"start": start, "prefix_edges": prefix_edges,
-            "cycle_edges": cycle_edges}
+    edges, start = _single_path(stream), stream.starting_time
+    cut = decomp.valid_from - start
+    return {"start": start, "prefix_edges": edges[:cut],
+            "cycle_edges": edges[cut:]}
 
 
 def classify_measures(seq):

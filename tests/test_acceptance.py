@@ -400,3 +400,30 @@ def test_decomposition_tables_are_read_only_in_frobenius():
             if isinstance(node, ast.Attribute) and node.attr in private:
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_stream_and_decomposition_readers_have_callers():
+    # every public method and property of Stream and StreamDecomposition
+    # is read somewhere in src/, tests/, demos/ or perfbench/ outside its
+    # own definition, so a reader left without callers fails here
+    package = pathlib.Path(adic.__file__).parent
+    root = pathlib.Path(__file__).parent.parent
+    frobenius = ast.parse((package / "frobenius.py").read_text())
+    readers = {f.name: f for node in frobenius.body
+               if isinstance(node, ast.ClassDef)
+               and node.name in ("Stream", "StreamDecomposition")
+               for f in node.body if isinstance(f, ast.FunctionDef)
+               and not f.name.startswith("_")}
+    assert {"members_at", "starting_time", "reach", "frobenius_form"} \
+        <= readers.keys()
+    own = {id(node) for name, f in readers.items() for node in ast.walk(f)
+           if isinstance(node, ast.Attribute) and node.attr == name}
+    read = set()
+    for path in sorted(package.glob("*.py")) + sorted(
+            p for d in ("tests", "demos", "perfbench")
+            for p in (root / d).glob("*.py")):
+        tree = frobenius if path.name == "frobenius.py" and \
+            path.parent == package else ast.parse(path.read_text())
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and id(node) not in own}
+    assert sorted(readers.keys() - read) == []

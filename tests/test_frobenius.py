@@ -20,7 +20,8 @@ from adic.frobenius import (
     matrix_period,
     _certify,
 )
-from adic.gallery import seven_matrix_example, three_cycle
+from adic.measures import communicating_streams, _atom_path
+from adic.gallery import EXAMPLES, seven_matrix_example, three_cycle
 
 from conftest import random_reduced_sequence
 
@@ -350,3 +351,106 @@ def test_decomposition_index_mirrors_the_layout():
     assert dec.block_matrix(0).to_lists() == [[1]]
     with pytest.raises(HorizonExceeded):
         dec.block_assignment(3)
+
+
+def old_initial_streams(dec):
+    """Reference for minimal_components: the streams with no edge into
+    them from another block in the periodic part."""
+    P, L = dec.valid_from, dec.lcm_period
+    incoming = set()
+    for j in range(L):
+        asg0 = dec.block_assignment(P + j)
+        asg1 = dec.block_assignment(P + j + 1)
+        incoming |= {asg1[b][1] for (a, b) in dec.seq.matrix(P + j).entries
+                     if asg1[b][0] == "stream" and asg0[a] != asg1[b]}
+    return [s.index for s in dec.streams if s.index not in incoming]
+
+
+def old_has_single_path(s):
+    """Reference for Stream.has_single_path: the induced cycle matrices
+    are 1x1 with entry 1, and the backward extension is single too."""
+    cyc = s.induced_cycle()
+    for j in range(s.decomp.lcm_period):
+        m = cyc.matrix(j)
+        if len(m.rows) != 1 or len(m.cols) != 1 or m.entry_sum() != 1:
+            return False
+    for k in range(s.decomp.valid_from):
+        members = s.members_at(k)
+        if len(members) > 1:
+            return False
+        if members:
+            nxt = s.members_at(k + 1)
+            m = s.decomp.seq.matrix(k)
+            if sum(m.entry(a, b) for a in members for b in nxt) != 1:
+                return False
+    return True
+
+
+def old_atom_path(dec, s):
+    """Reference for measures._atom_path: the prefix and the cycle walked
+    separately."""
+    P, L = dec.valid_from, dec.lcm_period
+    start = s.starting_time
+    prefix_edges = []
+    for k in range(start, P):
+        (a,), (b,) = s.members_at(k), s.members_at(k + 1)
+        prefix_edges.append((k, a, b, 0))
+    cycle_edges = []
+    for j in range(L):
+        (a,), (b,) = s.members_at(P + j), s.members_at(P + j + 1)
+        cycle_edges.append((P + j, a, b, 0))
+    return {"start": start, "prefix_edges": prefix_edges,
+            "cycle_edges": cycle_edges}
+
+
+def test_stream_relations_match_the_scans():
+    """Communicating streams against a breadth-first search; initial
+    streams, their supports, single paths and atoms against the scans
+    they replaced."""
+    gallery = []
+    for make in EXAMPLES.values():
+        obj = make()
+        gallery += ([obj.base_seq, obj.ambient.seq] if hasattr(obj, "base_seq")
+                    else [obj.seq])
+    rng = random.Random(79)
+    seqs = [reduce_sequence(seq)[0] for seq in gallery]
+    seqs += [random_reduced_sequence(rng) for _ in range(200)]
+    counts = collections.Counter()
+    for seq in seqs:
+        dec = stream_decompose(seq)
+        P, L = dec.valid_from, dec.lcm_period
+        counts["prefixed"] += P > 0
+        reach = bfs_reach(dec, dec.stream_of)
+        initial = minimal_components(seq)
+        initial_indices = [c.stream.index for c in initial]
+        assert initial_indices == old_initial_streams(dec)
+        for c in initial:
+            assert c.augmented == {
+                k: frozenset(a for a in seq.alphabet(k)
+                             if c.stream.index in reach[(k, a)])
+                for k in range(P + L)}
+        for s in dec.streams:
+            want = sorted({o.index for o in dec.streams if o is not s
+                           for j in range(L) for a in o.members_at(P + j)
+                           if s.index in reach[(P + j, a)]})
+            assert communicating_streams(dec, s) == want
+            single = old_has_single_path(s)
+            assert s.has_single_path() == single
+            if single:
+                assert _atom_path(dec, s) == old_atom_path(dec, s)
+            counts["communicating"] += bool(want)
+            counts["non-initial"] += s.index not in initial_indices
+            counts["atomic"] += single
+    assert counts["prefixed"] >= 100, counts
+    assert counts["communicating"] >= 15, counts
+    assert counts["non-initial"] >= 15, counts
+    assert counts["atomic"] >= 30, counts
+
+
+def test_minimal_components_of_a_rectangular_window():
+    # the window decomposes into one pool block and no stream, so there
+    # is no initial stream (it used to read the table past the horizon)
+    t = Truncated([GenMatrix.from_lists(("0", "1"), ("0", "1"),
+                                        [[1, 1], [0, 1]]),
+                   GenMatrix.from_lists(("0", "1"), ("0",), [[1], [1]])])
+    assert minimal_components(t) == []

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -55,6 +56,83 @@ def test_series_periodic_scalars():
     res = two_by_two_series([2, 3], [3, 4], 1, n=30)
     assert res.verdict.is_yes()
     assert res.ratio == Fraction(1, 2)
+
+
+def test_series_c_free_cycle_after_a_prefix():
+    # c vanishes on the cycle and the per-period ratio 3/2 is >= 1: the
+    # series is its head 1/1 + (1/1) * 1/2, which every later partial sum
+    # already reaches
+    res = two_by_two_series(([1, 2], [3]), ([1, 1], [2]), ([1, 1], [0]),
+                            n=12)
+    assert res.ratio == Fraction(3, 2)
+    assert res.verdict.is_yes()
+    assert res.verdict.witness == {"limit": Fraction(3, 2),
+                                   "reason": "c vanishes on the cycle"}
+    assert res.limit == Fraction(3, 2)
+    assert res.partial_sums[1:] == [res.limit] * 12
+
+
+def old_two_by_two_series(a, b, c, n):
+    """two_by_two_series as it was before its terms were read once: the
+    limit's verdict witness, partial sums, limit and ratio."""
+    (ap, ac), (bp, bc), (cp, cc) = [
+        (list(x[0]), list(x[1])) if isinstance(x, tuple)
+        else ([], list(x)) if isinstance(x, list) else ([], [x])
+        for x in (a, b, c)]
+    P = max(len(ap), len(bp), len(cp))
+    T = math.lcm(len(ac), len(bc), len(cc))
+
+    def at(pre, cyc, k):
+        return pre[k] if k < len(pre) else cyc[(k - len(pre)) % len(cyc)]
+
+    def term(k):
+        return Fraction(at(cp, cc, k), at(ap, ac, k))
+
+    def factor(k):
+        return Fraction(at(ap, ac, k), at(bp, bc, k))
+
+    def total(ks, pi):
+        s = Fraction(0)
+        for k in ks:
+            s += pi * term(k)
+            pi *= factor(k)
+        return s, pi
+
+    ratio = Fraction(1)
+    for k in range(P, P + T):
+        ratio *= factor(k)
+    partial = [total(range(k + 1), Fraction(1))[0] for k in range(n + 1)]
+    if not any(at(cp, cc, k) for k in range(P, P + T)):
+        limit = total(range(P + T), Fraction(1))[0]
+        return ({"limit": limit, "reason": "c vanishes on the cycle"},
+                partial, limit, ratio)
+    if ratio < 1:
+        head, pi = total(range(P), Fraction(1))
+        limit = head + total(range(P, P + T), pi)[0] / (1 - ratio)
+        return {"limit": limit, "period_ratio": ratio}, partial, limit, ratio
+    return ({"period_ratio": ratio, "reason": "terms do not vanish"},
+            partial, None, ratio)
+
+
+def test_series_matches_the_old_three_pass_sums():
+    rng = random.Random(53)
+    kinds = set()
+
+    def scalars(low):
+        pre = [rng.randint(low, 4) for _ in range(rng.randrange(3))]
+        cyc = [rng.randint(low, 4) for _ in range(rng.randint(1, 3))]
+        return (pre, cyc) if pre or rng.random() < 0.5 else cyc
+
+    for _ in range(300):
+        a, b, c = scalars(1), scalars(1), scalars(0)
+        n = rng.randrange(12)
+        res = two_by_two_series(a, b, c, n=n)
+        witness, partial, limit, ratio = old_two_by_two_series(a, b, c, n)
+        assert res.verdict.witness == witness
+        assert (res.partial_sums, res.limit, res.ratio) == (
+            partial, limit, ratio)
+        kinds.add(tuple(sorted(witness)))
+    assert len(kinds) == 3
 
 
 # ---------------------------------------------------------------------------
