@@ -18,7 +18,6 @@ from .matrixseq import (
     is_reduced,
     is_primitive,
     wielandt_bound,
-    state_split,
 )
 from .diagram import (
     BratteliDiagram,
@@ -33,8 +32,6 @@ from .diagram import (
 from .frobenius import (
     stream_decompose,
     frobenius_form,
-    minimal_components,
-    stationary_frobenius,
 )
 from .cones import (
     extreme_count,
@@ -45,7 +42,6 @@ from .cones import (
 from .measures import (
     CentralMeasure,
     canonical_cover,
-    chat_block,
     two_by_two_series,
     is_distinguished,
     classify_measures,
@@ -62,7 +58,6 @@ from .vershik import (
     return_time,
     cyclic_return_time,
     kac_partial_sum,
-    kac_partial_sum_brute,
     simulate_orbit,
 )
 from . import gallery
@@ -84,7 +79,6 @@ __all__ = [
     "is_reduced",
     "is_primitive",
     "wielandt_bound",
-    "state_split",
     "BratteliDiagram",
     "StableOrder",
     "substitution_order",
@@ -95,15 +89,12 @@ __all__ = [
     "word_metric",
     "stream_decompose",
     "frobenius_form",
-    "minimal_components",
-    "stationary_frobenius",
     "extreme_count",
     "simplex_image",
     "periodic_pf",
     "exact_ray",
     "CentralMeasure",
     "canonical_cover",
-    "chat_block",
     "two_by_two_series",
     "is_distinguished",
     "classify_measures",
@@ -118,7 +109,6 @@ __all__ = [
     "return_time",
     "cyclic_return_time",
     "kac_partial_sum",
-    "kac_partial_sum_brute",
     "simulate_orbit",
     "gallery",
 ]

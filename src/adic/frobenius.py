@@ -1,5 +1,5 @@
-"""Decomposition of matrix sequences into primitive streams and a pool,
-block-triangular normal forms, and the stationary (single matrix) case.
+"""Decomposition of matrix sequences into primitive streams and a pool, and
+block-triangular normal forms.
 
 A *stream* assigns to every late-enough level a subset of the alphabet so
 that the induced subsequence is reduced and primitive; the *pool* is what
@@ -11,8 +11,7 @@ classes, and each cyclic class traced around the cycle is one stream.
 A decomposition resolves one table per layout position, and the stream
 relations are lookups in it: `reach(k, a)` is the set of streams symbol a
 at level k has an edge path into, its own included; the streams that
-communicate into a stream are those whose members reach it; a stream is
-initial when only its own members reach it in the periodic part.
+communicate into a stream are those whose members reach it.
 """
 
 import collections
@@ -551,89 +550,3 @@ def frobenius_form(seq):
     """The fixed-size block-triangular form of an eventually periodic
     reduced sequence (see StreamDecomposition.frobenius_form)."""
     return stream_decompose(seq).frobenius_form()
-
-
-# ---------------------------------------------------------------------------
-# minimal components
-
-
-class MinimalComponent:
-    def __init__(self, stream, augmented):
-        self.stream = stream
-        self.augmented = augmented  # level -> symbols whose paths reach it
-
-    def __repr__(self):
-        return "MinimalComponent(stream %d)" % self.stream.index
-
-
-def minimal_components(seq):
-    """The initial streams (nothing outside the stream reaches it in the
-    periodic part) together with, per stream, the symbols from which it can
-    be reached — the support of its tower."""
-    decomp = stream_decompose(seq)
-    P, L = decomp.valid_from, decomp.lcm_period
-    out = []
-    for s in decomp.streams:
-        augmented = {k: frozenset(a for a, reach in decomp._at(k).reach.items()
-                                  if s.index in reach)
-                     for k in range(P + L)}
-        if all(augmented[k] == s.members_at(k) for k in range(P, P + L)):
-            out.append(MinimalComponent(s, augmented))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# stationary case
-
-
-class StationaryFrobenius:
-    def __init__(self, matrix, power, permutation, blocks, pool_states):
-        self.matrix = matrix          # the input
-        self.power = power            # exponent making diagonal blocks primitive
-        self.permutation = permutation  # symbol order
-        self.blocks = blocks          # list of (label, symbols tuple, kind)
-        self.pool_states = pool_states
-
-
-def matrix_period(m, scc):
-    """gcd of cycle lengths within one SCC of a square matrix."""
-    return _depths_and_period(_matrix_graph(m), scc)[1]
-
-
-def stationary_frobenius(m):
-    """Block-triangular normal form of a single square matrix: an ordering
-    of the states so that M^power is upper block-triangular with primitive
-    or zero diagonal blocks; pool states (those never returning to
-    themselves) sit just before the first class they communicate to."""
-    if set(m.rows) != set(m.cols):
-        raise ShapeMismatch("stationary form needs a square matrix")
-    graph = _matrix_graph(m)
-    _, _, classes = _class_analysis(graph)
-    power = 1
-    for scc in classes:
-        power = math.lcm(power, _depths_and_period(graph, scc)[1])
-
-    mp = m
-    for _ in range(power - 1):
-        mp = mp.mul(m)
-
-    # re-run the class analysis on M^power: the cyclic classes split off and
-    # every nontrivial class of M^power is primitive
-    scc_of, reach, order = _class_analysis(_matrix_graph(mp))
-    class_pos = {scc: i + 1 for i, scc in enumerate(order)}
-
-    pool_states = sorted(a for a in m.rows if scc_of[a] not in class_pos)
-    blocks = []
-    for i, scc in enumerate(order):
-        pool_here = sorted(a for a in pool_states
-                           if reach[scc_of[a]] and
-                           min(class_pos[s] for s in reach[scc_of[a]]) == i + 1)
-        if pool_here:
-            blocks.append(("P%d" % (i + 1), tuple(pool_here), "pool"))
-        blocks.append((str(i + 1), tuple(scc), "class"))
-    stuck = sorted(a for a in pool_states if not reach[scc_of[a]])
-    if stuck:
-        blocks.append(("P%d" % (len(order) + 1), tuple(stuck), "pool"))
-
-    permutation = [a for _, symbols, _ in blocks for a in symbols]
-    return StationaryFrobenius(m, power, permutation, blocks, pool_states)

@@ -19,7 +19,6 @@ from .errors import (
     IncompatibleAlphabets,
     HorizonExceeded,
     ShapeMismatch,
-    InternalError,
 )
 from .verdict import Verdict
 
@@ -567,67 +566,6 @@ def is_primitive(seq):
     d = max(len(m.rows) for m in seq.stored)
     return Verdict.yes({"positive_after": witness,
                         "wielandt_bound": wielandt_bound(d)})
-
-
-# ---------------------------------------------------------------------------
-# state splitting
-
-
-def edge_label(a, b, i):
-    return "%s>%s.%d" % (a, b, i)
-
-
-def split_matrix(m):
-    """Factor m = A*B with A a 0-1 matrix (one 1 per column) over rows x
-    edges and B a 0-1 matrix over edges x cols.  Edge labels carry source,
-    target and index so the factorization is canonical."""
-    edges = []
-    a_entries, b_entries = {}, {}
-    for a in m.rows:
-        for b in m.cols:
-            for i in range(m.entry(a, b)):
-                e = edge_label(a, b, i)
-                edges.append(e)
-                a_entries[(a, e)] = 1
-                b_entries[(e, b)] = 1
-    edges = tuple(edges)
-    A = GenMatrix(m.rows, edges, a_entries)
-    B = GenMatrix(edges, m.cols, b_entries)
-    return A, B
-
-
-class StateSplit:
-    """The result of splitting every matrix of a sequence: per level a pair
-    (A_i, B_i) with A_i * B_i equal to the original matrix.  The link
-    matrices B_i * A_{i+1} connect consecutive edge alphabets."""
-
-    def __init__(self, seq):
-        self.seq = seq
-        self._pairs = [split_matrix(m) for m in seq.stored]
-        for i, (m, (A, B)) in enumerate(zip(seq.stored, self._pairs)):
-            if not A.mul(B).same_as(m):
-                raise InternalError("split factors do not multiply back "
-                                    "at level %d" % i)
-
-    def pair(self, i):
-        return self._pairs[self.seq.index(i)]
-
-    def a(self, i):
-        return self.pair(i)[0]
-
-    def b(self, i):
-        return self.pair(i)[1]
-
-    def edge_alphabet(self, i):
-        return self.a(i).cols
-
-    def link(self, i):
-        """B_i * A_{i+1}: the edge-to-edge matrix between levels i, i+1."""
-        return self.b(i).mul(self.a(i + 1))
-
-
-def state_split(seq):
-    return StateSplit(seq)
 
 
 # ---------------------------------------------------------------------------

@@ -124,37 +124,6 @@ def canonical_cover(m, mhat):
 # coupled block products
 
 
-def _as_matrices(seq_like):
-    out = []
-    for x in seq_like:
-        if isinstance(x, GenMatrix):
-            out.append(x)
-        else:
-            out.append(GenMatrix(("0",), ("0",), {("0", "0"): x} if x else {}))
-    return out
-
-
-def chat_block(a, b, c, i, n):
-    """Upper-right block of the product over levels i..n of the block
-    matrices [[A_k, C_k], [0, B_k]], computed by the forward recursion and
-    cross-checked against the assembled product."""
-    A, B, C = _as_matrices(a), _as_matrices(b), _as_matrices(c)
-    if not (len(A) > n and len(B) > n and len(C) > n):
-        raise ShapeMismatch("need matrices through level %d" % n)
-    chat = _chat_partials(A, B, C, i, n)[-1]
-
-    # independent cross-check: assemble and multiply the block matrices
-    full = _block_matrix(A[i], C[i], B[i])
-    for k in range(i + 1, n + 1):
-        full = full.mul(_block_matrix(A[k], C[k], B[k]))
-    for x in A[i].rows:
-        for y in B[n].cols:
-            if full.entry(primed(x), y) != chat.entry(x, y):
-                raise InternalError(
-                    "chat recursion disagrees with the direct product")
-    return chat
-
-
 def _chat_partials(A, B, C, i, n):
     """The upper-right blocks Chat_i^k of the products over levels i..k of
     [[A_j, C_j], [0, B_j]], for k = i..n, by the forward recursion
@@ -287,7 +256,7 @@ def _check_eigvec(w, m):
         raise NotEigenvector("relations w_i = M_i w_{i+1} fail")
 
 
-def is_distinguished(w, m, mhat, bound=None):
+def is_distinguished(w, m, mhat):
     """Verdict on: the iterates of the cover of (m, mhat) applied to the
     extension-by-zero of the eigenvector sequence w converge (so w induces a
     finite measure on the ambient path space).
@@ -298,7 +267,7 @@ def is_distinguished(w, m, mhat, bound=None):
     _check_eigvec(w, m)
     cov = canonical_cover(m, mhat)
     if not (m.is_eventually_periodic and mhat.is_eventually_periodic):
-        return _distinguished_window(w, m, mhat, bound)
+        return _distinguished_window(w, m, mhat)
     red, _ = reduce_sequence(cov.cover)
     decomp = stream_decompose(red)
     K = decomp.valid_from
@@ -334,17 +303,11 @@ def _monotone_partials(w, m, mhat, upto):
     return out
 
 
-def _distinguished_window(w, m, mhat, bound):
+def _distinguished_window(w, m, mhat):
     hs = [s.horizon for s in (m, mhat) if s.horizon is not None]
     h = min(hs + [len(getattr(w, "levels", [0, 0])) - 1])
     partials = _monotone_partials(w, m, mhat, max(1, h - 1))
-    witness = {"partial_vectors": partials}
-    if bound is not None:
-        worst = max((max(p.values(), default=Fraction(0)) for p in partials),
-                    default=Fraction(0))
-        witness["bound"] = bound
-        witness["bound_exceeded"] = worst > bound
-    return Verdict.undecided(h, witness)
+    return Verdict.undecided(h, {"partial_vectors": partials})
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +383,8 @@ def classify_measures(seq):
     return Classification(red, decomp, measures)
 
 
-def _approx_ray(seq, decomp, stream, depth=None):
-    if depth is None:
-        depth = decomp.valid_from + 8 * decomp.lcm_period
+def _approx_ray(seq, decomp, stream):
+    depth = decomp.valid_from + 8 * decomp.lcm_period
     cands = cones.eigvec_sequences(seq, depth)
     K = decomp.valid_from
     members = stream.members_at(K)
@@ -469,13 +431,12 @@ def classify_subdiagram(m, mhat):
     L = math.lcm(decomp.lcm_period, base_cls.decomposition.lcm_period)
     results = []
     for e in finite:
-        target = None
-        for s in decomp.streams:
-            if all(set(s.members_at(K + j)) == set(e.stream.members_at(K + j))
-                   for j in range(L)):
-                target = s
-                break
-        if target is None:
+        # the one candidate is the cover stream of a base member at level K
+        i = decomp.stream_of(K, min(e.stream.members_at(K)))
+        target = None if i is None else decomp.streams[i - 1]
+        if target is None or any(
+                target.members_at(K + j) != e.stream.members_at(K + j)
+                for j in range(L)):
             raise NoFiniteBaseMeasure(
                 "base stream %d is not recurrent in the cover" % e.stream.index)
         verdict = _finiteness_verdict(decomp, target)

@@ -607,21 +607,6 @@ def kac_partial_sum(embedding, base_measure, depth):
     return total
 
 
-def kac_partial_sum_brute(embedding, base_measure, depth):
-    """Same sum as kac_partial_sum, computed word by word.  Exponential in
-    depth; for cross-checking only."""
-    from .diagram import enumerate_paths
-    total = Fraction(0)
-    for w in enumerate_paths(embedding.ambient, depth):
-        if all(embedding.is_base_edge(e) for e in w):
-            # re-index the ambient edges as edges of the base diagram
-            base_w = [(k, a, b, embedding.base_indices(k, a, b).index(i))
-                      for (k, a, b, i) in w]
-            total += cyclic_return_time(embedding, w) \
-                * base_measure.cylinder_mass(base_w)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # orbit simulation
 

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from adic.diagram import enumerate_paths
 from adic.matrixseq import GenMatrix, EventuallyPeriodic, reduce_sequence
+from adic.vershik import cyclic_return_time
 
 
 def labels(d):
@@ -75,6 +78,20 @@ def random_nested_pair(rng, max_dim=4, max_period=3, max_prefix=2):
     ambient = EventuallyPeriodic([bump(base.matrix(k)) for k in range(P)],
                                  [bump(base.cycle[p]) for p in range(T)])
     return base, ambient
+
+
+def kac_partial_sum_brute(embedding, base_measure, depth):
+    """Oracle for vershik.kac_partial_sum: the same sum computed word by
+    word.  Exponential in depth."""
+    total = Fraction(0)
+    for w in enumerate_paths(embedding.ambient, depth):
+        if all(embedding.is_base_edge(e) for e in w):
+            # re-index the ambient edges as edges of the base diagram
+            base_w = [(k, a, b, embedding.base_indices(k, a, b).index(i))
+                      for (k, a, b, i) in w]
+            total += cyclic_return_time(embedding, w) \
+                * base_measure.cylinder_mass(base_w)
+    return total
 
 
 @pytest.fixture

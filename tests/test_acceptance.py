@@ -31,7 +31,6 @@ from adic.vershik import (
     anti_lex_rank,
     successor,
     kac_partial_sum,
-    kac_partial_sum_brute,
 )
 from adic.gallery import (
     chacon,
@@ -43,6 +42,7 @@ from adic.gallery import (
 )
 
 from conftest import (
+    kac_partial_sum_brute,
     random_reduced_sequence,
     random_nested_pair,
 )
@@ -427,3 +427,46 @@ def test_stream_and_decomposition_readers_have_callers():
         read |= {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and id(node) not in own}
     assert sorted(readers.keys() - read) == []
+
+
+def _kept_as_api(readme):
+    """The names listed as "- `name`: paper object" under README's "Paper
+    objects kept as API" heading."""
+    lines = readme.splitlines()
+    start = lines.index("## Paper objects kept as API") + 1
+    kept = {}
+    for line in lines[start:]:
+        if line.startswith("#"):
+            break
+        if line.startswith("- `"):
+            name, _, obj = line[3:].partition("`: ")
+            kept[name] = obj
+    return kept
+
+
+def test_public_names_have_callers():
+    # every name in adic.__all__ is referenced, as a name or an attribute,
+    # from src/adic outside its own definition and outside __init__.py, or
+    # from demos/ or perfbench/; a name only tests reach stays public only
+    # as an entry of README's "Paper objects kept as API", which names the
+    # paper object it implements
+    package = pathlib.Path(adic.__file__).parent
+    root = pathlib.Path(__file__).parent.parent
+    referenced = set()
+    for path in sorted(package.glob("*.py")) + sorted(
+            p for d in ("demos", "perfbench") for p in (root / d).glob("*.py")):
+        if path == package / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        own = {id(node) for d in tree.body
+               if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+               for node in ast.walk(d)
+               if getattr(node, "id", getattr(node, "attr", None)) == d.name}
+        referenced |= {getattr(node, "id", getattr(node, "attr", None))
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Name, ast.Attribute))
+                       and id(node) not in own}
+    kept = _kept_as_api((root / "README.md").read_text())
+    assert all(kept.values())
+    assert sorted(kept.keys() - set(adic.__all__)) == []
+    assert sorted(set(adic.__all__) - referenced - kept.keys()) == []

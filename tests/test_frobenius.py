@@ -15,9 +15,6 @@ from adic.frobenius import (
     strongly_connected_components,
     stream_decompose,
     frobenius_form,
-    minimal_components,
-    stationary_frobenius,
-    matrix_period,
     _certify,
 )
 from adic.measures import communicating_streams, _atom_path
@@ -95,37 +92,23 @@ def test_streams_certified_primitive():
 def test_frobenius_form_triangular_and_conjugate():
     d = seven_matrix_example()
     form = frobenius_form(d.seq)
-    # verification is internal (asserts); spot-check the output shape
+    # the cycle matrix of the form is square and repeats every period
     g = form.form
     assert g.matrix(1).rows == g.matrix(1).cols
     assert g.matrix(1) == g.matrix(1 + g.period)
 
 
-def test_minimal_components_primitive_is_whole():
-    comps = minimal_components(constant([[1, 1], [1, 1]], ["0", "1"]))
-    assert len(comps) == 1
-
-
-def test_matrix_period_three_cycle():
-    m = three_cycle().seq.matrix(0)
-    sccs = strongly_connected_components(
-        {a: [b for b in m.cols if m.entry(a, b)] for a in m.rows})
-    assert matrix_period(m, sccs[0]) == 3
-
-
 def test_stationary_frobenius_three_cycle():
-    sf = stationary_frobenius(three_cycle().seq.matrix(0))
-    assert sf.power == 3
-    # after the cyclic split, three primitive 1x1 classes
-    assert len([b for b in sf.blocks if b[2] == "class"]) == 3
+    # the period-3 cycle splits into three primitive 1x1 streams
+    dec = stream_decompose(three_cycle().seq)
+    assert len(dec.streams) == 3
+    assert dec.lcm_period == 3
 
 
 def test_stationary_frobenius_triangular_example():
-    sf = stationary_frobenius(
-        constant([[2, 1], [0, 3]], ["0", "1"]).matrix(0))
-    assert sf.power == 1
-    kinds = [b[2] for b in sf.blocks]
-    assert kinds.count("class") == 2
+    dec = stream_decompose(constant([[2, 1], [0, 3]], ["0", "1"]))
+    assert len(dec.streams) == 2
+    assert dec.lcm_period == 1
 
 
 def stationary_graph(symbols, edges):
@@ -353,19 +336,6 @@ def test_decomposition_index_mirrors_the_layout():
         dec.block_assignment(3)
 
 
-def old_initial_streams(dec):
-    """Reference for minimal_components: the streams with no edge into
-    them from another block in the periodic part."""
-    P, L = dec.valid_from, dec.lcm_period
-    incoming = set()
-    for j in range(L):
-        asg0 = dec.block_assignment(P + j)
-        asg1 = dec.block_assignment(P + j + 1)
-        incoming |= {asg1[b][1] for (a, b) in dec.seq.matrix(P + j).entries
-                     if asg1[b][0] == "stream" and asg0[a] != asg1[b]}
-    return [s.index for s in dec.streams if s.index not in incoming]
-
-
 def old_has_single_path(s):
     """Reference for Stream.has_single_path: the induced cycle matrices
     are 1x1 with entry 1, and the backward extension is single too."""
@@ -404,9 +374,8 @@ def old_atom_path(dec, s):
 
 
 def test_stream_relations_match_the_scans():
-    """Communicating streams against a breadth-first search; initial
-    streams, their supports, single paths and atoms against the scans
-    they replaced."""
+    """Communicating streams against a breadth-first search; single paths
+    and atoms against the scans they replaced."""
     gallery = []
     for make in EXAMPLES.values():
         obj = make()
@@ -421,14 +390,6 @@ def test_stream_relations_match_the_scans():
         P, L = dec.valid_from, dec.lcm_period
         counts["prefixed"] += P > 0
         reach = bfs_reach(dec, dec.stream_of)
-        initial = minimal_components(seq)
-        initial_indices = [c.stream.index for c in initial]
-        assert initial_indices == old_initial_streams(dec)
-        for c in initial:
-            assert c.augmented == {
-                k: frozenset(a for a in seq.alphabet(k)
-                             if c.stream.index in reach[(k, a)])
-                for k in range(P + L)}
         for s in dec.streams:
             want = sorted({o.index for o in dec.streams if o is not s
                            for j in range(L) for a in o.members_at(P + j)
@@ -439,18 +400,8 @@ def test_stream_relations_match_the_scans():
             if single:
                 assert _atom_path(dec, s) == old_atom_path(dec, s)
             counts["communicating"] += bool(want)
-            counts["non-initial"] += s.index not in initial_indices
             counts["atomic"] += single
     assert counts["prefixed"] >= 100, counts
     assert counts["communicating"] >= 15, counts
-    assert counts["non-initial"] >= 15, counts
     assert counts["atomic"] >= 30, counts
 
-
-def test_minimal_components_of_a_rectangular_window():
-    # the window decomposes into one pool block and no stream, so there
-    # is no initial stream (it used to read the table past the horizon)
-    t = Truncated([GenMatrix.from_lists(("0", "1"), ("0", "1"),
-                                        [[1, 1], [0, 1]]),
-                   GenMatrix.from_lists(("0", "1"), ("0",), [[1], [1]])])
-    assert minimal_components(t) == []

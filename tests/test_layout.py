@@ -1,9 +1,8 @@
 """The level layout of matrix sequences: `seq.matrix(k)`, the stable
-order's level orders and incoming edges, the state split's pairs and a
-subdiagram embedding's base edges all read level k from the same stored
-position, and all fail with the same error outside the sequence
-(IndexError below level 0, HorizonExceeded at or past a truncated
-horizon)."""
+order's level orders and incoming edges and a subdiagram embedding's
+base edges all read level k from the same stored position, and all fail
+with the same error outside the sequence (IndexError below level 0,
+HorizonExceeded at or past a truncated horizon)."""
 
 import json
 import random
@@ -18,8 +17,6 @@ from adic.matrixseq import (
     Truncated,
     constant,
     from_int_matrices,
-    split_matrix,
-    state_split,
     submatrix_leq,
 )
 from adic.measures import canonical_cover
@@ -68,15 +65,13 @@ def _outcome(f, *args):
 def _check_layout(seq, order, old_matrix, old_orders, levels, error_at):
     """Every level in `levels` either matches the prefix/cycle/terms
     formulas `old_matrix(k)` and `old_orders(k)`, or raises `error_at(k)`
-    from all four lookups."""
-    split = state_split(seq)
+    from all three lookups."""
     for k in levels:
         error = error_at(k)
         if error is not None:
             assert _outcome(seq.matrix, k) is error
             assert _outcome(order.level_orders, k) is error
             assert _outcome(order.incoming, k, "0") is error
-            assert _outcome(split.pair, k) is error
             continue
         m = old_matrix(k)
         assert seq.matrix(k) is m
@@ -84,7 +79,6 @@ def _check_layout(seq, order, old_matrix, old_orders, levels, error_at):
         for b in m.cols:
             assert order.incoming(k, b) == [(k, a, b, i)
                                             for (a, i) in old_orders(k)[b]]
-        assert split.pair(k) == split_matrix(m)
 
 
 def _json_orders(orders):

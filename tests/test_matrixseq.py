@@ -21,7 +21,6 @@ from adic.matrixseq import (
     is_reduced,
     is_primitive,
     wielandt_bound,
-    state_split,
 )
 
 from conftest import random_ep_sequence, random_reduced_sequence
@@ -274,19 +273,6 @@ def test_wielandt_bound():
     assert wielandt_bound(1) == 1
     assert wielandt_bound(2) == 2
     assert wielandt_bound(3) == 5
-
-
-def test_state_split_roundtrip_counts():
-    seq = constant([[1, 2], [1, 1]], ["0", "1"])
-    sp = state_split(seq)
-    for i in range(3):
-        A, B = sp.pair(i)
-        # split factors are 0-1 and recompose to the original matrix
-        assert A.is_zero_one() and B.is_zero_one()
-        assert A.mul(B) == seq.matrix(i)
-        # link matrices connect consecutive edge alphabets
-        assert set(sp.link(i).rows) == set(sp.edge_alphabet(i))
-        assert set(sp.link(i).cols) == set(sp.edge_alphabet(i + 1))
 
 
 def test_json_roundtrip_ep():

@@ -10,12 +10,14 @@ from adic.cones import ExactEigvec, stream_period_eigenvalue
 from adic.measures import (
     CentralMeasure,
     canonical_cover,
-    chat_block,
     two_by_two_series,
     is_distinguished,
     classify_measures,
     classify_subdiagram,
     parry_measure_stationary,
+    primed,
+    _block_matrix,
+    _chat_partials,
 )
 from adic.diagram import BratteliDiagram, enumerate_paths
 
@@ -139,18 +141,38 @@ def test_series_matches_the_old_three_pass_sums():
 # coupled block products
 
 
+def _assembled_chats(A, B, C, i, n):
+    """The upper-right blocks of the assembled products of the block
+    matrices [[A_k, C_k], [0, B_k]] over levels i..k, for k = i..n."""
+    full, out = None, []
+    for k in range(i, n + 1):
+        block = _block_matrix(A[k], C[k], B[k])
+        full = block if full is None else full.mul(block)
+        out.append({(x, y): full.entry(primed(x), y)
+                    for x in A[i].rows for y in B[k].cols})
+    return out
+
+
+def _entries(m):
+    return {(x, y): m.entry(x, y) for x in m.rows for y in m.cols}
+
+
 def test_chat_block_scalar_oracle():
     # sum of A_{0..k-1} C_k B_{k+1..2}: 1*9 + 2*3 + 4*1 = 19
-    chat = chat_block([2, 2, 2], [3, 3, 3], [1, 1, 1], 0, 2)
+    A, B, C = ([constant([[v]], ["0"]).matrix(0)] * 3 for v in (2, 3, 1))
+    chat = _chat_partials(A, B, C, 0, 2)[-1]
     assert chat.entry("0", "0") == 19
+    assert _assembled_chats(A, B, C, 0, 2)[-1] == {("0", "0"): 19}
 
 
 def test_chat_block_matrix_recursion_checked():
     a = constant([[1, 1], [0, 3]], ["0", "1"])
     mats_a = [a.matrix(k) for k in range(4)]
-    chat = chat_block(mats_a, mats_a, mats_a, 0, 3)
-    # the function asserts agreement with the assembled block product
-    assert chat.rows == mats_a[0].rows
+    # every partial of the forward recursion equals the upper-right block
+    # of the assembled block product
+    chats = _chat_partials(mats_a, mats_a, mats_a, 0, 3)
+    assert [_entries(c) for c in chats] == \
+        _assembled_chats(mats_a, mats_a, mats_a, 0, 3)
 
 
 # ---------------------------------------------------------------------------

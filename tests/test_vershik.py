@@ -28,7 +28,6 @@ from adic.vershik import (
     return_time,
     cyclic_return_time,
     kac_partial_sum,
-    kac_partial_sum_brute,
     simulate_orbit,
 )
 from adic.gallery import chacon, ics, odometer
@@ -36,7 +35,11 @@ from adic.diagram import check_word
 from adic import gallery
 import adic.vershik as vershik
 
-from conftest import random_ep_sequence, random_reduced_sequence
+from conftest import (
+    kac_partial_sum_brute,
+    random_ep_sequence,
+    random_reduced_sequence,
+)
 
 
 def dyadic():
