@@ -23,8 +23,6 @@ from .diagram import (
     BratteliDiagram,
     StableOrder,
     substitution_order,
-    Cylinder,
-    cylinder,
     count_words,
     enumerate_paths,
     word_metric,
@@ -82,8 +80,6 @@ __all__ = [
     "BratteliDiagram",
     "StableOrder",
     "substitution_order",
-    "Cylinder",
-    "cylinder",
     "count_words",
     "enumerate_paths",
     "word_metric",

@@ -251,32 +251,6 @@ def check_word(seq, word, start=0):
                                 % (word[j - 1], edge))
 
 
-class Cylinder:
-    def __init__(self, seq, word, start=0):
-        check_word(seq, word, start)
-        self.seq = seq
-        self.word = tuple(word)
-        self.start = start
-
-    @property
-    def end_level(self):
-        return self.start + len(self.word)
-
-    @property
-    def end_symbol(self):
-        if self.word:
-            return self.word[-1][2]
-        return None
-
-    def __repr__(self):
-        return "Cylinder(start=%d, word=%r)" % (self.start, self.word)
-
-
-def cylinder(seq_or_diagram, word, start=0):
-    seq = getattr(seq_or_diagram, "seq", seq_or_diagram)
-    return Cylinder(seq, word, start)
-
-
 def count_words(seq, k, n):
     """Number of allowed edge words covering levels k..n inclusive."""
     return partial_product(seq, k, n).entry_sum()

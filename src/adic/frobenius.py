@@ -353,7 +353,7 @@ class StreamDecomposition:
             if prod.entries != g.entries:
                 raise InternalError("form does not conjugate the sequence")
 
-        return FrobeniusForm(self, form, times, permutations, block_alphabets)
+        return FrobeniusForm(self, form, times, permutations)
 
     def __repr__(self):
         return ("StreamDecomposition(%d streams, valid_from=%d%s)"
@@ -537,13 +537,11 @@ def _decompose_truncated(seq):
 
 
 class FrobeniusForm:
-    def __init__(self, decomposition, form, gathering_times, permutations,
-                 block_alphabets):
+    def __init__(self, decomposition, form, gathering_times, permutations):
         self.decomposition = decomposition
         self.form = form                    # gathered, permuted sequence
         self.gathering_times = gathering_times
         self.permutations = permutations    # level -> symbol order used
-        self.block_alphabets = block_alphabets  # per gathered level
 
 
 def frobenius_form(seq):

@@ -211,10 +211,9 @@ def nested_rotation(n_spec, nhat_spec):
 
 
 class NestedOdometer:
-    def __init__(self, base, ambient, embedding, verdict):
+    def __init__(self, base, ambient, verdict):
         self.base = base
         self.ambient = ambient
-        self.embedding = embedding
         self.verdict = verdict
 
 
@@ -226,9 +225,8 @@ def nested_odometer(a_spec, b_spec):
     base = odometer(_cf_scalars(b_spec))
     from .measures import classify_subdiagram
     results = classify_subdiagram(base.seq, ambient.seq)
-    emb = SubdiagramEmbedding(ambient, base.seq)
     # an odometer base carries a single ergodic measure
-    return NestedOdometer(base, ambient, emb, results[0].verdict)
+    return NestedOdometer(base, ambient, results[0].verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -149,11 +149,6 @@ class GenMatrix:
             out[b] += vec.get(a, 0) * v
         return out
 
-    @classmethod
-    def identity(cls, labels):
-        labels = tuple(labels)
-        return cls(labels, labels, {(a, a): 1 for a in labels})
-
     def same_as(self, other):
         """Equality of alphabets-as-sets and all entries."""
         return (set(self.rows) == set(other.rows)

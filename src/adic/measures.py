@@ -70,11 +70,8 @@ def primed(a):
 
 
 class CanonicalCover:
-    def __init__(self, cover, m, mhat, leq):
+    def __init__(self, cover):
         self.cover = cover
-        self.m = m
-        self.mhat = mhat
-        self.leq = leq  # the nesting verdict that was checked
 
 
 def _block_matrix(a, c, b):
@@ -88,18 +85,11 @@ def _block_matrix(a, c, b):
     return GenMatrix(rows, cols, entries)
 
 
-def _zero_extend(mb, mh):
-    """The base matrix mb on the ambient alphabets of mh."""
-    return GenMatrix(mh.rows, mh.cols, mb.entries)
-
-
 def _cover_matrix(mh, mb):
     """One level of the cover: [[Mhat, Mhat - M], [0, M]] over doubled
-    (primed + unprimed) ambient alphabets, with M zero-extended."""
-    for (a, b), v in mb.entries.items():
-        if v > mh.entry(a, b):
-            raise NotNested("entry (%r,%r): %d > %d" % (a, b, v, mh.entry(a, b)))
-    base = _zero_extend(mb, mh)
+    (primed + unprimed) ambient alphabets, with M zero-extended.  The
+    caller has checked M <= Mhat at this level."""
+    base = GenMatrix(mh.rows, mh.cols, mb.entries)
     return _block_matrix(mh, mh.sub(base), base)
 
 
@@ -117,24 +107,11 @@ def canonical_cover(m, mhat):
     for k, mat in enumerate(mats):
         if mat.entry_sum() != 2 * mhat.matrix(k).entry_sum():
             raise InternalError("entry-sum doubling failed at level %d" % k)
-    return CanonicalCover(cover, m, mhat, leq)
+    return CanonicalCover(cover)
 
 
 # ---------------------------------------------------------------------------
 # coupled block products
-
-
-def _chat_partials(A, B, C, i, n):
-    """The upper-right blocks Chat_i^k of the products over levels i..k of
-    [[A_j, C_j], [0, B_j]], for k = i..n, by the forward recursion
-    Chat_i^k = (A_i ... A_{k-1}) C_k + Chat_i^{k-1} B_k."""
-    chat, a_prod = C[i], A[i]
-    out = [chat]
-    for k in range(i + 1, n + 1):
-        chat = a_prod.mul(C[k]).add(chat.mul(B[k]))
-        a_prod = a_prod.mul(A[k])
-        out.append(chat)
-    return out
 
 
 class SeriesResult:
@@ -256,20 +233,31 @@ def _check_eigvec(w, m):
         raise NotEigenvector("relations w_i = M_i w_{i+1} fail")
 
 
+def _cover_decomposition(m, mhat):
+    """The canonical-cover pipeline of is_distinguished and
+    classify_subdiagram: the cover of (m, mhat), whose construction is the
+    one nesting check, then the stream decomposition of the reduced cover.
+    When either sequence is truncated the pipeline stops at the cover, and
+    the result is Undecided at the cover's horizon."""
+    cover = canonical_cover(m, mhat).cover
+    if not cover.is_eventually_periodic:
+        return Verdict.undecided(cover.horizon, {"reason": "truncated data"})
+    red, _ = reduce_sequence(cover)
+    return stream_decompose(red)
+
+
 def is_distinguished(w, m, mhat):
     """Verdict on: the iterates of the cover of (m, mhat) applied to the
     extension-by-zero of the eigenvector sequence w converge (so w induces a
     finite measure on the ambient path space).
 
     Exact for eventually periodic pairs via per-period growth comparison of
-    the cover's blocks.  Truncated data yields Undecided with the monotone
-    partial vectors as a trace."""
+    the cover's blocks.  When either sequence is truncated the verdict is
+    Undecided at the cover's horizon, as in classify_subdiagram."""
     _check_eigvec(w, m)
-    cov = canonical_cover(m, mhat)
-    if not (m.is_eventually_periodic and mhat.is_eventually_periodic):
-        return _distinguished_window(w, m, mhat)
-    red, _ = reduce_sequence(cov.cover)
-    decomp = stream_decompose(red)
+    decomp = _cover_decomposition(m, mhat)
+    if isinstance(decomp, Verdict):
+        return decomp
     K = decomp.valid_from
     support = {a for a, v in w.value(K).items() if v}
     carriers = [s for s in decomp.streams if support & set(s.members_at(K))]
@@ -287,27 +275,6 @@ def is_distinguished(w, m, mhat):
     if ray is not None and len(carriers) == 1:
         witness["iota_ray0"] = ray.ray0
     return Verdict.yes(witness)
-
-
-def _monotone_partials(w, m, mhat, upto):
-    """Partial vectors Chat_0^n w_{n+1} of the cover series; componentwise
-    nondecreasing in n."""
-    A = [mhat.matrix(k) for k in range(upto)]
-    B = [_zero_extend(m.matrix(k), A[k]) for k in range(upto)]
-    C = [A[k].sub(B[k]) for k in range(upto)]
-    out = []
-    for n, chat in enumerate(_chat_partials(A, B, C, 0, upto - 1)):
-        wn = {a: Fraction(w.value(n + 1).get(a, 0))
-              for a in mhat.alphabet(n + 1)}
-        out.append({a: Fraction(x) for a, x in chat.mul_vec(wn).items()})
-    return out
-
-
-def _distinguished_window(w, m, mhat):
-    hs = [s.horizon for s in (m, mhat) if s.horizon is not None]
-    h = min(hs + [len(getattr(w, "levels", [0, 0])) - 1])
-    partials = _monotone_partials(w, m, mhat, max(1, h - 1))
-    return Verdict.undecided(h, {"partial_vectors": partials})
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +378,15 @@ class SubdiagramResult:
 def classify_subdiagram(m, mhat):
     """For each finite ergodic measure of the base m, decide whether its
     invariant extension to the ambient mhat (the tower over the base) has
-    finite or infinite total mass."""
-    leq = submatrix_leq(m, mhat)
-    if leq.is_no():
-        raise NotNested(repr(leq.witness))
+    finite or infinite total mass.  When either sequence is truncated each
+    verdict is Undecided at the cover's horizon, as in is_distinguished."""
+    decomp = _cover_decomposition(m, mhat)
     base_cls = classify_measures(m)
     finite = [e for e in base_cls.measures if e.verdict.is_yes()]
     if not finite:
         raise NoFiniteBaseMeasure("the base carries no finite ergodic measure")
-    cov = canonical_cover(m, mhat)
-    if not (m.is_eventually_periodic and mhat.is_eventually_periodic):
-        results = [SubdiagramResult(e, Verdict.undecided(
-            cov.cover.horizon, {"reason": "truncated data"}), {})
-            for e in finite]
-        return results
-    red, _ = reduce_sequence(cov.cover)
-    decomp = stream_decompose(red)
+    if isinstance(decomp, Verdict):
+        return [SubdiagramResult(e, decomp, {}) for e in finite]
     K = max(decomp.valid_from, base_cls.decomposition.valid_from)
     L = math.lcm(decomp.lcm_period, base_cls.decomposition.lcm_period)
     results = []

@@ -312,13 +312,16 @@ def test_package_has_no_assert_statements():
 
 
 def test_package_has_no_unused_imports():
-    # every module-level import binding is read somewhere in its module;
-    # __init__.py re-exports, and the benchmark tracer wraps vershik's
-    # binding of partial_product by name
+    # in the package, the tests and the demos, every module-level import
+    # binding is read somewhere in its module; __init__.py re-exports, and
+    # the benchmark tracer wraps vershik's binding of partial_product by name
     exempt = {("vershik", "partial_product")}
     package = pathlib.Path(adic.__file__).parent
+    root = pathlib.Path(__file__).parent.parent
+    paths = [p for d in (package, root / "tests", root / "demos")
+             for p in sorted(d.glob("*.py"))]
     found = []
-    for path in sorted(package.glob("*.py")):
+    for path in paths:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())

@@ -12,7 +12,6 @@ from adic.diagram import (
     BratteliDiagram,
     substitution_order,
     check_word,
-    cylinder,
     count_words,
     enumerate_paths,
     word_metric,
@@ -64,8 +63,6 @@ def test_check_word_rejects_gaps():
 def test_cylinder_counts():
     seq = constant([[2]], ["0"])
     assert count_words(seq, 0, 2) == 8
-    c = cylinder(seq, [(0, "0", "0", 1)])
-    assert c.end_symbol == "0"
 
 
 def test_enumerate_paths_sorted_and_complete():

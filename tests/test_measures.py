@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from adic.errors import NotNested
-from adic.matrixseq import constant, from_int_matrices
+from adic.matrixseq import constant, from_int_matrices, Truncated
 from adic.cones import ExactEigvec, stream_period_eigenvalue
 from adic.measures import (
     CentralMeasure,
@@ -15,11 +15,9 @@ from adic.measures import (
     classify_measures,
     classify_subdiagram,
     parry_measure_stationary,
-    primed,
-    _block_matrix,
-    _chat_partials,
 )
 from adic.diagram import BratteliDiagram, enumerate_paths
+from adic.gallery import nested_rotation
 
 from conftest import random_reduced_sequence, random_nested_pair
 
@@ -138,44 +136,6 @@ def test_series_matches_the_old_three_pass_sums():
 
 
 # ---------------------------------------------------------------------------
-# coupled block products
-
-
-def _assembled_chats(A, B, C, i, n):
-    """The upper-right blocks of the assembled products of the block
-    matrices [[A_k, C_k], [0, B_k]] over levels i..k, for k = i..n."""
-    full, out = None, []
-    for k in range(i, n + 1):
-        block = _block_matrix(A[k], C[k], B[k])
-        full = block if full is None else full.mul(block)
-        out.append({(x, y): full.entry(primed(x), y)
-                    for x in A[i].rows for y in B[k].cols})
-    return out
-
-
-def _entries(m):
-    return {(x, y): m.entry(x, y) for x in m.rows for y in m.cols}
-
-
-def test_chat_block_scalar_oracle():
-    # sum of A_{0..k-1} C_k B_{k+1..2}: 1*9 + 2*3 + 4*1 = 19
-    A, B, C = ([constant([[v]], ["0"]).matrix(0)] * 3 for v in (2, 3, 1))
-    chat = _chat_partials(A, B, C, 0, 2)[-1]
-    assert chat.entry("0", "0") == 19
-    assert _assembled_chats(A, B, C, 0, 2)[-1] == {("0", "0"): 19}
-
-
-def test_chat_block_matrix_recursion_checked():
-    a = constant([[1, 1], [0, 3]], ["0", "1"])
-    mats_a = [a.matrix(k) for k in range(4)]
-    # every partial of the forward recursion equals the upper-right block
-    # of the assembled block product
-    chats = _chat_partials(mats_a, mats_a, mats_a, 0, 3)
-    assert [_entries(c) for c in chats] == \
-        _assembled_chats(mats_a, mats_a, mats_a, 0, 3)
-
-
-# ---------------------------------------------------------------------------
 # canonical cover
 
 
@@ -243,6 +203,49 @@ def test_is_distinguished_finite_difference_is_yes():
                              labels=[("0",), ("0",), ("0",)])
     v = is_distinguished(_finite_ray(m), m, mhat)
     assert v.is_yes()
+
+
+def test_is_distinguished_agrees_with_classify_subdiagram():
+    # both read one cover decomposition: the ray of each finite base
+    # measure is distinguished iff its tower is finite
+    rng = random.Random(7)
+    counts = {"yes": 0, "no": 0}
+    for _ in range(150):
+        base, amb = random_nested_pair(rng)
+        for r in classify_subdiagram(base, amb):
+            if r.base_measure.ray is None:
+                continue
+            v = is_distinguished(r.base_measure.ray, base, amb)
+            assert v.value == r.verdict.value
+            counts[v.value] += 1
+    assert counts["yes"] >= 30 and counts["no"] >= 100, counts
+
+
+def test_nested_rotation_closed_form_agrees_with_classify_subdiagram():
+    specs = [1, 2, 3, [1, 2], [2, 1], [1, 3], [2, 2, 1], ([2], [1]),
+             ([1], [3, 2])]
+    counts = {"yes": 0, "no": 0}
+    for n_spec in specs:
+        for nhat_spec in specs:
+            try:
+                r = nested_rotation(n_spec, nhat_spec)
+            except NotNested:
+                continue
+            results = classify_subdiagram(r.base.seq, r.ambient.seq)
+            assert [x.verdict.value for x in results] == [r.verdict.value], \
+                (n_spec, nhat_spec)
+            counts[r.verdict.value] += 1
+    assert counts["yes"] >= 8 and counts["no"] >= 20, counts
+
+
+def test_truncated_pair_is_undecided_at_the_cover_horizon():
+    base = constant([[2]], ["0"])
+    amb = Truncated([constant([[3]], ["0"]).matrix(k) for k in range(5)])
+    v = is_distinguished(_finite_ray(base), base, amb)
+    [r] = classify_subdiagram(base, amb)
+    for verdict in (v, r.verdict):
+        assert not verdict.is_decided() and verdict.horizon == 5
+        assert verdict.witness == {"reason": "truncated data"}
 
 
 # ---------------------------------------------------------------------------
