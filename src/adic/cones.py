@@ -1,11 +1,15 @@
 """Cones and simplices spanned by matrix products: extreme-point counting,
-eigenvector sequences of eigenvalue one, and certified Perron data.
+eigenvector sequences of eigenvalue one, and exact Perron data.
 
-All verdict-relevant arithmetic is exact (Fraction); the Perron eigenvalue
-of a primitive block is returned as a certified rational interval, never a
-float.
+All verdict-relevant arithmetic is exact (Fraction), never a float.  The
+Perron root of a square matrix is a `PerronRoot`: a Fraction when it is
+rational, else its minimal polynomial and an isolating rational interval.
+Each stream holds one, built on first read, and two roots compare by
+their Fractions, by equal minimal polynomials, or by bisecting the
+intervals in integer arithmetic until they are disjoint.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import (EmptyCone, NotPrimitive, NonPositiveEntry, DepthExceeded,
@@ -372,61 +376,110 @@ class ExactEigvec:
         return True
 
 
-def _perron_root(q):
-    """The largest real root of the characteristic polynomial of the square
-    matrix q, as an exact sympy number.  sympy lists real roots in
-    ascending order, so the last one is the largest."""
-    import sympy
-    if len(q.rows) == 1:
-        a = q.rows[0]
-        return sympy.Integer(q.entry(a, a))
-    labels = list(q.rows)
-    M = sympy.Matrix([[q.entry(a, b) for b in labels] for a in labels])
-    poly = M.charpoly()
-    return sympy.Poly(poly.as_expr(), poly.gens[0]).real_roots()[-1]
+class PerronRoot:
+    """The Perron root of a square nonnegative integer matrix, held exactly.
+
+    `value` is the root as a Fraction when it is rational, else None.
+    `minpoly` is its minimal polynomial: integer coefficients, leading
+    first, with gcd 1 and a positive leading coefficient.  `interval` is a
+    pair of Fractions that contains the root and no other root of
+    `minpoly`; comparisons narrow it in place, so each root is refined
+    only as far as some comparison needed.
+
+    A 1x1 matrix reads its entry.  Otherwise sympy factors the charpoly
+    and isolates its real roots; the largest is the Perron root, spelled
+    c*CRootOf(g, i) with g irreducible and c rational, and the minimal
+    polynomial of c*theta is g with its variable scaled by 1/c."""
+
+    def __init__(self, q):
+        if len(q.rows) == 1:
+            a = q.rows[0]
+            self._set_rational(Fraction(q.entry(a, a)))
+            return
+        import sympy
+        labels = list(q.rows)
+        M = sympy.Matrix([[q.entry(a, b) for b in labels] for a in labels])
+        top = M.charpoly().real_roots(radicals=False)[-1]
+        if top.is_Rational:
+            self._set_rational(_fraction(top))
+            return
+        c, theta = top.as_coeff_Mul()
+        num, den = int(c.p), int(c.q)
+        g = [int(v) for v in theta.poly.all_coeffs()]
+        n = len(g) - 1
+        h = [v * num ** i * den ** (n - i) for i, v in enumerate(g)]
+        scale = math.gcd(*h) if h[0] > 0 else -math.gcd(*h)
+        self.value = None
+        self.minpoly = tuple(v // scale for v in h)
+        poly = sympy.Poly(self.minpoly, sympy.Symbol("x"))
+        self.interval = tuple(_fraction(v) for v in poly.intervals()[-1][0])
+
+    def _set_rational(self, v):
+        self.value = v
+        self.minpoly = (v.denominator, -v.numerator)
+        self.interval = (v, v)
+
+    def refine(self):
+        """Halve `interval`, keeping the half where `minpoly` changes
+        sign.  The root is simple and irrational, so no midpoint is a
+        root and the endpoint signs differ."""
+        lo, hi = self.interval
+        mid = (lo + hi) / 2
+        if _sign_at(self.minpoly, mid) == _sign_at(self.minpoly, lo):
+            self.interval = (mid, hi)
+        else:
+            self.interval = (lo, mid)
+
+    def compare(self, other):
+        """Exact sign (-1, 0 or 1) of self - other, with a witness.
+
+        Two rational roots compare as Fractions: {"lambda": [la, lb],
+        "exact": True}.  Otherwise equal minimal polynomials mean equal
+        roots, since each root is the largest real root of its minimal
+        polynomial: {"minpoly": [c, c], "equal": True}.  Different ones
+        mean different roots, and the wider interval is bisected until
+        the two are disjoint: {"minpoly": [ca, cb], "intervals": [ia,
+        ib]}."""
+        if self.value is not None and other.value is not None:
+            la, lb = self.value, other.value
+            return (la > lb) - (la < lb), {"lambda": [la, lb], "exact": True}
+        coeffs = [list(self.minpoly), list(other.minpoly)]
+        if self.minpoly == other.minpoly:
+            return 0, {"minpoly": coeffs, "equal": True}
+        while True:
+            (alo, ahi), (blo, bhi) = self.interval, other.interval
+            if ahi < blo or bhi < alo:
+                sign = 1 if bhi < alo else -1
+                return sign, {"minpoly": coeffs,
+                              "intervals": [self.interval, other.interval]}
+            (self if ahi - alo >= bhi - blo else other).refine()
 
 
-def _fraction(root):
-    return Fraction(int(root.p), int(root.q))
+def _fraction(r):
+    return Fraction(int(r.p), int(r.q))
+
+
+def _sign_at(coeffs, x):
+    """Sign of the integer polynomial `coeffs` (leading first) at the
+    Fraction x, by Horner's rule on den**n * poly(num/den)."""
+    num, den = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in coeffs:
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
 
 
 def compare_perron(qa, qb):
     """Exact sign (-1, 0 or 1) of lambda_a - lambda_b for the Perron roots
-    of two square matrices, with a witness.
-
-    Rational roots compare as Fractions.  Otherwise each root is the
-    largest real root of its minimal polynomial (a factor of the
-    charpoly), so equal minimal polynomials mean equal roots, and
-    different ones mean different roots, whose isolating intervals are
-    refined until they are disjoint.  sympy's root expressions are not
-    canonical, so they are never compared with ==."""
-    import sympy
-    ra, rb = _perron_root(qa), _perron_root(qb)
-    if ra.is_rational and rb.is_rational:
-        la, lb = _fraction(ra), _fraction(rb)
-        return (la > lb) - (la < lb), {"lambda": [la, lb], "exact": True}
-    x = sympy.Symbol("x")
-    polys = [sympy.minimal_polynomial(r, x, polys=True) for r in (ra, rb)]
-    coeffs = [[int(c) for c in p.all_coeffs()] for p in polys]
-    if coeffs[0] == coeffs[1]:
-        return 0, {"minpoly": coeffs, "equal": True}
-    eps = sympy.Rational(1, 10 ** 8)
-    while True:
-        ia, ib = [tuple(_fraction(v) for v in p.intervals(eps=eps)[-1][0])
-                  for p in polys]
-        if ia[1] < ib[0] or ib[1] < ia[0]:
-            sign = 1 if ib[1] < ia[0] else -1
-            return sign, {"minpoly": coeffs, "intervals": [ia, ib]}
-        eps = eps * eps
+    of two square matrices, with a witness (see PerronRoot.compare)."""
+    return PerronRoot(qa).compare(PerronRoot(qb))
 
 
 def stream_period_eigenvalue(stream):
     """Per-period Perron eigenvalue of a stream, exact when rational.
     Returns a Fraction, or None when the eigenvalue is irrational."""
-    top = _perron_root(stream.period_product())
-    if top.is_rational:
-        return _fraction(top)
-    return None
+    return stream.perron_root.value
 
 
 def exact_ray(decomp, stream):

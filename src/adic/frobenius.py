@@ -15,12 +15,14 @@ communicate into a stream are those whose members reach it.
 """
 
 import collections
+import functools
 import heapq
 import math
 
 from .errors import (NotReduced, ShapeMismatch, NotIrreducible,
                      InternalError, HorizonExceeded)
 from . import matrixseq
+from .cones import PerronRoot
 from .matrixseq import (
     GenMatrix,
     EventuallyPeriodic,
@@ -185,6 +187,12 @@ class Stream:
         matrix on the stream's symbols at the valid-from level."""
         cyc = self.induced_cycle()
         return partial_product(cyc, 0, self.decomp.lcm_period - 1)
+
+    @functools.cached_property
+    def perron_root(self):
+        """The Perron root of `period_product()`, built on first read and
+        shared by every comparison and ray that reads this stream."""
+        return PerronRoot(self.period_product())
 
     def has_single_path(self):
         """True iff the stream's subdiagram carries exactly one path."""

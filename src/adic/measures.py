@@ -65,7 +65,7 @@ class CentralMeasure:
 # canonical cover
 
 
-def primed(a):
+def _primed(a):
     return a + "'"
 
 
@@ -77,10 +77,10 @@ class CanonicalCover:
 def _block_matrix(a, c, b):
     """The block matrix [[A, C], [0, B]]: rows are A's rows primed, then B's
     rows; columns are A's columns primed, then B's columns."""
-    rows = tuple(primed(x) for x in a.rows) + tuple(b.rows)
-    cols = tuple(primed(y) for y in a.cols) + tuple(b.cols)
-    entries = {(primed(x), primed(y)): v for (x, y), v in a.entries.items()}
-    entries.update(((primed(x), y), v) for (x, y), v in c.entries.items())
+    rows = tuple(_primed(x) for x in a.rows) + tuple(b.rows)
+    cols = tuple(_primed(y) for y in a.cols) + tuple(b.cols)
+    entries = {(_primed(x), _primed(y)): v for (x, y), v in a.entries.items()}
+    entries.update(((_primed(x), y), v) for (x, y), v in c.entries.items())
     entries.update(b.entries)
     return GenMatrix(rows, cols, entries)
 
@@ -181,9 +181,10 @@ def two_by_two_series(a, b, c, n=40):
 
 def compare_streams(stream_a, stream_b):
     """Exact comparison of per-period Perron eigenvalues: -1, 0 or 1, with
-    a machine-checkable witness (see cones.compare_perron)."""
-    return cones.compare_perron(stream_a.period_product(),
-                                stream_b.period_product())
+    a machine-checkable witness (see cones.PerronRoot.compare).  Each
+    stream holds its root, so a stream compared many times is built
+    once."""
+    return stream_a.perron_root.compare(stream_b.perron_root)
 
 
 def communicating_streams(decomp, stream):

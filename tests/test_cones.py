@@ -8,7 +8,7 @@ from adic.matrixseq import GenMatrix, Truncated, constant, partial_product
 from adic.frobenius import stream_decompose
 from adic.vershik import SubdiagramEmbedding
 from adic.cones import (
-    _perron_root,
+    PerronRoot,
     eigvec_sequences,
     in_convex_hull,
     simplex_image,
@@ -180,7 +180,9 @@ def test_eigvec_sequences_make_only_the_simplex_product(mul_calls):
 
 
 def test_perron_root_is_the_largest_real_root():
-    """Reference: the evalf-50 maximum over sympy's real roots."""
+    """Reference: the evalf-50 maximum over sympy's real roots, and sympy's
+    minimal_polynomial of it.  The scaled copies make sympy spell the
+    root as c*CRootOf(g, i)."""
     rng = random.Random(53)
     arrays = [
         [[5]],
@@ -200,11 +202,31 @@ def test_perron_root_is_the_largest_real_root():
             block = [row + [0] * d for row in block] + \
                 [[0] * d + row for row in block]
         arrays.append(block)
-    for arr in arrays:
-        d = len(arr)
-        M = sympy.Matrix(arr)
-        poly = M.charpoly()
-        roots = sympy.Poly(poly.as_expr(), poly.gens[0]).real_roots()
-        want = max(roots, key=lambda r: r.evalf(50))
-        got = _perron_root(GenMatrix.from_lists(labels(d), labels(d), arr))
-        assert got == want and str(got) == str(want)
+    x = sympy.Symbol("x")
+    irrational = 0
+    for base in arrays:
+        for scale in (1, 2, 3, 6):
+            arr = [[scale * v for v in row] for row in base]
+            d = len(arr)
+            poly = sympy.Matrix(arr).charpoly()
+            roots = sympy.Poly(poly.as_expr(), poly.gens[0]).real_roots()
+            want = max(roots, key=lambda r: r.evalf(50))
+            root = PerronRoot(GenMatrix.from_lists(labels(d), labels(d), arr))
+            if want.is_Rational:
+                assert root.value == want
+                assert root.minpoly == (want.q, -want.p)
+            else:
+                irrational += 1
+                assert root.value is None
+                minpoly = sympy.minimal_polynomial(want, x, polys=True)
+                assert list(root.minpoly) == minpoly.all_coeffs()
+            p = sympy.Poly(root.minpoly, x)
+            value = want.evalf(50)
+            for steps in (0, 30):
+                for _ in range(steps):
+                    root.refine()
+                lo, hi = (sympy.Rational(v.numerator, v.denominator)
+                          for v in root.interval)
+                assert lo <= value <= hi
+                assert p.count_roots(lo, hi) == 1
+    assert irrational >= 100, irrational

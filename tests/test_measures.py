@@ -1,10 +1,13 @@
+import collections
 import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from adic.errors import NotNested
+from adic import cones, frobenius, measures
+from adic.errors import NoFiniteBaseMeasure, NotNested
 from adic.matrixseq import constant, from_int_matrices, Truncated
 from adic.cones import ExactEigvec, stream_period_eigenvalue
 from adic.measures import (
@@ -17,7 +20,7 @@ from adic.measures import (
     parry_measure_stationary,
 )
 from adic.diagram import BratteliDiagram, enumerate_paths
-from adic.gallery import nested_rotation
+from adic.gallery import nested_odometer, nested_rotation
 
 from conftest import random_reduced_sequence, random_nested_pair
 
@@ -306,6 +309,76 @@ def test_classify_subdiagram_self_finite():
 def test_classify_subdiagram_requires_nesting():
     with pytest.raises(NotNested):
         classify_subdiagram(constant([[3]], ["0"]), constant([[2]], ["0"]))
+
+
+def test_classify_subdiagram_builds_one_perron_root_per_stream(monkeypatch):
+    # the towers' growth comparisons read the Perron root each stream
+    # holds: no sympy minimal_polynomial, no sympy interval refinement to
+    # an eps, and one root build per stream however often it is read
+    pairs = [(r.base.seq, r.ambient.seq) for r in (
+        nested_odometer([2], [2, 1]),
+        nested_odometer(([3, 4], [2]), 2),
+        nested_rotation(1, 2),
+        nested_rotation([1, 2], [1, 2]))]
+    rng = random.Random(13)
+    pairs += [random_nested_pair(rng) for _ in range(30)]
+
+    calls = {"minimal_polynomial": 0, "intervals_eps": 0}
+    minimal_polynomial, intervals = sympy.minimal_polynomial, \
+        sympy.Poly.intervals
+
+    def counting_minimal_polynomial(*args, **kwargs):
+        calls["minimal_polynomial"] += 1
+        return minimal_polynomial(*args, **kwargs)
+
+    def counting_intervals(self, *args, **kwargs):
+        if kwargs.get("eps", args[1] if len(args) > 1 else None) is not None:
+            calls["intervals_eps"] += 1
+        return intervals(self, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "minimal_polynomial",
+                        counting_minimal_polynomial)
+    monkeypatch.setattr(sympy.Poly, "intervals", counting_intervals)
+
+    # each root build is charged to the stream whose period product it
+    # reads; the products are kept so their ids stay unique
+    products, builds, reads = {}, collections.Counter(), collections.Counter()
+    period_product, init = frobenius.Stream.period_product, \
+        cones.PerronRoot.__init__
+
+    def tracked_period_product(stream):
+        q = period_product(stream)
+        products[id(q)] = (stream, q)
+        return q
+
+    def counting_init(root, q):
+        builds[id(products[id(q)][0])] += 1
+        init(root, q)
+
+    def reading(fn, *streams):
+        def wrapper(*args):
+            for i in streams:
+                reads[id(args[i])] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(frobenius.Stream, "period_product",
+                        tracked_period_product)
+    monkeypatch.setattr(cones.PerronRoot, "__init__", counting_init)
+    monkeypatch.setattr(measures, "compare_streams",
+                        reading(measures.compare_streams, 0, 1))
+    monkeypatch.setattr(cones, "stream_period_eigenvalue",
+                        reading(cones.stream_period_eigenvalue, 0))
+    for base, amb in pairs:
+        try:
+            classify_subdiagram(base, amb)
+        except NoFiniteBaseMeasure:
+            pass
+    assert calls == {"minimal_polynomial": 0, "intervals_eps": 0}
+    assert builds and set(builds) <= set(reads)
+    assert max(builds.values()) == 1
+    # some stream is read more than once, so sharing is exercised
+    assert sum(reads.values()) >= len(reads) + 10, sorted(reads.values())
 
 
 # ---------------------------------------------------------------------------
