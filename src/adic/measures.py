@@ -8,6 +8,7 @@ rates of blocks are compared as exact algebraic numbers (integers for 1x1
 blocks), never as floats.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -206,9 +207,8 @@ def _finiteness_verdict(decomp, stream):
     comms = communicating_streams(decomp, stream)
     comparisons = []
     failed = None
-    by_index = {s.index: s for s in decomp.streams}
     for i in comms:
-        sign, wit = compare_streams(by_index[i], stream)
+        sign, wit = compare_streams(decomp.streams[i - 1], stream)
         comparisons.append({"stream": i, "sign": sign, "data": wit})
         if sign >= 0 and failed is None:
             failed = i
@@ -272,9 +272,10 @@ def is_distinguished(w, m, mhat):
         return Verdict.no({"streams": bad, "comparisons": comparisons})
     witness = {"streams": [s.index for _, s in verdicts],
                "comparisons": comparisons}
-    ray = cones.exact_ray(decomp, carriers[0])
-    if ray is not None and len(carriers) == 1:
-        witness["iota_ray0"] = ray.ray0
+    if len(carriers) == 1:
+        ray = cones.exact_ray(decomp, carriers[0])
+        if ray is not None:
+            witness["iota_ray0"] = ray.ray0
     return Verdict.yes(witness)
 
 
@@ -283,12 +284,23 @@ def is_distinguished(w, m, mhat):
 
 
 class ErgodicMeasure:
-    def __init__(self, stream, verdict, ray, atomic, atom=None):
+    def __init__(self, stream, verdict, atomic, atom=None):
         self.stream = stream
         self.verdict = verdict      # Yes = finite, No = infinite
-        self.ray = ray              # exact or depth-limited eigvec sequence
         self.atomic = atomic
         self.atom = atom            # edge data of the single path, if atomic
+
+    @functools.cached_property
+    def ray(self):
+        """The measure's eigenvector sequence, built on first read: for a
+        finite measure the exact ray when there is one, else a
+        depth-limited one; for any other measure the stream's exact base
+        ray.  None when no ray exists."""
+        decomp = self.stream.decomp
+        if self.verdict.is_yes():
+            ray = cones.exact_ray(decomp, self.stream)
+            return ray if ray is not None else _approx_ray(decomp, self.stream)
+        return cones.stream_base_ray(decomp, self.stream)
 
     @property
     def finite(self):
@@ -329,31 +341,35 @@ def _atom_path(decomp, stream):
             "cycle_edges": edges[cut:]}
 
 
-def classify_measures(seq):
-    """One ergodic measure per stream of the reduced sequence: finite iff
-    the stream is distinguished (all communicating streams grow strictly
-    slower), atomic iff the stream carries a single path.  Rays are exact
-    whenever the per-period eigenvalue is rational."""
+def _classification(seq):
+    """The streams, verdicts and atoms of classify_measures; each
+    measure's ray is left to its first read."""
     red, _ = reduce_sequence(seq)
     decomp = stream_decompose(red)
     measures = []
     for s in decomp.streams:
         verdict = _finiteness_verdict(decomp, s)
         atomic = s.has_single_path()
-        if verdict.is_yes():
-            ray = cones.exact_ray(decomp, s)
-            if ray is None:
-                ray = _approx_ray(red, decomp, s)
-        else:
-            ray = cones.stream_base_ray(decomp, s)
         atom = _atom_path(decomp, s) if atomic else None
-        measures.append(ErgodicMeasure(s, verdict, ray, atomic, atom))
+        measures.append(ErgodicMeasure(s, verdict, atomic, atom))
     return Classification(red, decomp, measures)
 
 
-def _approx_ray(seq, decomp, stream):
+def classify_measures(seq):
+    """One ergodic measure per stream of the reduced sequence: finite iff
+    the stream is distinguished (all communicating streams grow strictly
+    slower), atomic iff the stream carries a single path.  Rays are exact
+    whenever the per-period eigenvalue is rational, and are all built
+    before this returns."""
+    cls = _classification(seq)
+    for e in cls.measures:
+        e.ray  # built here, so that the call's cost includes its rays
+    return cls
+
+
+def _approx_ray(decomp, stream):
     depth = decomp.valid_from + 8 * decomp.lcm_period
-    cands = cones.eigvec_sequences(seq, depth)
+    cands = cones.eigvec_sequences(decomp.seq, depth)
     K = decomp.valid_from
     members = stream.members_at(K)
     best = None
@@ -382,7 +398,7 @@ def classify_subdiagram(m, mhat):
     finite or infinite total mass.  When either sequence is truncated each
     verdict is Undecided at the cover's horizon, as in is_distinguished."""
     decomp = _cover_decomposition(m, mhat)
-    base_cls = classify_measures(m)
+    base_cls = _classification(m)
     finite = [e for e in base_cls.measures if e.verdict.is_yes()]
     if not finite:
         raise NoFiniteBaseMeasure("the base carries no finite ergodic measure")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from adic import cones, frobenius, measures
+from adic import cones, frobenius, gallery, measures
 from adic.errors import NoFiniteBaseMeasure, NotNested
 from adic.matrixseq import constant, from_int_matrices, Truncated
 from adic.cones import ExactEigvec, stream_period_eigenvalue
@@ -311,17 +311,21 @@ def test_classify_subdiagram_requires_nesting():
         classify_subdiagram(constant([[3]], ["0"]), constant([[2]], ["0"]))
 
 
-def test_classify_subdiagram_builds_one_perron_root_per_stream(monkeypatch):
-    # the towers' growth comparisons read the Perron root each stream
-    # holds: no sympy minimal_polynomial, no sympy interval refinement to
-    # an eps, and one root build per stream however often it is read
+def _tower_pairs(rng):
+    """The four paper pairs and 30 random nested pairs."""
     pairs = [(r.base.seq, r.ambient.seq) for r in (
         nested_odometer([2], [2, 1]),
         nested_odometer(([3, 4], [2]), 2),
         nested_rotation(1, 2),
         nested_rotation([1, 2], [1, 2]))]
-    rng = random.Random(13)
-    pairs += [random_nested_pair(rng) for _ in range(30)]
+    return pairs + [random_nested_pair(rng) for _ in range(30)]
+
+
+def test_classify_subdiagram_builds_one_perron_root_per_stream(monkeypatch):
+    # the towers' growth comparisons read the Perron root each stream
+    # holds: no sympy minimal_polynomial, no sympy interval refinement to
+    # an eps, and one root build per stream however often it is read
+    pairs = _tower_pairs(random.Random(13))
 
     calls = {"minimal_polynomial": 0, "intervals_eps": 0}
     minimal_polynomial, intervals = sympy.minimal_polynomial, \
@@ -370,6 +374,7 @@ def test_classify_subdiagram_builds_one_perron_root_per_stream(monkeypatch):
     monkeypatch.setattr(cones, "stream_period_eigenvalue",
                         reading(cones.stream_period_eigenvalue, 0))
     for base, amb in pairs:
+        classify_measures(base)
         try:
             classify_subdiagram(base, amb)
         except NoFiniteBaseMeasure:
@@ -379,6 +384,63 @@ def test_classify_subdiagram_builds_one_perron_root_per_stream(monkeypatch):
     assert max(builds.values()) == 1
     # some stream is read more than once, so sharing is exercised
     assert sum(reads.values()) >= len(reads) + 10, sorted(reads.values())
+
+
+def test_classify_subdiagram_builds_no_base_ray(monkeypatch):
+    # nothing in the tower verdict reads a base ray, so none is built until
+    # a caller reads `base_measure.ray`, which then equals the ray that
+    # classify_measures gives
+    pairs = _tower_pairs(random.Random(17))
+
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(cones, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("exact_ray", "stream_base_ray", "eigvec_sequences"):
+        monkeypatch.setattr(cones, name, counting(name))
+    towers = []
+    for base, amb in pairs:
+        try:
+            towers.append((base, classify_subdiagram(base, amb)))
+        except NoFiniteBaseMeasure:
+            pass
+    assert not calls, calls
+    read = 0
+    for base, results in towers:
+        by_stream = {e.stream.index: e
+                     for e in classify_measures(base).measures}
+        for r in results:
+            want = by_stream[r.base_measure.stream.index].ray
+            ray = r.base_measure.ray
+            assert type(ray) is type(want)
+            if ray is not None:
+                assert ray.ray0 == want.ray0
+                read += 1
+    assert read >= 30 and calls["exact_ray"] >= read, (read, calls)
+
+
+def test_classify_measures_builds_every_ray():
+    # the rays are part of the call, so `adic classify` and the classify
+    # workload time them inside it
+    seqs = []
+    for make in gallery.EXAMPLES.values():
+        obj = make()
+        seqs += ([obj.base_seq, obj.ambient.seq] if hasattr(obj, "base_seq")
+                 else [obj.seq])
+    rng = random.Random(19)
+    seqs += [random_reduced_sequence(rng) for _ in range(30)]
+    built = 0
+    for seq in seqs:
+        for e in classify_measures(seq).measures:
+            assert "ray" in vars(e), e
+            built += 1
+    assert built >= 40, built
 
 
 # ---------------------------------------------------------------------------
