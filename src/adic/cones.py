@@ -154,8 +154,8 @@ def extreme_count(seq, depth):
     info["alphabet_bound"] = min(len(seq.alphabet(i))
                                  for i in range(1, depth + 2))
     if seq.is_eventually_periodic:
-        from .measures import classify_measures
-        cls = classify_measures(seq)
+        from .measures import _classification
+        cls = _classification(seq)
         exact = sum(1 for m in cls.measures if m.verdict.is_yes())
         info["exact"] = exact
         info["liminf_bound"] = seq.liminf_alphabet_size()

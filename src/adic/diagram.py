@@ -10,7 +10,7 @@ from .errors import (
     MalformedWord,
     InsufficientPrefix,
     AbelianizationMismatch,
-    EmptyEdgeAlphabet,
+    NotReduced,
     ShapeMismatch,
 )
 from . import matrixseq
@@ -113,14 +113,16 @@ class StableOrder:
     def min_edge_into(self, k, b):
         order = self.level_orders(k)[b]
         if not order:
-            raise EmptyEdgeAlphabet("no edges into %r at level %d" % (b, k + 1))
+            raise NotReduced("no edge enters vertex %r at level %d"
+                             % (b, k + 1))
         a, i = order[0]
         return (k, a, b, i)
 
     def max_edge_into(self, k, b):
         order = self.level_orders(k)[b]
         if not order:
-            raise EmptyEdgeAlphabet("no edges into %r at level %d" % (b, k + 1))
+            raise NotReduced("no edge enters vertex %r at level %d"
+                             % (b, k + 1))
         a, i = order[-1]
         return (k, a, b, i)
 

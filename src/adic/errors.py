@@ -29,10 +29,6 @@ class AbelianizationMismatch(AdicError):
     pass
 
 
-class EmptyEdgeAlphabet(AdicError):
-    pass
-
-
 class NotNested(AdicError):
     pass
 

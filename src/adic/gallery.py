@@ -10,7 +10,13 @@ from fractions import Fraction
 
 from .errors import NotNested
 from .verdict import Verdict
-from .matrixseq import GenMatrix, constant, from_int_matrices
+from .matrixseq import (
+    GenMatrix,
+    constant,
+    from_int_matrices,
+    _scalar_spec,
+    _spec_term as _cf_term,
+)
 from .diagram import BratteliDiagram, substitution_order
 from .cones import compare_perron
 from .vershik import SubdiagramEmbedding
@@ -20,18 +26,11 @@ def odometer(ns=2):
     """Adding-machine diagram: 1x1 matrices [n_i] with the index order.
     `ns` may be an int (constant), a list (repeated cycle), or a
     (prefix, cycle) pair."""
-    if isinstance(ns, int):
-        seq = constant([[ns]], ["0"])
-    else:
-        if isinstance(ns, tuple) and len(ns) == 2 and \
-                isinstance(ns[0], (list, tuple)):
-            prefix, cycle = ns
-        else:
-            prefix, cycle = [], list(ns)
-        mats = [[[int(n)]] for n in list(prefix) + list(cycle)]
-        labels = [("0",)] * (len(mats) + 1)
-        seq = from_int_matrices(mats, cycle_from=len(prefix), labels=labels)
-    return BratteliDiagram(seq)
+    prefix, cycle = _cf_scalars(ns)
+    mats = [[[n]] for n in prefix + cycle]
+    labels = [("0",)] * (len(mats) + 1)
+    return BratteliDiagram(from_int_matrices(mats, cycle_from=len(prefix),
+                                             labels=labels))
 
 
 def chacon():
@@ -75,20 +74,11 @@ def ics(model="cover"):
 
 
 def _cf_scalars(spec):
-    """Normalize a partial-quotient spec (int | list | (prefix, cycle)) to
-    a (prefix, cycle) pair of int lists."""
-    if isinstance(spec, int):
-        return [], [spec]
-    if isinstance(spec, tuple) and len(spec) == 2 and \
-            isinstance(spec[0], (list, tuple)):
-        return [int(x) for x in spec[0]], [int(x) for x in spec[1]]
-    return [], [int(x) for x in spec]
-
-
-def _cf_term(prefix, cycle, i):
-    if i < len(prefix):
-        return prefix[i]
-    return cycle[(i - len(prefix)) % len(cycle)]
+    """Normalize a scalar spec (int | list | (prefix, cycle)), such as
+    partial quotients or odometer digit counts, to a (prefix, cycle) pair
+    of int lists."""
+    prefix, cycle = _scalar_spec(spec)
+    return [int(x) for x in prefix], [int(x) for x in cycle]
 
 
 def rotation_matrices(n_prefix, n_cycle, upto):
@@ -175,7 +165,7 @@ def nested_rotation(n_spec, nhat_spec):
     np_, nc = _cf_scalars(n_spec)
     hp, hc = _cf_scalars(nhat_spec)
     P = max(len(np_), len(hp))
-    L = len(nc) * len(hc) // math.gcd(len(nc), len(hc))
+    L = math.lcm(len(nc), len(hc))
     for i in range(P + L):
         if _cf_term(np_, nc, i) > _cf_term(hp, hc, i):
             raise NotNested("n_%d = %d exceeds nhat_%d = %d"

@@ -103,17 +103,6 @@ class GenMatrix:
                 entries[key] = entries.get(key, 0) + u * v
         return GenMatrix(self.rows, other.cols, entries)
 
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def add(self, other):
-        if set(self.rows) != set(other.rows) or set(self.cols) != set(other.cols):
-            raise IncompatibleAlphabets("addition needs identical alphabets")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            entries[k] = entries.get(k, 0) + v
-        return GenMatrix(self.rows, self.cols, entries)
-
     def sub(self, other):
         """Entrywise difference; raises if any entry would go negative."""
         if set(self.rows) != set(other.rows) or set(self.cols) != set(other.cols):
@@ -284,6 +273,25 @@ def constant(mat_lists, labels=None):
     labs = tuple(labels) if labels is not None else tuple(str(j) for j in range(d))
     m = GenMatrix.from_lists(labs, labs, mat_lists)
     return EventuallyPeriodic([], [m])
+
+
+def _scalar_spec(spec):
+    """The (prefix, cycle) lists of an eventually periodic scalar sequence
+    given as one number (constant), a list (the cycle) or a (prefix, cycle)
+    pair of lists."""
+    if isinstance(spec, tuple) and len(spec) == 2 and \
+            isinstance(spec[0], (list, tuple)):
+        return list(spec[0]), list(spec[1])
+    if isinstance(spec, (list, tuple)):
+        return [], list(spec)
+    return [], [spec]
+
+
+def _spec_term(prefix, cycle, i):
+    """Term i of the scalar sequence with this prefix and cycle."""
+    if i < len(prefix):
+        return prefix[i]
+    return cycle[(i - len(prefix)) % len(cycle)]
 
 
 def partial_product(seq, i, n):

@@ -29,6 +29,8 @@ from .matrixseq import (
     submatrix_leq,
     reduce_sequence,
     _compare_horizon,
+    _scalar_spec,
+    _spec_term,
 )
 from .diagram import check_word
 from .frobenius import stream_decompose, _single_path
@@ -126,28 +128,18 @@ class SeriesResult:
         return "SeriesResult(%s, limit=%r)" % (self.verdict.value, self.limit)
 
 
-def _scalar_seq(x):
-    """Accept an int (constant), a (prefix, cycle) pair of int lists, or a
-    list (treated as the cycle)."""
-    if isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], (list, tuple)):
-        return list(x[0]), list(x[1])
-    if isinstance(x, (list, tuple)):
-        return [], list(x)
-    return [], [x]
-
-
 def two_by_two_series(a, b, c, n=40):
     """The series sum_k (prod_{i<k} a_i/b_i) * c_k/a_k for eventually
     periodic positive scalar sequences a, b and nonnegative c.
 
     Returns a SeriesResult with the first n+1 partial sums, an exact
     convergence verdict, and the exact rational limit when convergent."""
-    seqs = [_scalar_seq(x) for x in (a, b, c)]
+    seqs = [_scalar_spec(x) for x in (a, b, c)]
     P = max(len(pre) for pre, _ in seqs)
     T = math.lcm(*(len(cyc) for _, cyc in seqs))
     # (a_k, b_k, c_k) for every k the partial sums or the limit read
-    terms = [[pre[k] if k < len(pre) else cyc[(k - len(pre)) % len(cyc)]
-              for pre, cyc in seqs] for k in range(max(n + 1, P + T))]
+    terms = [[_spec_term(pre, cyc, k) for pre, cyc in seqs]
+             for k in range(max(n + 1, P + T))]
     for ak, bk, ck in terms[:P + T]:
         if ak <= 0 or bk <= 0:
             raise NonPositiveEntry("a and b must be positive")

@@ -19,12 +19,12 @@ from .errors import (
     MalformedWord,
     UndeterminedTail,
     NotInBase,
-    NotReduced,
     ShapeMismatch,
     InternalError,
 )
-from .diagram import check_word
-from .matrixseq import submatrix_leq, _compare_horizon
+from .diagram import BratteliDiagram, StableOrder, check_word
+from .matrixseq import (EventuallyPeriodic, Truncated, submatrix_leq,
+                        _compare_horizon)
 # unused here; perfbench/test_tracer.py still expects this module binding
 from .matrixseq import partial_product  # noqa: F401
 
@@ -344,7 +344,7 @@ def extremal_paths(diagram, kind=None):
 
 
 # ---------------------------------------------------------------------------
-# nested subdiagrams: base successor, return times, Kac sums
+# nested subdiagrams: the base diagram, return times, Kac sums
 
 
 def _key_level(seq, key):
@@ -383,7 +383,14 @@ class SubdiagramEmbedding:
     ambient multiplicity at every level of the pair's joint layout
     (`matrixseq._compare_horizon`) that reads that matrix (ShapeMismatch).
     The map is resolved into one table per stored base matrix, which level
-    k reads through `base_seq.index(k)`."""
+    k reads through `base_seq.index(k)`.
+
+    `base` is the base as an ordered diagram over the joint layout, so that
+    its order repeats with the ambient's: its edge (k, a, b, j) is the
+    base's j-th a -> b edge, and the edges into each symbol are ordered as
+    the ambient orders them.  Its successor map is the first-return map of
+    the ambient successor to the base; `to_base`, `to_ambient` and
+    `base_path` convert between the two diagrams' edges."""
 
     def __init__(self, ambient, base_seq, index_map=None):
         self.ambient = ambient
@@ -406,15 +413,26 @@ class SubdiagramEmbedding:
                                     % (key, count, idxs))
             self._tables[base_seq.index(k)][(a, b)] = tuple(idxs)
         P, L = _compare_horizon(base_seq, ambient.seq)
+        orders = []
         for k in range(P + L):
             amb = ambient.seq.matrix(k)
-            for (a, b), idxs in self._tables[base_seq.index(k)].items():
+            table = self._tables[base_seq.index(k)]
+            for (a, b), idxs in table.items():
                 n = amb.entry(a, b)
                 bad = [i for i in idxs if not 0 <= i < n]
                 if bad:
                     raise ShapeMismatch("embedding names the ambient edge "
                                         "%s>%s.%d at level %d, which has %d "
                                         "parallel edges" % (a, b, bad[0], k, n))
+            orders.append({b: [(a, table[(a, b)].index(i)) for _, a, _, i
+                               in ambient.order.incoming(k, b)
+                               if i in table.get((a, b), ())]
+                           for b in base_seq.matrix(k).cols})
+        mats = [base_seq.matrix(k) for k in range(P + L)]
+        seq = EventuallyPeriodic(mats[:P], mats[P:]) if L else Truncated(mats)
+        # the order reads the parts that `seq` has: prefix and cycle, or terms
+        self.base = BratteliDiagram(seq, StableOrder(seq, orders[:P],
+                                                     orders[P:], orders))
 
     def base_indices(self, k, a, b):
         """The ambient indices of the base's a -> b edges at level k."""
@@ -424,71 +442,38 @@ class SubdiagramEmbedding:
         k, a, b, i = edge
         return i in self.base_indices(k, a, b)
 
-    def base_edges_into(self, k, b):
-        """Base edges into b at level k+1, in ambient order."""
+    def to_base(self, word):
+        """An ambient edge word as a word of `base`; NotInBase when an edge
+        is not a base edge."""
         out = []
-        for e in self.ambient.order.incoming(k, b):
-            if self.is_base_edge(e):
-                out.append(e)
-        return out
+        for e in word:
+            k, a, b, i = e
+            idxs = self.base_indices(k, a, b)
+            if i not in idxs:
+                raise NotInBase("edge %r is not a base edge" % (e,))
+            out.append((k, a, b, idxs.index(i)))
+        return tuple(out)
 
-    def base_is_max(self, edge):
-        k, a, b, i = edge
-        return self.base_edges_into(k, b)[-1] == edge
+    def to_ambient(self, word):
+        """A word of `base` as the ambient edge word it names."""
+        return tuple((k, a, b, self.base_indices(k, a, b)[j])
+                     for k, a, b, j in word)
 
-    def base_next(self, edge):
-        k, a, b, i = edge
-        edges = self.base_edges_into(k, b)
-        pos = edges.index(edge)
-        return edges[pos + 1] if pos + 1 < len(edges) else None
-
-    def base_min_word_into(self, vertex, level, start=0):
-        """The base-minimal edge word covering levels start..level-1 and
-        ending at `vertex`.  NotReduced when no base edge enters a vertex
-        on the way, which a reduced base rules out."""
-        def pick(k, v):
-            edges = self.base_edges_into(k, v)
-            if not edges:
-                raise NotReduced("no base edge enters vertex %r at level %d"
-                                 % (v, k + 1))
-            return edges[0]
-        return _word_into(pick, vertex, level, start)
-
-
-def _check_in_base(embedding, word):
-    for e in word:
-        if not embedding.is_base_edge(e):
-            raise NotInBase("edge %r is not a base edge" % (e,))
-
-
-def _word_to_change_level(embedding, path):
-    """For a LazyPath in the base: the edge word up to (and including) the
-    first non-base-maximal level, or None when the path is certified
-    base-maximal everywhere (scanning the prefix plus enough tail levels to
-    cover both the tail period and the base sequence's periodicity)."""
-    base = embedding.base_seq
-    for k in range(path.start, path.tail_start):
-        e = path.edge(k)
-        if not embedding.is_base_edge(e):
-            raise NotInBase("edge %r is not a base edge" % (e,))
-        if not embedding.base_is_max(e):
-            return path.word(k + 1)
-    if path.tail_cycle is None:
-        raise UndeterminedTail("all explicit edges base-maximal; tail "
-                               "unknown")
-    span = len(path.tail_cycle)
-    if base.is_eventually_periodic:
-        span = math.lcm(span, base.period)
-        extra = max(0, base.prefix_len - path.tail_start)
-    else:
-        raise UndeterminedTail("base sequence is not eventually periodic")
-    for k in range(path.tail_start, path.tail_start + extra + span):
-        e = path.edge(k)
-        if not embedding.is_base_edge(e):
-            raise NotInBase("edge %r is not a base edge" % (e,))
-        if not embedding.base_is_max(e):
-            return path.word(k + 1)
-    return None
+    def base_path(self, path):
+        """An ambient LazyPath as a path of `base`, through the public
+        LazyPath constructor: NotInBase unless every edge is a base edge.  A
+        periodic tail is re-cut to start at or past the base's prefix and to
+        span a whole number of base periods; on a truncated base the path
+        keeps its explicit edges only (HorizonExceeded past the horizon)."""
+        seq = self.base.seq
+        if path.tail_cycle is None or not seq.is_eventually_periodic:
+            return LazyPath(self.base, self.to_base(path.prefix_edges),
+                            start=path.start)
+        ts = max(path.tail_start, seq.prefix_len)
+        n = math.lcm(len(path.tail_cycle), seq.period)
+        word = self.to_base(path.word(ts + n))
+        cut = ts - path.start
+        return LazyPath(self.base, word[:cut], word[cut:], start=path.start)
 
 
 def anti_lex_rank(diagram, word):
@@ -521,27 +506,29 @@ def _word_counts(seq, n, start=0):
     return counts
 
 
-def _base_step(embedding, word):
-    """The ambient rank difference from a base word to its base successor,
-    among the words that start at the word's first level s, or None when
-    every edge is base-maximal.  The successor changes the word at its
-    first non-base-maximal edge, at position m and level s + m, and only
-    levels s..s+m enter the difference: the rank terms of the kept edges
-    beyond it are the same on both sides."""
-    for m, e in enumerate(word):
-        if not embedding.base_is_max(e):
-            break
-    else:
+def _base_step(embedding, path):
+    """The ambient rank difference from a path of `embedding.base` to its
+    base successor, among the words that start at the path's first level
+    s, or None when the path has no base successor.  The successor changes
+    the path at level m, and only levels s..m enter the difference: the
+    rank terms of the kept edges beyond it are the same on both sides."""
+    m, nxt = _successor_at(path)
+    if nxt is None:
         return None
-    start = word[0][0]
-    new_edge = embedding.base_next(word[m])
-    head = embedding.base_min_word_into(new_edge[1], new_edge[0], start)
-    diagram = embedding.ambient
-    r = _rank(diagram, head + (new_edge,), start) \
-        - _rank(diagram, word[:m + 1], start)
+    diagram, start = embedding.ambient, path.start
+    r = _rank(diagram, embedding.to_ambient(nxt.word(m + 1)), start) \
+        - _rank(diagram, embedding.to_ambient(path.word(m + 1)), start)
     if r < 1:
         raise InternalError("return time %d is not positive" % r)
     return r
+
+
+def _word_path(embedding, word):
+    """A nonempty ambient edge word as a path of `embedding.base`."""
+    if not word:
+        raise ShapeMismatch("return times need a nonempty edge word")
+    return embedding.base_path(LazyPath(embedding.ambient, word,
+                                        start=word[0][0]))
 
 
 def return_time(embedding, p):
@@ -552,15 +539,15 @@ def return_time(embedding, p):
     with no non-base-maximal edge cannot certify either way and raises
     UndeterminedTail."""
     if isinstance(p, LazyPath):
-        word = _word_to_change_level(embedding, p)
-        if word is None:
-            return math.inf
+        path = embedding.base_path(p)
     else:
-        word = tuple(p)
-        _check_in_base(embedding, word)
-    r = _base_step(embedding, word)
+        path = _word_path(embedding, tuple(p))
+    r = _base_step(embedding, path)
     if r is None:
-        raise UndeterminedTail("all edges base-maximal within the word")
+        if path.tail_cycle:
+            return math.inf
+        raise UndeterminedTail("all explicit edges are base-maximal; the "
+                               "tail is unknown")
     return r
 
 
@@ -569,14 +556,16 @@ def cyclic_return_time(embedding, word):
     on depth-d ambient words within its endpoint class (the words over the
     same levels): the number of ambient steps to the next base word,
     wrapping the maximal word to the minimal one."""
-    _check_in_base(embedding, word)
-    r = _base_step(embedding, word)
+    word = tuple(word)
+    path = _word_path(embedding, word)
+    r = _base_step(embedding, path)
     if r is None:
         # wrap to the minimal base word ending at the same vertex; the
         # word's rank is below the class size, so r >= 1
-        start, end, v = word[0][0], word[-1][0] + 1, word[-1][2]
+        start, end, v = path.start, path.tail_start, word[-1][2]
         diagram = embedding.ambient
-        first = embedding.base_min_word_into(v, end, start)
+        first = embedding.to_ambient(
+            min_word_into(embedding.base, v, end, start))
         r = _word_counts(diagram.seq, end, start)[end][v] \
             - _rank(diagram, word, start) + _rank(diagram, first, start)
     return r
@@ -592,17 +581,13 @@ def kac_partial_sum(embedding, base_measure, depth):
     Nondecreasing in depth; equals the tower mass when it is finite."""
     if depth < 1:
         raise ShapeMismatch("Kac sums need depth >= 1, got %d" % depth)
-    amb = embedding.ambient.seq
-    base = embedding.base_seq
-    amb_counts = _word_counts(amb, depth)[depth]
-    base_counts = _word_counts(base, depth)[depth]
+    amb_counts = _word_counts(embedding.ambient.seq, depth)[depth]
+    base_counts = _word_counts(embedding.base_seq, depth)[depth]
     total = Fraction(0)
     for v, n in amb_counts.items():
         if base_counts.get(v, 0) > 0:
             # endpoint mass of a depth-`depth` base cylinder ending at v
-            head = [(k, a, b, embedding.base_indices(k, a, b).index(i))
-                    for (k, a, b, i)
-                    in embedding.base_min_word_into(v, depth)]
+            head = min_word_into(embedding.base, v, depth)
             total += n * base_measure.cylinder_mass(head)
     return total
 

@@ -17,7 +17,9 @@ from adic.matrixseq import (
     Truncated,
     constant,
     from_int_matrices,
+    is_reduced,
     submatrix_leq,
+    _compare_horizon,
 )
 from adic.measures import canonical_cover
 from adic.diagram import BratteliDiagram, StableOrder, enumerate_paths
@@ -240,6 +242,7 @@ def _embedding(rng, amb, base, index_map):
 def _check_embedding(amb, base, index_map, levels, rng):
     emb = _embedding(rng, amb, base, index_map)
     order = emb.ambient.order
+    base_order = emb.base.order
     for k in levels:
         if base.horizon is not None and k >= base.horizon:
             with pytest.raises(HorizonExceeded):
@@ -249,7 +252,7 @@ def _check_embedding(amb, base, index_map, levels, rng):
         for b in m.cols:
             want = [e for e in order.incoming(k, b)
                     if e[3] in _old_base_indices(base, index_map, k, e[1], b)]
-            assert emb.base_edges_into(k, b) == want
+            assert list(emb.to_ambient(base_order.incoming(k, b))) == want
             for a in m.rows:
                 old = _old_base_indices(base, index_map, k, a, b)
                 assert emb.base_indices(k, a, b) == old
@@ -257,8 +260,10 @@ def _check_embedding(amb, base, index_map, levels, rng):
                     assert emb.is_base_edge((k, a, b, i)) == (i in old)
             for j, e in enumerate(want):
                 nxt = want[j + 1] if j + 1 < len(want) else None
-                assert emb.base_next(e) == nxt
-                assert emb.base_is_max(e) == (nxt is None)
+                (f,) = emb.to_base([e])
+                got = base_order.next_edge(f)
+                assert (got and emb.to_ambient([got])[0]) == nxt
+                assert base_order.is_max(f) == (nxt is None)
 
 
 def test_embedding_layout_matches_the_key_lookup():
@@ -283,6 +288,70 @@ def test_truncated_embedding_layout_matches_the_key_lookup():
                                      amb_layout, (h, None))
             for index_map in ({}, _index_map(rng, base, low)):
                 _check_embedding(amb, base, index_map, range(h + 2), rng)
+
+
+def _random_base_path(rng, emb, start):
+    """A random ambient LazyPath from level `start` whose edges are all base
+    edges: random base edges up to a tail start in the pair's joint layout,
+    then whole joint periods until the vertex at a period boundary repeats.
+    A truncated base gives a finite path up to its horizon.  The base must
+    be reduced, so that every vertex has a base edge out of it."""
+    seq = emb.base_seq
+    P, L = _compare_horizon(seq, emb.ambient.seq)
+    ts = max(start, P) + L * rng.randrange(2)
+    v = rng.choice(seq.alphabet(start))
+    edges, seen, k = [], {}, start
+    while k != seq.horizon:
+        if L and k >= ts and (k - ts) % L == 0:
+            if v in seen:
+                break
+            seen[v] = len(edges)
+        m = seq.matrix(k)
+        e = rng.choice([(k, v, b, i) for b in m.cols
+                        for i in range(m.entry(v, b))])
+        edges.append(e)
+        k, v = k + 1, e[2]
+    cut = seen[v] if L else len(edges)
+    return LazyPath(emb.ambient, emb.to_ambient(edges[:cut]),
+                    emb.to_ambient(edges[cut:]) or None, start=start)
+
+
+def test_base_successor_is_the_first_return_of_the_ambient_successor():
+    # the base inherits the ambient order at every level of the joint
+    # layout, so its successor is the first ambient successor iterate that
+    # is back in the base below the base successor's change level
+    rng = random.Random(659)
+    checked = {"periodic tail": 0, "truncated base": 0}
+    for _ in range(400):
+        amb_layout = (rng.randrange(3), rng.randrange(1, 4))
+        base_layout = rng.choice([(rng.randrange(3), rng.randrange(1, 4)),
+                                  (rng.randrange(1, 5), None)])
+        amb, base, low = _nested(rng, rng.randrange(1, 3), amb_layout,
+                                 base_layout)
+        if not is_reduced(base):
+            continue
+        index_map = rng.choice([{}, _index_map(rng, base, low)])
+        emb = _embedding(rng, amb, base, index_map)
+        for _ in range(6):
+            start = rng.randrange(2)
+            if base.horizon is not None and start >= base.horizon:
+                continue
+            p = _random_base_path(rng, emb, start)
+            q = emb.base_path(p)
+            nxt = successor(q)
+            if nxt is None:
+                continue
+            end = q.tail_start + len(q.tail_cycle or ())
+            cur = p
+            for _ in range(2000):
+                cur = successor(cur)
+                if all(emb.is_base_edge(e) for e in cur.word(end)):
+                    break
+            else:
+                continue
+            assert emb.to_ambient(nxt.word(end)) == cur.word(end)
+            checked["truncated base" if base.horizon else "periodic tail"] += 1
+    assert min(checked.values()) >= 150, checked
 
 
 def test_return_times_count_ambient_steps():

@@ -425,6 +425,39 @@ def test_classify_subdiagram_builds_no_base_ray(monkeypatch):
     assert read >= 30 and calls["exact_ray"] >= read, (read, calls)
 
 
+def test_extreme_count_builds_no_ray(monkeypatch):
+    # count-ergodic reads verdicts only, so it builds no ray
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(cones, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("exact_ray", "stream_base_ray", "eigvec_sequences"):
+        monkeypatch.setattr(cones, name, counting(name))
+    got = {name: cones.extreme_count(gallery.EXAMPLES[name]().seq, 4)
+           for name in ("chacon", "seven-matrix", "three-cycle",
+                        "golden-mean")}
+    assert not calls, calls
+    assert got == {
+        "chacon": (2, {"depth": 4, "count_at_depth": 2, "alphabet_bound": 2,
+                       "exact": 2, "liminf_bound": 2, "streams": 2}),
+        "seven-matrix": (2, {"depth": 4, "count_at_depth": 1,
+                             "alphabet_bound": 2, "exact": 2,
+                             "liminf_bound": 4, "streams": 3}),
+        "three-cycle": (3, {"depth": 4, "count_at_depth": 3,
+                            "alphabet_bound": 3, "exact": 3,
+                            "liminf_bound": 3, "streams": 3}),
+        "golden-mean": (1, {"depth": 4, "count_at_depth": 2,
+                            "alphabet_bound": 2, "exact": 1,
+                            "liminf_bound": 2, "streams": 1}),
+    }
+
+
 def test_classify_measures_builds_every_ray():
     # the rays are part of the call, so `adic classify` and the classify
     # workload time them inside it

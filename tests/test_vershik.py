@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from adic.errors import MalformedWord, NotInBase, UndeterminedTail
+from adic.errors import (
+    MalformedWord, NotInBase, ShapeMismatch, UndeterminedTail)
 from adic.matrixseq import (
     EventuallyPeriodic,
     GenMatrix,
@@ -307,6 +308,35 @@ def test_return_time_undetermined_on_short_maximal_word():
     emb = ics("triadic")
     with pytest.raises(UndeterminedTail):
         return_time(emb, [(0, "0", "0", 2)])
+
+
+def _pair_embedding():
+    # [[1,1],[1,1]] <= [[2,1],[1,2]]: base edges 0>0.0, 0>1.0, 1>0.0, 1>1.0
+    amb = BratteliDiagram(constant([[2, 1], [1, 2]]))
+    return SubdiagramEmbedding(amb, constant([[1, 1], [1, 1]]))
+
+
+def test_return_times_reject_words_that_do_not_compose():
+    emb = _pair_embedding()
+    word = ((0, "0", "0", 0), (1, "1", "0", 0))
+    for f in (return_time, cyclic_return_time):
+        with pytest.raises(MalformedWord, match="do not compose"):
+            f(emb, word)
+
+
+def test_return_time_rejects_a_non_base_edge_past_the_change_level():
+    # level 0 is the change level; the tail edge 0>0.1 is not a base edge
+    emb = _pair_embedding()
+    p = LazyPath(emb.ambient, [(0, "0", "0", 0)],
+                 tail_cycle=[(1, "0", "0", 1)])
+    with pytest.raises(NotInBase, match=r"\(1, '0', '0', 1\)"):
+        return_time(emb, p)
+
+
+def test_return_times_reject_the_empty_word():
+    for f in (return_time, cyclic_return_time):
+        with pytest.raises(ShapeMismatch, match="nonempty"):
+            f(ics("triadic"), [])
 
 
 def _base_measure(seq):
