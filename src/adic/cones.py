@@ -1,12 +1,15 @@
 """Cones and simplices spanned by matrix products: extreme-point counting,
 eigenvector sequences of eigenvalue one, and exact Perron data.
 
-All verdict-relevant arithmetic is exact (Fraction), never a float.  The
-Perron root of a square matrix is a `PerronRoot`: a Fraction when it is
-rational, else its minimal polynomial and an isolating rational interval.
-Each stream holds one, built on first read, and two roots compare by
-their Fractions, by equal minimal polynomials, or by bisecting the
-intervals in integer arithmetic until they are disjoint.
+All verdict-relevant arithmetic is exact (int or Fraction), never a float.
+Convex-hull pruning is exact integer pivoting on the raw product columns:
+a fraction-free phase-1 simplex decides cone membership, and only the
+surviving extreme points are normalized to Fractions.  The Perron root of
+a square matrix is a `PerronRoot`: a Fraction when it is rational, else
+its minimal polynomial and an isolating rational interval.  Each stream
+holds one, built on first read, and two roots compare by their
+Fractions, by equal minimal polynomials, or by bisecting the intervals
+in integer arithmetic until they are disjoint.
 """
 
 import math
@@ -32,74 +35,85 @@ def normalize(vec):
 
 
 # ---------------------------------------------------------------------------
-# exact convex-hull membership (phase-1 simplex over Fraction)
+# exact cone membership (fraction-free phase-1 simplex over int)
 
 
-def in_convex_hull(x, points, keys):
-    """Exact test: is x a convex combination of `points`?  All vectors are
-    dicts over `keys`."""
+def in_convex_hull(x, points):
+    """Exact test: does the direction of x lie in the convex hull of the
+    directions of `points`?  x and the points are equal-length sequences
+    of nonnegative numbers with positive sums, so this holds exactly when
+    x is a nonnegative combination of the points: dividing such a
+    combination by x's sum gives convex weights on the normalized points."""
     if not points:
         return False
-    n = len(points)
-    rows = [[Fraction(p.get(k, 0)) for p in points] for k in keys]
-    rhs = [Fraction(x.get(k, 0)) for k in keys]
-    rows.append([Fraction(1)] * n)
-    rhs.append(Fraction(1))
-    return _phase1_feasible(rows, rhs)
+    return _phase1_feasible(list(zip(*points)), list(x))
 
 
 def _phase1_feasible(rows, rhs):
     """Feasibility of A*lam = b, lam >= 0, via the phase-1 simplex method
-    with Bland's rule.  Exact rational arithmetic."""
+    with Bland's rule, in fraction-free integer arithmetic (Edmonds 1967;
+    Bareiss 1968).  Entries are ints or Fractions; each row of [A | b] is
+    scaled to integers by the lcm of its denominators.
+
+    The tableau holds den times the rational tableau, where den is the
+    last pivot (1 at the start), so signs and ratios read the same.  The
+    ratio test compares by cross-multiplication.  On integer input the
+    pivot sequence is that of the same method over Fraction."""
     m, n = len(rows), len(rows[0])
-    # make rhs nonnegative
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    # tableau: columns = original vars + artificials, objective = sum of
-    # artificials (to be minimized)
-    tab = [rows[i] + [Fraction(1) if j == i else Fraction(0)
-                      for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
     ncols = n + m
+    # rows of [A | I | b] with b >= 0; artificials basic
+    tab = []
+    for i, row in enumerate(rows):
+        row = list(row) + [rhs[i]]
+        scale = math.lcm(*(v.denominator for v in row))
+        sign = -1 if row[-1] < 0 else 1
+        row = [sign * v.numerator * (scale // v.denominator) for v in row]
+        tab.append(row[:n] + [int(j == i) for j in range(m)] + row[n:])
     # objective row: cost 1 on artificials, reduced through the basis
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(n, ncols):
-        obj[j] = Fraction(1)
-    for i in range(m):
-        for j in range(ncols + 1):
-            obj[j] -= tab[i][j]
+    obj = [-sum(col) for col in zip(*tab)]
+    obj[n:ncols] = [0] * m
+    tab.append(obj)
+    basis = list(range(n, ncols))
+    den = 1
     while True:
-        enter = None
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             break
-        leave, best = None, None
+        leave = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][ncols] / tab[i][enter]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave, num, piv = i, tab[i][ncols], a
+                    continue
+                here, best = tab[i][ncols] * piv, num * a
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave, num, piv = i, tab[i][ncols], a
         if leave is None:
             # unbounded phase-1 cannot happen with artificial basis
             return False
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [tab[i][j] - f * tab[leave][j]
-                          for j in range(ncols + 1)]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [obj[j] - f * tab[leave][j] for j in range(ncols + 1)]
+        _pivot(tab, leave, enter, den)
+        den = piv
+        obj = tab[m]
         basis[leave] = enter
-    return -obj[ncols] == 0
+    return obj[ncols] == 0
+
+
+def _pivot(tab, r, c, den):
+    """One fraction-free pivot of `_phase1_feasible` on row r, column c:
+    the pivot row stays, and every other row (the objective too) becomes
+    (piv*row - row[c]*pivot_row) // den.  The division is exact, because
+    every entry is a minor of the scaled input (Sylvester's identity)."""
+    prow = tab[r]
+    piv = prow[c]
+    for i, row in enumerate(tab):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            tab[i] = [(piv * a - f * b) // den for a, b in zip(row, prow)]
+        elif piv != den:
+            tab[i] = [piv * a // den for a in row]
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +125,27 @@ def simplex_image(seq, k, n):
     the normalized columns of the product from level k to n, deduplicated
     and pruned by an exact convex-combination test.
 
+    The columns stay integers until the end: two give the same point
+    exactly when their gcd-reduced tuples are equal, and a point lies in
+    the hull of the others exactly when its column lies in their cone
+    (`in_convex_hull`).  Only the extreme points are normalized.
+
     Returns a list of (vector, provenance) pairs, where provenance is the
     list of level-(n+1) column labels producing that point."""
     prod = partial_product(seq, k, n)
     keys = list(prod.rows)
     cols = {}
     for b in prod.cols:
-        col = {a: prod.entry(a, b) for a in prod.rows}
-        if sum(col.values()) == 0:
-            continue
-        point = normalize(col)
-        sig = tuple(point[a] for a in keys)
-        cols.setdefault(sig, (point, []))[1].append(b)
-    if not cols:
-        return []
-    items = list(cols.values())
+        col = [prod.entry(a, b) for a in keys]
+        g = math.gcd(*col)
+        if g:
+            cols.setdefault(tuple(v // g for v in col), []).append(b)
+    items = list(cols.items())
     extreme = []
-    for i, (point, provenance) in enumerate(items):
-        others = [p for j, (p, _) in enumerate(items) if j != i]
-        if not in_convex_hull(point, others, keys):
-            extreme.append((point, provenance))
+    for i, (col, provenance) in enumerate(items):
+        others = [c for j, (c, _) in enumerate(items) if j != i]
+        if not in_convex_hull(col, others):
+            extreme.append((normalize(dict(zip(keys, col))), provenance))
     return extreme
 
 

@@ -235,10 +235,22 @@ def substitution_order(seq, substitutions, prefix_substitutions=None):
 # words, cylinders, metric
 
 
+def _edge_tuple(edge):
+    """`edge` as a tuple (k, a, b, i); MalformedWord unless it is a tuple
+    or list of four items with int level k and int index i."""
+    if isinstance(edge, (tuple, list)) and len(edge) == 4 \
+            and isinstance(edge[0], int) and isinstance(edge[3], int):
+        return tuple(edge)
+    raise MalformedWord("edge %r is not (level, source, target, index)"
+                        % (edge,))
+
+
 def check_word(seq, word, start=0):
-    """Validate an edge word starting at `start`; raises MalformedWord."""
+    """Validate an edge word starting at `start` and return it as a tuple
+    of edge tuples; raises MalformedWord."""
+    out = []
     for j, edge in enumerate(word):
-        k, a, b, i = edge
+        k, a, b, i = edge = _edge_tuple(edge)
         if k != start + j:
             raise MalformedWord("edge %r at position %d should be at level %d"
                                 % (edge, j, start + j))
@@ -248,9 +260,11 @@ def check_word(seq, word, start=0):
         if not 0 <= i < m.entry(a, b):
             raise MalformedWord("edge %r index out of range (multiplicity %d)"
                                 % (edge, m.entry(a, b)))
-        if j > 0 and word[j - 1][2] != a:
+        if out and out[-1][2] != a:
             raise MalformedWord("edges %r and %r do not compose"
-                                % (word[j - 1], edge))
+                                % (out[-1], edge))
+        out.append(edge)
+    return tuple(out)
 
 
 def count_words(seq, k, n):

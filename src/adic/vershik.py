@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatch,
     InternalError,
 )
-from .diagram import BratteliDiagram, StableOrder, check_word
+from .diagram import BratteliDiagram, StableOrder, _edge_tuple, check_word
 from .matrixseq import (EventuallyPeriodic, Truncated, submatrix_leq,
                         _compare_horizon)
 # unused here; perfbench/test_tracer.py still expects this module binding
@@ -53,9 +53,8 @@ class LazyPath:
                  tail=None, start_vertex=None):
         self.diagram = diagram
         self.start = start
-        self.prefix_edges = tuple(tuple(e) for e in prefix_edges)
-        if self.prefix_edges:
-            check_word(diagram.seq, self.prefix_edges, start)
+        self.prefix_edges = check_word(diagram.seq, prefix_edges, start) \
+            if prefix_edges else ()
         if tail in ("min", "max"):
             if tail_cycle is not None:
                 raise ShapeMismatch("give either a tail rule or an explicit "
@@ -71,8 +70,7 @@ class LazyPath:
                 diagram, v, start + len(self.prefix_edges), tail)
             self.prefix_edges = self.prefix_edges + pad
             tail_cycle = cycle
-        self.tail_cycle = tuple(tuple(e) for e in tail_cycle) if tail_cycle \
-            else None
+        self.tail_cycle = tuple(tail_cycle) if tail_cycle else None
         if self.tail_cycle:
             seq = diagram.seq
             if not seq.is_eventually_periodic:
@@ -84,7 +82,7 @@ class LazyPath:
             if len(self.tail_cycle) % seq.period != 0:
                 raise ShapeMismatch("tail period must be a multiple of the "
                                     "diagram period")
-            check_word(seq, self.tail_cycle, ts)
+            self.tail_cycle = check_word(seq, self.tail_cycle, ts)
             if self.prefix_edges and \
                     self.prefix_edges[-1][2] != self.tail_cycle[0][1]:
                 raise MalformedWord("prefix does not compose with the tail")
@@ -528,7 +526,7 @@ def _word_path(embedding, word):
     if not word:
         raise ShapeMismatch("return times need a nonempty edge word")
     return embedding.base_path(LazyPath(embedding.ambient, word,
-                                        start=word[0][0]))
+                                        start=_edge_tuple(word[0])[0]))
 
 
 def return_time(embedding, p):
@@ -555,8 +553,12 @@ def cyclic_return_time(embedding, word):
     """Return time of a base word of depth d under the cyclic adic rotation
     on depth-d ambient words within its endpoint class (the words over the
     same levels): the number of ambient steps to the next base word,
-    wrapping the maximal word to the minimal one."""
-    word = tuple(word)
+    wrapping the maximal word to the minimal one.  Takes an edge word only:
+    a LazyPath raises MalformedWord (see `return_time` for paths)."""
+    if isinstance(word, LazyPath):
+        raise MalformedWord("cyclic return times take an edge word, not a "
+                            "LazyPath")
+    word = tuple(map(_edge_tuple, word))
     path = _word_path(embedding, word)
     r = _base_step(embedding, path)
     if r is None:

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from adic.diagram import enumerate_paths
-from adic.matrixseq import GenMatrix, EventuallyPeriodic, reduce_sequence
+from adic.matrixseq import (GenMatrix, EventuallyPeriodic, partial_product,
+                            reduce_sequence)
 from adic.vershik import cyclic_return_time
 
 
@@ -91,6 +92,91 @@ def kac_partial_sum_brute(embedding, base_measure, depth):
             total += cyclic_return_time(embedding, w) \
                 * base_measure.cylinder_mass(base_w)
     return total
+
+
+def phase1_feasible_fraction(rows, rhs, pivots=None):
+    """Oracle for cones._phase1_feasible: feasibility of A*lam = b, lam >=
+    0, by the phase-1 simplex method with Bland's rule over Fraction.  With
+    `pivots`, each pivot's (row, column) is appended to it."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rhs = [Fraction(v) for v in rhs]
+    m, n = len(rows), len(rows[0])
+    # make rhs nonnegative
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+    # tableau: columns = original vars + artificials, objective = sum of
+    # artificials (to be minimized)
+    tab = [rows[i] + [Fraction(1) if j == i else Fraction(0)
+                      for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    ncols = n + m
+    # objective row: cost 1 on artificials, reduced through the basis
+    obj = [Fraction(0)] * (ncols + 1)
+    for j in range(n, ncols):
+        obj[j] = Fraction(1)
+    for i in range(m):
+        for j in range(ncols + 1):
+            obj[j] -= tab[i][j]
+    while True:
+        enter = None
+        for j in range(ncols):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][ncols] / tab[i][enter]
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            return False
+        if pivots is not None:
+            pivots.append((leave, enter))
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [tab[i][j] - f * tab[leave][j]
+                          for j in range(ncols + 1)]
+        if obj[enter]:
+            f = obj[enter]
+            obj = [obj[j] - f * tab[leave][j] for j in range(ncols + 1)]
+        basis[leave] = enter
+    return -obj[ncols] == 0
+
+
+def simplex_image_reference(seq, k, n):
+    """Oracle for cones.simplex_image: the columns of the product are
+    normalized to Fraction points first, deduplicated by those points, and
+    each point is kept unless a convex combination of the others (the
+    Fraction phase-1 simplex with a sum-to-1 row) reaches it."""
+    prod = partial_product(seq, k, n)
+    keys = list(prod.rows)
+    cols = {}
+    for b in prod.cols:
+        col = {a: prod.entry(a, b) for a in keys}
+        total = sum(col.values())
+        if total == 0:
+            continue
+        point = {a: Fraction(v, 1) / total for a, v in col.items()}
+        sig = tuple(point[a] for a in keys)
+        cols.setdefault(sig, (point, []))[1].append(b)
+    items = list(cols.values())
+    extreme = []
+    for i, (point, provenance) in enumerate(items):
+        others = [p for j, (p, _) in enumerate(items) if j != i]
+        rows = [[p[a] for p in others] for a in keys] + [[1] * len(others)]
+        rhs = [point[a] for a in keys] + [1]
+        if not (others and phase1_feasible_fraction(rows, rhs)):
+            extreme.append((point, provenance))
+    return extreme
 
 
 @pytest.fixture

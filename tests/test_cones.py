@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import sympy
 
-from adic import gallery
+from adic import cones, gallery
 from adic.matrixseq import GenMatrix, Truncated, constant, partial_product
 from adic.frobenius import stream_decompose
 from adic.vershik import SubdiagramEmbedding
@@ -21,16 +21,104 @@ from adic.cones import (
     DEFAULT_EPS,
 )
 
-from conftest import labels, random_ep_sequence, random_reduced_sequence
+from conftest import (labels, phase1_feasible_fraction, random_ep_sequence,
+                      random_reduced_sequence, simplex_image_reference)
 
 
 def test_in_convex_hull_exact():
-    pts = [{"x": Fraction(1), "y": Fraction(0)},
-           {"x": Fraction(0), "y": Fraction(1)}]
-    mid = {"x": Fraction(1, 2), "y": Fraction(1, 2)}
-    out = {"x": Fraction(2), "y": Fraction(-1)}
-    assert in_convex_hull(mid, pts, ["x", "y"])
-    assert not in_convex_hull(out, pts, ["x", "y"])
+    pts = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    mid = (Fraction(1, 2), Fraction(1, 2))
+    out = (Fraction(2), Fraction(-1))
+    assert in_convex_hull(mid, pts)
+    assert not in_convex_hull(out, pts)
+
+
+def _random_system(rng):
+    """A random system A*lam = b of up to 6x8, and whether its entries are
+    all integers.  Half the right-hand sides are A*lam0 for a random lam0
+    >= 0, so feasible and infeasible systems both occur."""
+    m, n = rng.randint(1, 6), rng.randint(1, 8)
+    integral = rng.random() < 0.5
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if integral:
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        lam = [rng.choice([0, 0, 1, 2, Fraction(1, 3)]) for _ in range(n)]
+        if integral:
+            lam = [int(v) for v in lam]
+        rhs = [sum(a * x for a, x in zip(row, lam)) for row in rows]
+    else:
+        rhs = [entry() for _ in range(m)]
+    return rows, rhs, integral
+
+
+def test_phase1_kernel_matches_fraction_oracle(monkeypatch):
+    """The integer kernel against the Fraction simplex it replaced, on
+    5000 random systems: the same verdict, the same pivots on integer
+    input, and every division of every pivot exact."""
+    pivots = []
+    original = cones._pivot
+
+    def checked_pivot(tab, r, c, den):
+        prow = tab[r]
+        for i, row in enumerate(tab):
+            if i != r:
+                assert all((prow[c] * a - row[c] * b) % den == 0
+                           for a, b in zip(row, prow))
+        pivots.append((r, c, den))
+        original(tab, r, c, den)
+
+    monkeypatch.setattr(cones, "_pivot", checked_pivot)
+    rng = random.Random(61)
+    verdicts = {True: 0, False: 0}
+    divided = 0
+    for _ in range(5000):
+        rows, rhs, integral = _random_system(rng)
+        pivots.clear()
+        got = cones._phase1_feasible(rows, rhs)
+        expected_pivots = []
+        assert got == phase1_feasible_fraction(rows, rhs, expected_pivots), \
+            (rows, rhs)
+        if integral:
+            assert [(r, c) for r, c, _ in pivots] == expected_pivots
+        verdicts[got] += 1
+        divided += sum(1 for _, _, den in pivots if den != 1)
+    assert verdicts[True] >= 1000 and verdicts[False] >= 1000, verdicts
+    assert divided >= 3000, divided
+
+
+def test_simplex_image_matches_fraction_reference(monkeypatch):
+    """Byte-identical to the normalized-Fraction construction it replaced:
+    the same points (values, key order, types) and provenance lists in the
+    same order, at depths 0, 1, 5 and P+8L."""
+    inside = []
+    original = cones.in_convex_hull
+
+    def counted(x, points):
+        inside.append(original(x, points))
+        return inside[-1]
+
+    monkeypatch.setattr(cones, "in_convex_hull", counted)
+    rng = random.Random(67)
+    seqs = list(_gallery_sequences())
+    seqs += [random_ep_sequence(rng, max_dim=8) for _ in range(40)]
+    seqs += [Truncated([random_ep_sequence(rng).matrix(0)])]
+    for seq in seqs:
+        depths = [0]
+        if seq.horizon is None:
+            depths += [1, 5, seq.prefix_len + 8 * seq.period]
+        for depth in depths:
+            expected = simplex_image_reference(seq, 0, depth)
+            assert repr(simplex_image(seq, 0, depth)) == repr(expected)
+            assert raw_extreme_count(seq, depth) == len(expected)
+    # the pruning is exercised: many columns are not extreme
+    assert inside.count(True) >= 60, inside.count(True)
 
 
 def test_simplex_image_dedups_directions():

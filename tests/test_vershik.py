@@ -339,6 +339,35 @@ def test_return_times_reject_the_empty_word():
             f(ics("triadic"), [])
 
 
+def test_return_times_reject_malformed_edges():
+    emb = ics("triadic")
+    for word in ([(0, "0")], [5], [(0, "0", "0", 0), 5],
+                 [("0", "0", "0", 0)], [(0, "0", "0", "0")]):
+        for f in (return_time, cyclic_return_time):
+            with pytest.raises(MalformedWord, match="not .level, source"):
+                f(emb, word)
+        with pytest.raises(MalformedWord, match="not .level, source"):
+            LazyPath(emb.ambient, word)
+
+
+def test_cyclic_return_time_rejects_a_lazy_path():
+    emb = ics("triadic")
+    path = LazyPath(emb.ambient, [(0, "0", "0", 0)], tail="max")
+    assert return_time(emb, path) == 2
+    with pytest.raises(MalformedWord, match="edge word, not a LazyPath"):
+        cyclic_return_time(emb, path)
+
+
+def test_cyclic_return_time_reads_list_edges_as_tuples():
+    """The wrap from a base-maximal word ranks the word among its
+    ambient class; edges given as lists must rank like tuples."""
+    emb = ics("triadic")
+    for word in ([(0, "0", "0", 2)], [(0, "0", "0", 2), (1, "0", "0", 2)],
+                 [(0, "0", "0", 0), (1, "0", "0", 2)]):
+        assert cyclic_return_time(emb, [list(e) for e in word]) == \
+            cyclic_return_time(emb, word)
+
+
 def _base_measure(seq):
     cls = classify_measures(seq)
     (e,) = cls.measures
