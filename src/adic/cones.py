@@ -5,13 +5,17 @@ All verdict-relevant arithmetic is exact (int or Fraction), never a float.
 Convex-hull pruning is exact integer pivoting on the raw product columns:
 a fraction-free phase-1 simplex decides cone membership, and only the
 surviving extreme points are normalized to Fractions.  The Perron root of
-a square matrix is a `PerronRoot`: a Fraction when it is rational, else
-its minimal polynomial and an isolating rational interval.  Each stream
-holds one, built on first read, and two roots compare by their
-Fractions, by equal minimal polynomials, or by bisecting the intervals
-in integer arithmetic until they are disjoint.
+a square matrix is a `PerronRoot`.  It carries exact Collatz-Wielandt
+bounds from a few integer power steps, and, read on demand, its value (a
+Fraction when it is rational) or its minimal polynomial and an isolating
+rational interval.  Each stream holds one, built on first read.  Two
+roots compare by their bounds when these are disjoint; otherwise by their
+Fractions, by equal minimal polynomials, or by bisecting the intervals in
+integer arithmetic until they are disjoint.  sympy runs only for a root
+that a ray or such an undecided comparison reads.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -223,8 +227,8 @@ def eigvec_sequences(seq, depth):
         cols = [{a: int(a == b) for a in seq.alphabet(depth + 1)}]
         for i in range(depth, -1, -1):
             cols.append(seq.matrix(i).mul_vec(cols[-1]))
-        scale = Fraction(1, sum(cols[-1].values()))
-        levels = [{a: scale * v for a, v in c.items()}
+        total = sum(cols[-1].values())
+        levels = [{a: Fraction(v, total) for a, v in c.items()}
                   for c in reversed(cols)]
         out.append(EigvecSeqApprox(levels, depth, provenance))
     return out
@@ -391,8 +395,23 @@ class ExactEigvec:
         return True
 
 
+# x = q**CW_STEPS * 1 is the positive vector of a root's Collatz-Wielandt
+# bounds: the fewest steps at which the comparisons the bounds separate on
+# the towers and classify benchmark corpora stop growing
+CW_STEPS = 4
+
+
 class PerronRoot:
-    """The Perron root of a square nonnegative integer matrix, held exactly.
+    """The Perron root of a square nonnegative integer matrix q, held
+    exactly.
+
+    `bounds` is a pair of Fractions (lo, hi) with lo <= root <= hi, or
+    None.  They are the Collatz-Wielandt bounds (Collatz 1942, Wielandt
+    1950): for any x > 0, min_i (qx)_i/x_i <= root <= max_i (qx)_i/x_i.
+    Here x = q**CW_STEPS * 1 in integers, kept as `vector` (a dict from
+    symbol to a positive int); when some x_i is 0 there are no bounds.  A
+    1x1 matrix has x = 1.  When lo == hi, qx = lo*x with x > 0, so the root
+    is lo exactly.
 
     `value` is the root as a Fraction when it is rational, else None.
     `minpoly` is its minimal polynomial: integer coefficients, leading
@@ -401,38 +420,64 @@ class PerronRoot:
     `minpoly`; comparisons narrow it in place, so each root is refined
     only as far as some comparison needed.
 
-    A 1x1 matrix reads its entry.  Otherwise sympy factors the charpoly
-    and isolates its real roots; the largest is the Perron root, spelled
-    c*CRootOf(g, i) with g irreducible and c rational, and the minimal
-    polynomial of c*theta is g with its variable scaled by 1/c."""
+    The three are set at construction when the bounds meet or q is 1x1.
+    Otherwise they are built on the first read of any of them: sympy
+    factors the charpoly and isolates its real roots; the largest is the
+    Perron root, spelled c*CRootOf(g, i) with g irreducible and c
+    rational, and the minimal polynomial of c*theta is g with its variable
+    scaled by 1/c.  So sympy runs only for a root that a ray or a
+    comparison the bounds cannot decide reads."""
 
     def __init__(self, q):
+        self._q = q
+        self.bounds = self.vector = None
         if len(q.rows) == 1:
-            a = q.rows[0]
-            self._set_rational(Fraction(q.entry(a, a)))
-            return
+            x = {q.rows[0]: 1}
+        else:
+            x = dict.fromkeys(q.rows, 1)
+            for _ in range(CW_STEPS):
+                x = q.mul_vec(x)
+            if not all(x.values()):
+                return
+        qx = q.mul_vec(x)
+        ratios = [Fraction(qx[a], x[a]) for a in q.rows]
+        self.vector, self.bounds = x, (min(ratios), max(ratios))
+        if self.bounds[0] == self.bounds[1]:
+            self.value, self.minpoly, self.interval = _rational(ratios[0])
+
+    @functools.cached_property
+    def value(self):
+        return self._algebraic[0]
+
+    @functools.cached_property
+    def minpoly(self):
+        return self._algebraic[1]
+
+    @functools.cached_property
+    def interval(self):
+        return self._algebraic[2]
+
+    @functools.cached_property
+    def _algebraic(self):
+        """(value, minpoly, interval), read off sympy's largest real root
+        of the charpoly of q."""
         import sympy
+        q = self._q
         labels = list(q.rows)
         M = sympy.Matrix([[q.entry(a, b) for b in labels] for a in labels])
         top = M.charpoly().real_roots(radicals=False)[-1]
         if top.is_Rational:
-            self._set_rational(_fraction(top))
-            return
+            return _rational(_fraction(top))
         c, theta = top.as_coeff_Mul()
         num, den = int(c.p), int(c.q)
         g = [int(v) for v in theta.poly.all_coeffs()]
         n = len(g) - 1
         h = [v * num ** i * den ** (n - i) for i, v in enumerate(g)]
         scale = math.gcd(*h) if h[0] > 0 else -math.gcd(*h)
-        self.value = None
-        self.minpoly = tuple(v // scale for v in h)
-        poly = sympy.Poly(self.minpoly, sympy.Symbol("x"))
-        self.interval = tuple(_fraction(v) for v in poly.intervals()[-1][0])
-
-    def _set_rational(self, v):
-        self.value = v
-        self.minpoly = (v.denominator, -v.numerator)
-        self.interval = (v, v)
+        minpoly = tuple(v // scale for v in h)
+        poly = sympy.Poly(minpoly, sympy.Symbol("x"))
+        return None, minpoly, tuple(_fraction(v)
+                                    for v in poly.intervals()[-1][0])
 
     def refine(self):
         """Halve `interval`, keeping the half where `minpoly` changes
@@ -468,6 +513,29 @@ class PerronRoot:
                 return sign, {"minpoly": coeffs,
                               "intervals": [self.interval, other.interval]}
             (self if ahi - alo >= bhi - blo else other).refine()
+
+    def separate(self, other):
+        """The sign of self - other when the Collatz-Wielandt bounds alone
+        decide it, else None: both roots need bounds, the two bound
+        intervals must be disjoint, and they must not both be points (two
+        exact Fractions keep `compare`'s witness).  The witness is
+        {"bounds": [[lo_a, hi_a], [lo_b, hi_b]], "vectors": [x_a, x_b]}.
+        It re-checks from the input alone with one product per root:
+        recompute the stream's period product Q, then check x > 0 and
+        lo*x <= Qx <= hi*x entrywise."""
+        if self.bounds is None or other.bounds is None:
+            return None
+        (alo, ahi), (blo, bhi) = self.bounds, other.bounds
+        if alo == ahi and blo == bhi or blo <= ahi and alo <= bhi:
+            return None
+        return (1 if bhi < alo else -1), {
+            "bounds": [[alo, ahi], [blo, bhi]],
+            "vectors": [self.vector, other.vector]}
+
+
+def _rational(v):
+    """(value, minpoly, interval) of a rational root v."""
+    return v, (v.denominator, -v.numerator), (v, v)
 
 
 def _fraction(r):

@@ -191,7 +191,10 @@ class Stream:
     @functools.cached_property
     def perron_root(self):
         """The Perron root of `period_product()`, built on first read and
-        shared by every comparison and ray that reads this stream."""
+        shared by every comparison and ray that reads this stream.  Its
+        Collatz-Wielandt bounds are built with it; its algebraic value
+        (sympy) only when a ray or a comparison the bounds cannot decide
+        reads it."""
         return PerronRoot(self.period_product())
 
     def has_single_path(self):

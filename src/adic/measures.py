@@ -174,10 +174,13 @@ def two_by_two_series(a, b, c, n=40):
 
 def compare_streams(stream_a, stream_b):
     """Exact comparison of per-period Perron eigenvalues: -1, 0 or 1, with
-    a machine-checkable witness (see cones.PerronRoot.compare).  Each
-    stream holds its root, so a stream compared many times is built
-    once."""
-    return stream_a.perron_root.compare(stream_b.perron_root)
+    a machine-checkable witness.  The Collatz-Wielandt bounds decide first
+    (cones.PerronRoot.separate, witness {"bounds": ..., "vectors": ...});
+    when they overlap, or both roots are exact Fractions, the exact
+    comparison decides (cones.PerronRoot.compare).  Each stream holds its
+    root, so a stream compared many times is built once."""
+    ra, rb = stream_a.perron_root, stream_b.perron_root
+    return ra.separate(rb) or ra.compare(rb)
 
 
 def communicating_streams(decomp, stream):

@@ -476,21 +476,38 @@ class SubdiagramEmbedding:
 
 def anti_lex_rank(diagram, word):
     """Number of ambient words with the same final vertex that are strictly
-    below `word` in the anti-lexicographic order."""
+    below `word` in the anti-lexicographic order.  Edges are tuples or
+    lists (k, a, b, i); a word that is not a path of the diagram raises
+    MalformedWord."""
     return _rank(diagram, word, 0)
 
 
 def _rank(diagram, word, start):
-    """anti_lex_rank among the words that start at level `start`."""
-    counts = _word_counts(diagram.seq, max((e[0] for e in word),
-                                           default=start), start)
-    rank = 0
+    """anti_lex_rank among the words that start at level `start`.  The
+    word's edges are on consecutive levels from some level >= start, and
+    the words below it range over all prefixes from `start`.  Raises
+    MalformedWord for an edge that is not in its level's order, for levels
+    that are not consecutive and for edges that do not compose."""
+    rank, prev = 0, None
     for e in word:
+        if type(e) is not tuple or len(e) != 4:
+            e = _edge_tuple(e)
         k = e[0]
+        if prev is None:
+            if not isinstance(k, int) or k < start:
+                raise MalformedWord("edge %r is not at an int level >= %d"
+                                    % (e, start))
+            counts = _word_counts(diagram.seq, k + len(word) - 1, start)
+        elif k != prev[0] + 1 or e[1] != prev[2]:
+            raise MalformedWord("edges %r and %r do not compose" % (prev, e))
         for low in diagram.order.incoming(k, e[2]):
             if low == e:
                 break
             rank += counts[k][low[1]]
+        else:
+            raise MalformedWord("edge %r is not in the order at level %d"
+                                % (e, k))
+        prev = e
     return rank
 
 

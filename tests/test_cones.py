@@ -244,7 +244,10 @@ def test_eigvec_sequences_match_product_columns():
     for seq in seqs:
         depths = (0,) if seq.horizon == 1 else (0, 1, 5)
         for depth in depths:
-            for ev in eigvec_sequences(seq, depth):
+            evs = eigvec_sequences(seq, depth)
+            assert [ev.provenance for ev in evs] == \
+                [p for _, p in simplex_image_reference(seq, 0, depth)]
+            for ev in evs:
                 b = ev.provenance[0]
                 top = partial_product(seq, 0, depth)
                 scale = Fraction(1, sum(top.entry(a, b)
@@ -254,8 +257,7 @@ def test_eigvec_sequences_match_product_columns():
                         for i in range(depth + 1)]
                 want.append({a: (scale if a == b else Fraction(0))
                              for a in seq.alphabet(depth + 1)})
-                assert [list(lev.items()) for lev in ev.levels] == \
-                    [list(lev.items()) for lev in want]
+                assert repr(ev.levels) == repr(want)
                 assert ev.check(seq)
 
 
@@ -310,6 +312,10 @@ def test_perron_root_is_the_largest_real_root():
                 assert list(root.minpoly) == minpoly.all_coeffs()
             p = sympy.Poly(root.minpoly, x)
             value = want.evalf(50)
+            if root.bounds is not None:
+                lo, hi = (sympy.Rational(v.numerator, v.denominator)
+                          for v in root.bounds)
+                assert lo <= value <= hi
             for steps in (0, 30):
                 for _ in range(steps):
                     root.refine()
@@ -318,3 +324,45 @@ def test_perron_root_is_the_largest_real_root():
                 assert lo <= value <= hi
                 assert p.count_roots(lo, hi) == 1
     assert irrational >= 100, irrational
+
+
+def test_perron_root_reads_a_point_bound_without_sympy(monkeypatch):
+    # when the Collatz-Wielandt bounds meet, q x = lo x with x > 0, and
+    # the root is that Fraction; sympy is not reached at all
+    def no_sympy(*args, **kwargs):
+        raise AssertionError("sympy.Matrix called")
+
+    monkeypatch.setattr(sympy, "Matrix", no_sympy)
+    (stream,) = stream_decompose(gallery.odometer([2, 3]).seq).streams
+    cases = [
+        (GenMatrix.from_lists(labels(2), labels(2), [[1, 1], [1, 1]]), 2),
+        (GenMatrix.from_lists(labels(2), labels(2), [[0, 2], [2, 0]]), 2),
+        (stream.period_product(), 6),
+        # constant row sums 3
+        (GenMatrix.from_lists(labels(3), labels(3),
+                              [[1, 2, 0], [0, 1, 2], [3, 0, 0]]), 3),
+    ]
+    for q, want in cases:
+        root = PerronRoot(q)
+        assert root.bounds == (want, want)
+        assert all(type(v) is int and v > 0 for v in root.vector.values())
+        assert (root.value, root.minpoly, root.interval) == \
+            (Fraction(want), (1, -want), (want, want))
+        assert type(root.value) is Fraction
+    monkeypatch.undo()
+
+    calls = []
+    charpoly = sympy.matrices.matrixbase.MatrixBase.charpoly
+
+    def counting_charpoly(self, *args, **kwargs):
+        calls.append(self)
+        return charpoly(self, *args, **kwargs)
+
+    monkeypatch.setattr(sympy.matrices.matrixbase.MatrixBase, "charpoly",
+                        counting_charpoly)
+    golden = PerronRoot(GenMatrix.from_lists(labels(2), labels(2),
+                                             [[1, 1], [1, 0]]))
+    lo, hi = golden.bounds
+    assert lo < hi and not calls
+    assert golden.minpoly == (1, -1, -1) and len(calls) == 1
+    assert golden.value is None and len(calls) == 1

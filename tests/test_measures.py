@@ -1,4 +1,5 @@
 import collections
+import functools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import sympy
 
 from adic import cones, frobenius, gallery, measures
 from adic.errors import NoFiniteBaseMeasure, NotNested
-from adic.matrixseq import constant, from_int_matrices, Truncated
+from adic.matrixseq import GenMatrix, constant, from_int_matrices, Truncated
 from adic.cones import ExactEigvec, stream_period_eigenvalue
 from adic.measures import (
     CentralMeasure,
@@ -22,7 +23,9 @@ from adic.measures import (
 from adic.diagram import BratteliDiagram, enumerate_paths
 from adic.gallery import nested_odometer, nested_rotation
 
-from conftest import random_reduced_sequence, random_nested_pair
+from conftest import (labels, random_ep_sequence, random_nested_pair,
+                      random_reduced_sequence)
+from test_eigen import THREE_BLOCKS
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +314,14 @@ def test_classify_subdiagram_requires_nesting():
         classify_subdiagram(constant([[3]], ["0"]), constant([[2]], ["0"]))
 
 
-def _tower_pairs(rng):
-    """The four paper pairs and 30 random nested pairs."""
+def _tower_pairs(rng, n=30):
+    """The four paper pairs and n random nested pairs."""
     pairs = [(r.base.seq, r.ambient.seq) for r in (
         nested_odometer([2], [2, 1]),
         nested_odometer(([3, 4], [2]), 2),
         nested_rotation(1, 2),
         nested_rotation([1, 2], [1, 2]))]
-    return pairs + [random_nested_pair(rng) for _ in range(30)]
+    return pairs + [random_nested_pair(rng) for _ in range(n)]
 
 
 def test_classify_subdiagram_builds_one_perron_root_per_stream(monkeypatch):
@@ -384,6 +387,82 @@ def test_classify_subdiagram_builds_one_perron_root_per_stream(monkeypatch):
     assert max(builds.values()) == 1
     # some stream is read more than once, so sharing is exercised
     assert sum(reads.values()) >= len(reads) + 10, sorted(reads.values())
+
+
+def _check_bounds_witness(sign, wit, stream_a, stream_b):
+    """Re-verify a "bounds" witness from the streams' input alone: each
+    vector x is positive and lo*x <= Qx <= hi*x for the period product Q
+    recomputed from the induced cycle, with lo and hi attained, and the
+    two bound intervals are disjoint in the direction of the sign."""
+    assert set(wit) == {"bounds", "vectors"}
+    for (lo, hi), x, stream in zip(wit["bounds"], wit["vectors"],
+                                   (stream_a, stream_b)):
+        q = functools.reduce(GenMatrix.mul, stream.induced_cycle().cycle)
+        assert isinstance(x, dict) and set(x) == set(q.rows)
+        assert all(type(v) is int and v > 0 for v in x.values())
+        qx = q.mul_vec(x)
+        assert all(lo * x[a] <= qx[a] <= hi * x[a] for a in q.rows)
+        ratios = [Fraction(qx[a], x[a]) for a in q.rows]
+        assert (lo, hi) == (min(ratios), max(ratios))
+    (alo, ahi), (blo, bhi) = wit["bounds"]
+    assert not (alo == ahi and blo == bhi)
+    assert bhi < alo if sign > 0 else (sign < 0 and ahi < blo)
+
+
+def test_compare_streams_bounds_agree_with_exact_comparison(monkeypatch):
+    # every comparison of the tower and classify paths: the sign is the
+    # exact comparison's on fresh roots, and every bounds witness
+    # re-verifies; sympy's charpoly runs only where the bounds cannot decide
+    recorded = []
+    compare_streams = measures.compare_streams
+
+    def recording(a, b):
+        out = compare_streams(a, b)
+        recorded.append((a, b, out))
+        return out
+
+    charpolys = []
+    charpoly = sympy.matrices.matrixbase.MatrixBase.charpoly
+
+    def counting_charpoly(self, *args, **kwargs):
+        charpolys.append(self)
+        return charpoly(self, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "compare_streams", recording)
+    monkeypatch.setattr(sympy.matrices.matrixbase.MatrixBase, "charpoly",
+                        counting_charpoly)
+    rng = random.Random(13)
+    for base, amb in _tower_pairs(rng, 200):
+        try:
+            classify_subdiagram(base, amb)
+        except NoFiniteBaseMeasure:
+            pass
+    tower_charpolys = len(charpolys)
+    for _ in range(100):
+        classify_measures(random_ep_sequence(rng))
+    classify_measures(constant(THREE_BLOCKS, labels(6)))
+
+    counts = collections.Counter()
+    for a, b, (sign, wit) in recorded:
+        fresh = cones.PerronRoot(a.period_product()).compare(
+            cones.PerronRoot(b.period_product()))
+        assert sign == fresh[0]
+        if "bounds" in wit:
+            _check_bounds_witness(sign, wit, a, b)
+            counts["bounds"] += 1
+        else:
+            assert (sign, wit) == fresh
+            points = [r.bounds is not None and r.bounds[0] == r.bounds[1]
+                      for r in (a.perron_root, b.perron_root)]
+            counts["points" if all(points) else "algebraic"] += 1
+            counts["tie"] += sign == 0
+    # decided by the bounds: a separation, or two roots whose bounds meet
+    # (compare's Fraction witness); the rest read sympy's algebraic root
+    assert counts["bounds"] >= 80 and counts["points"] >= 80, counts
+    assert counts["bounds"] + counts["points"] >= 150, counts
+    assert counts["points"] + counts["algebraic"] >= 10, counts
+    assert counts["algebraic"] >= 1 and counts["tie"] >= 1, counts
+    assert tower_charpolys <= 5, tower_charpolys
 
 
 def test_classify_subdiagram_builds_no_base_ray(monkeypatch):

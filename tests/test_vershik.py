@@ -97,6 +97,30 @@ def test_anti_lex_rank_matches_product_formula():
             assert anti_lex_rank(d, w[2:]) == _rank_by_products(d, w[2:])
 
 
+def test_anti_lex_rank_reads_list_edges_and_rejects_malformed_words():
+    d = odometer(3)
+    assert anti_lex_rank(d, [[0, "0", "0", 1], [1, "0", "0", 1]]) == \
+        anti_lex_rank(d, [(0, "0", "0", 1), (1, "0", "0", 1)]) == 4
+    c = chacon()
+    for w in itertools.islice(enumerate_paths(c, 4), 40):
+        assert anti_lex_rank(c, [list(e) for e in w]) == anti_lex_rank(c, w)
+    bad = [
+        [(0, "0", "0", 3)],                        # index beyond the order
+        [(0, "0", "0", "1")],                      # str index
+        [(0, "0", "0", 1), (2, "0", "0", 1)],      # a level skipped
+        [(1, "0", "0", 1), (1, "0", "0", 1)],      # a level repeated
+        [("0", "0", "0", 1)],                      # str level
+        [(0, "0", "0")],                           # three items
+        [5],
+    ]
+    for word in bad:
+        with pytest.raises(MalformedWord):
+            anti_lex_rank(d, word)
+    # chacon's edges 0->1 and 0->0 at level 0 do not compose
+    with pytest.raises(MalformedWord):
+        anti_lex_rank(c, [(0, "0", "1", 0), (1, "0", "0", 0)])
+
+
 def test_rank_and_kac_sum_make_no_matrix_products(mul_calls):
     d = dyadic()
     word = tuple((k, "0", "0", 1) for k in range(12))
