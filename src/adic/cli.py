@@ -76,9 +76,12 @@ def _finish(report, as_json, emit=None, undecided=False):
 
 def _edge_token(tok, level):
     """Parse an edge token "a>b.i" at the given level."""
-    src, rest = tok.split(">", 1)
-    tgt, idx = rest.rsplit(".", 1)
-    return (level, src, tgt, int(idx))
+    try:
+        src, rest = tok.split(">", 1)
+        tgt, idx = rest.rsplit(".", 1)
+        return (level, src, tgt, int(idx))
+    except ValueError:
+        raise AdicError("bad edge token %r: expected a>b.i" % tok) from None
 
 
 def parse_path(diagram, spec):

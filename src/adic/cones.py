@@ -104,10 +104,11 @@ def _phase1_feasible(rows, rhs):
 
 
 def _pivot(tab, r, c, den):
-    """One fraction-free pivot of `_phase1_feasible` on row r, column c:
-    the pivot row stays, and every other row (the objective too) becomes
-    (piv*row - row[c]*pivot_row) // den.  The division is exact, because
-    every entry is a minor of the scaled input (Sylvester's identity)."""
+    """One fraction-free pivot on row r, column c, for `_phase1_feasible`
+    and `solve_kernel`: the pivot row stays, and every other row (the
+    objective too) becomes (piv*row - row[c]*pivot_row) // den, den the
+    previous pivot.  The division is exact, because every entry is a minor
+    of the scaled input (Sylvester's identity)."""
     prow = tab[r]
     piv = prow[c]
     for i, row in enumerate(tab):
@@ -173,6 +174,7 @@ def extreme_count(seq, depth):
     info["alphabet_bound"] = min(len(seq.alphabet(i))
                                  for i in range(1, depth + 2))
     if seq.is_eventually_periodic:
+        # measures imports this module, so the import waits for the call
         from .measures import _classification
         cls = _classification(seq)
         exact = sum(1 for m in cls.measures if m.verdict.is_yes())
@@ -310,43 +312,41 @@ def periodic_pf(mat_or_seq, eps=DEFAULT_EPS):
 
 
 def solve_kernel(rows_labels, matrix_rows, lam):
-    """Kernel basis of (Q - lam*I) restricted to the given labels, exact.
-    matrix_rows: dict (a,b) -> value.  Returns list of basis dicts."""
+    """Kernel basis of (Q - lam*I) restricted to the given labels, exact:
+    one basis dict per free column of the reduced row echelon form.
+    matrix_rows: dict (a,b) -> value.  Each row is scaled to integers by
+    the lcm of its denominators (den(lam) for an integer Q), and
+    Gauss-Jordan runs fraction-free (`_pivot`); each row R[i] ends as a
+    multiple of the echelon form's, so the entry at pivot column c and
+    free column f is -R[i][f] / R[i][c]."""
     n = len(rows_labels)
     idx = {a: i for i, a in enumerate(rows_labels)}
     A = [[Fraction(0)] * n for _ in range(n)]
     for (a, b), v in matrix_rows.items():
         if a in idx and b in idx:
             A[idx[a]][idx[b]] += Fraction(v)
-    for i in range(n):
-        A[i][i] -= Fraction(lam)
-    # gaussian elimination
+    for i, row in enumerate(A):
+        row[i] -= Fraction(lam)
+        scale = math.lcm(*(v.denominator for v in row))
+        A[i] = [v.numerator * (scale // v.denominator) for v in row]
     pivots = []
-    r = 0
+    den = 1
     for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if A[i][c]:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if A[i][c]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [A[i][j] - f * A[r][j] for j in range(n)]
+        _pivot(A, r, c, den)
+        den = A[r][c]
         pivots.append(c)
-        r += 1
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
         vec = [Fraction(0)] * n
         vec[f] = Fraction(1)
         for i, c in enumerate(pivots):
-            vec[c] = -A[i][f]
+            vec[c] = Fraction(-A[i][f], A[i][c])
         basis.append({rows_labels[j]: vec[j] for j in range(n)})
     return basis
 

@@ -6,6 +6,8 @@ level and every target symbol, a total order on the edges arriving at that
 target.  The default order sorts edges by (source position, index).
 """
 
+from fractions import Fraction
+
 from .errors import (
     MalformedWord,
     InsufficientPrefix,
@@ -303,7 +305,6 @@ def word_metric(seq_or_diagram, e, f):
     if common == 0:
         raise InsufficientPrefix("empty prefix")
     if e[0] != f[0]:
-        from fractions import Fraction
         return Fraction(1)
     m = None
     for j in range(common):
@@ -312,5 +313,4 @@ def word_metric(seq_or_diagram, e, f):
         m = j
     else:
         raise InsufficientPrefix("prefixes agree on their common length")
-    from fractions import Fraction
     return Fraction(1, count_words(seq, 0, m))

@@ -20,7 +20,7 @@ import heapq
 import math
 
 from .errors import (NotReduced, ShapeMismatch, NotIrreducible,
-                     InternalError, HorizonExceeded)
+                     HorizonExceeded)
 from . import matrixseq
 from .cones import PerronRoot
 from .matrixseq import (
@@ -74,47 +74,52 @@ def strongly_connected_components(graph):
     return result
 
 
-def _class_analysis(graph):
-    """SCC analysis of a directed graph {node: [successors]}.
-
-    Returns (scc_of, reach, order): the map from node to its strongly
-    connected component, for each component the set of nontrivial
-    components (those carrying a cycle) other than itself reachable from
-    it, and the nontrivial components sources first, taking the least
-    available one at each step.  Components are disjoint sorted tuples, so
-    "least" compares their first nodes."""
-    sccs = strongly_connected_components(graph)
-    scc_of = {node: scc for scc in sccs for node in scc}
-    big = [scc for scc in sccs
-           if len(scc) > 1 or scc[0] in graph.get(scc[0], ())]
-    is_big = set(big)
-    reach = {}
-    # Tarjan lists every component after all components it reaches
+def _reach(graph, sccs, seeds):
+    """For each node of `graph` {node: [successors]}, the frozenset of seed
+    labels it has an edge path to, its own included.  `seeds` maps some
+    nodes to a label; `sccs` are the graph's strongly connected components
+    sinks first, as `strongly_connected_components` lists them.  One pass
+    gives every node of a component the labels of the component's own
+    nodes plus what their successors outside it reach."""
+    node_reach = {}
     for scc in sccs:
-        hits = set()
+        acc = {seeds[node] for node in scc if node in seeds}
         for node in scc:
-            for succ in graph.get(node, ()):
-                tgt = scc_of[succ]
-                if tgt != scc:
-                    hits |= reach[tgt]
-                    if tgt in is_big:
-                        hits.add(tgt)
-        reach[scc] = hits
+            for succ in graph[node]:
+                if succ in node_reach:
+                    acc |= node_reach[succ]
+        acc = frozenset(acc)
+        for node in scc:
+            node_reach[node] = acc
+    return node_reach
+
+
+def _class_analysis(graph):
+    """The nontrivial strongly connected components (those carrying a
+    cycle) of a directed graph {node: [successors]}, sources first, taking
+    the least available one at each step.  Components are disjoint sorted
+    tuples, so "least" compares their first nodes."""
+    sccs = strongly_connected_components(graph)
+    big = [scc for scc in sccs if len(scc) > 1 or scc[0] in graph[scc[0]]]
+    # each big component reaches itself; only the others count below
+    reach = _reach(graph, sccs, {node: scc for scc in big for node in scc})
     reached_by = dict.fromkeys(big, 0)
     for scc in big:
-        for tgt in reach[scc]:
-            reached_by[tgt] += 1
+        for tgt in reach[scc[0]]:
+            if tgt != scc:
+                reached_by[tgt] += 1
     available = [scc for scc in big if not reached_by[scc]]
     heapq.heapify(available)
     order = []
     while available:
         pick = heapq.heappop(available)
         order.append(pick)
-        for tgt in reach[pick]:
-            reached_by[tgt] -= 1
-            if not reached_by[tgt]:
-                heapq.heappush(available, tgt)
-    return scc_of, reach, order
+        for tgt in reach[pick[0]]:
+            if tgt != pick:
+                reached_by[tgt] -= 1
+                if not reached_by[tgt]:
+                    heapq.heappush(available, tgt)
+    return order
 
 
 def _depths_and_period(graph, scc):
@@ -357,12 +362,6 @@ class StreamDecomposition:
                         and asg_r[a] == asg_c[b]):
                     raise NotIrreducible(
                         "internal error: pool diagonal nonzero")
-        # conjugation identity: the permuted matrices have the same entries
-        for i, t in enumerate(times[:-1]):
-            prod = partial_product(seq, t, times[i + 1] - 1)
-            g = form.matrix(min(i, len(prefix)))
-            if prod.entries != g.entries:
-                raise InternalError("form does not conjugate the sequence")
 
         return FrobeniusForm(self, form, times, permutations)
 
@@ -394,7 +393,7 @@ def stream_decompose(seq):
         raise NotReduced("reduce the sequence before decomposing")
     P, T = seq.prefix_len, seq.period
     graph = _lifted_graph(seq, T)
-    _, _, order = _class_analysis(graph)
+    order = _class_analysis(graph)
 
     decomp = StreamDecomposition(seq, P, T)
     for scc in order:
@@ -420,12 +419,12 @@ def _fill_table(decomp):
     """Resolve the decomposition's table, one `_Position` per layout
     position.  On the L-periodic lifted graph, a node reaches the streams
     owning the nodes of its SCC plus what its successors outside the SCC
-    reach (one pass over the SCCs, sinks first), and a node no stream owns
-    has the block ('pool', i), i the least stream it reaches (the stream
-    count + 1 when none).  Prefix symbols, filled backward, reach what their
-    successors reach and join the least stream i they reach; the block is
-    ('pool', i) when the symbol has an edge into a ('pool', i) block, which
-    keeps the block matrices upper triangular, and ('stream', i) otherwise."""
+    reach (`_reach`), and a node no stream owns has the block ('pool', i),
+    i the least stream it reaches (the stream count + 1 when none).  Prefix
+    symbols, filled backward, reach what their successors reach and join
+    the least stream i they reach; the block is ('pool', i) when the symbol
+    has an edge into a ('pool', i) block, which keeps the block matrices
+    upper triangular, and ('stream', i) otherwise."""
     seq, P, L = decomp.seq, decomp.valid_from, decomp.lcm_period
     n = len(decomp.streams)
     graph = _lifted_graph(seq, L)
@@ -435,16 +434,7 @@ def _fill_table(decomp):
             for m in range(ph, L, decomp.period):
                 if s.ell[(ph, a)] == (s.residue + m) % s.rho:
                     own[(m, a)] = s.index
-    node_reach = {}
-    for scc in strongly_connected_components(graph):
-        acc = {own[node] for node in scc if node in own}
-        for node in scc:
-            for succ in graph[node]:
-                if succ in node_reach:
-                    acc |= node_reach[succ]
-        acc = frozenset(acc)
-        for node in scc:
-            node_reach[node] = acc
+    node_reach = _reach(graph, strongly_connected_components(graph), own)
 
     levels = []                 # (blocks, reach) per position
     for m in range(L):

@@ -20,6 +20,7 @@ from .matrixseq import (
 from .diagram import BratteliDiagram, substitution_order
 from .cones import compare_perron
 from .vershik import SubdiagramEmbedding
+from .measures import classify_subdiagram
 
 
 def odometer(ns=2):
@@ -213,7 +214,6 @@ def nested_odometer(a_spec, b_spec):
     by classifying the canonical cover."""
     ambient = odometer(_cf_scalars(a_spec))
     base = odometer(_cf_scalars(b_spec))
-    from .measures import classify_subdiagram
     results = classify_subdiagram(base.seq, ambient.seq)
     # an odometer base carries a single ergodic measure
     return NestedOdometer(base, ambient, results[0].verdict)

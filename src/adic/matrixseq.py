@@ -406,6 +406,16 @@ def _restrict_to(m, rows, cols):
                       tuple(b for b in m.cols if b in cols))
 
 
+def _restricted(seq, survive, n):
+    """The matrices of levels 0..n-1 restricted to the surviving symbols
+    survive[i] x survive[i + 1], and {level: sorted symbols removed}."""
+    terms = [_restrict_to(seq.matrix(i), survive[i], survive[i + 1])
+             for i in range(n)]
+    removed = {i: sorted(set(seq.matrix(i).rows) - set(survive[i]))
+               for i in range(n)}
+    return terms, removed
+
+
 def reduce_sequence(seq):
     """Remove symbols that cannot be extended infinitely to the right or
     reached from level 0 on the left.  Returns (reduced, log).
@@ -444,24 +454,16 @@ def reduce_sequence(seq):
             survive.append(_survive_step(seq.matrix(k), survive[k],
                                          right[seq.index(k + 1)]))
             k += 1
-        loop_len = k - loop_start
-        new_prefix = [_restrict_to(seq.matrix(i), survive[i], survive[i + 1])
-                      for i in range(loop_start)]
-        new_cycle = []
-        for j in range(loop_len):
-            i = loop_start + j
-            tgt = survive[i + 1] if j < loop_len - 1 else survive[loop_start]
-            new_cycle.append(_restrict_to(seq.matrix(i), survive[i], tgt))
-        reduced = EventuallyPeriodic(new_prefix, new_cycle)
+        # survive[k] == survive[loop_start], so the last cycle matrix maps
+        # into the cycle's first surviving set
+        terms, removed = _restricted(seq, survive, k)
         log = {
-            "levels": {i: sorted(set(seq.matrix(i).rows) - set(survive[i]))
-                       for i in range(loop_start)},
-            "periodic": {j: sorted(set(seq.matrix(loop_start + j).rows)
-                                   - set(survive[loop_start + j]))
-                         for j in range(loop_len)},
+            "levels": {i: removed[i] for i in range(loop_start)},
+            "periodic": {i - loop_start: removed[i]
+                         for i in range(loop_start, k)},
             "horizon_limited": False,
         }
-        return reduced, log
+        return EventuallyPeriodic(terms[:loop_start], terms[loop_start:]), log
 
     # truncated: optimistic at the horizon
     h = seq.horizon
@@ -471,14 +473,8 @@ def reduce_sequence(seq):
     survive = [frozenset(right[0])]
     for k in range(h):
         survive.append(_survive_step(seq.matrix(k), survive[k], right[k + 1]))
-    terms = [_restrict_to(seq.matrix(i), survive[i], survive[i + 1])
-             for i in range(h)]
-    log = {
-        "levels": {i: sorted(set(seq.matrix(i).rows) - set(survive[i]))
-                   for i in range(h)},
-        "horizon_limited": True,
-    }
-    return Truncated(terms), log
+    terms, removed = _restricted(seq, survive, h)
+    return Truncated(terms), {"levels": removed, "horizon_limited": True}
 
 
 def is_reduced(seq):

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import (
     MalformedWord,
+    NotReduced,
     UndeterminedTail,
     NotInBase,
     ShapeMismatch,
@@ -288,7 +289,14 @@ def extremal_paths(diagram, kind=None):
     """The minimal and maximal path sets of an eventually periodic ordered
     diagram, as (minimal, maximal) lists of LazyPaths.  With kind="min" or
     "max", just the one list.  Each path is eventually periodic; the count
-    of either set is at most the smallest cycle alphabet size."""
+    of either set is at most the smallest cycle alphabet size.
+
+    The extremal edge into each vertex is unique, so a vertex v at level P
+    (the prefix length) carries at most one path: the extremal word into
+    v, then `_extremal_continuation`'s lasso from v, whose cycle starts at
+    v.  A vertex with no all-extremal continuation (MalformedWord) or, on
+    an unreduced diagram, no extremal word down to level 0 (NotReduced)
+    is skipped."""
     if kind is None:
         return (extremal_paths(diagram, "min"),
                 extremal_paths(diagram, "max"))
@@ -298,45 +306,14 @@ def extremal_paths(diagram, kind=None):
                                "diagram")
     sel = (diagram.order.min_edge_into if kind == "min"
            else diagram.order.max_edge_into)
-    P, T = seq.prefix_len, seq.period
-    A0 = list(seq.alphabet(P))
-    # F(b): where the extremal edges lead back from b over one period
-    F = {b: _word_into(sel, b, P + T, P)[0][1] for b in A0}
-    image = set(A0)
-    while True:
-        nxt = {F[b] for b in image}
-        if nxt == image:
-            break
-        image = nxt
-    # F restricted to `image` is a bijection; find its cycles
+    P = seq.prefix_len
     paths = []
-    seen = set()
-    for s in sorted(image):
-        if s in seen:
+    for v in seq.alphabet(P):
+        try:
+            paths.append(LazyPath(diagram, _word_into(sel, v, P), tail=kind,
+                                  start_vertex=v))
+        except (MalformedWord, NotReduced):
             continue
-        orbit = [s]
-        cur = F[s]
-        while cur != s:
-            orbit.append(cur)
-            cur = F[cur]
-        seen.update(orbit)
-        # orbit[i] = F(orbit[i-1]) means orbit[i-1] sits one period above;
-        # going up from level P the vertices are orbit reversed
-        for start_pos in range(len(orbit)):
-            v0 = orbit[start_pos]
-            cycle_edges = []
-            expect = v0
-            for n in range(len(orbit)):
-                v_above = orbit[(start_pos - n - 1) % len(orbit)]
-                block = _word_into(sel, v_above, P + (n + 1) * T, P + n * T)
-                if block[0][1] != expect:
-                    raise InternalError("extremal orbit does not close")
-                cycle_edges.extend(block)
-                expect = v_above
-            prefix = _word_into(sel, v0, P)
-            path = LazyPath(diagram, prefix, cycle_edges)
-            paths.append(path)
-    # deterministic order
     paths.sort(key=lambda p: p.word(P + 1))
     return paths
 

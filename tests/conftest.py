@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from adic.diagram import enumerate_paths
+from adic.errors import InternalError
 from adic.matrixseq import (GenMatrix, EventuallyPeriodic, partial_product,
                             reduce_sequence)
-from adic.vershik import cyclic_return_time
+from adic.vershik import LazyPath, _word_into, cyclic_return_time
 
 
 def labels(d):
@@ -177,6 +178,85 @@ def simplex_image_reference(seq, k, n):
         if not (others and phase1_feasible_fraction(rows, rhs)):
             extreme.append((point, provenance))
     return extreme
+
+
+def extremal_paths_reference(diagram, kind):
+    """Oracle for vershik.extremal_paths(diagram, kind): the one-period
+    return map F(b), the source at level P of the extremal word into b at
+    level P + T, is iterated to its eventual image, on which it is a
+    bijection; each of its cycles, read from each of its vertices, gives
+    one path.  Raises NotReduced when some vertex at level P + T has no
+    edge into it."""
+    seq = diagram.seq
+    sel = (diagram.order.min_edge_into if kind == "min"
+           else diagram.order.max_edge_into)
+    P, T = seq.prefix_len, seq.period
+    F = {b: _word_into(sel, b, P + T, P)[0][1] for b in seq.alphabet(P)}
+    image = set(F)
+    while True:
+        nxt = {F[b] for b in image}
+        if nxt == image:
+            break
+        image = nxt
+    paths, seen = [], set()
+    for s in sorted(image):
+        if s in seen:
+            continue
+        orbit = [s]
+        while F[orbit[-1]] != s:
+            orbit.append(F[orbit[-1]])
+        seen.update(orbit)
+        # orbit[i] = F(orbit[i-1]): orbit[i-1] sits one period above
+        for start_pos in range(len(orbit)):
+            cycle_edges, expect = [], orbit[start_pos]
+            for n in range(len(orbit)):
+                v_above = orbit[(start_pos - n - 1) % len(orbit)]
+                block = _word_into(sel, v_above, P + (n + 1) * T, P + n * T)
+                if block[0][1] != expect:
+                    raise InternalError("extremal orbit does not close")
+                cycle_edges.extend(block)
+                expect = v_above
+            paths.append(LazyPath(diagram, _word_into(sel, orbit[start_pos],
+                                                      P), cycle_edges))
+    paths.sort(key=lambda p: p.word(P + 1))
+    return paths
+
+
+def solve_kernel_fraction(rows_labels, matrix_rows, lam):
+    """Oracle for cones.solve_kernel: Gauss-Jordan over Fraction on
+    (Q - lam*I), each pivot row divided by its pivot, and one basis vector
+    per free column."""
+    n = len(rows_labels)
+    idx = {a: i for i, a in enumerate(rows_labels)}
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for (a, b), v in matrix_rows.items():
+        if a in idx and b in idx:
+            A[idx[a]][idx[b]] += Fraction(v)
+    for i in range(n):
+        A[i][i] -= Fraction(lam)
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        A[r] = [x / A[r][c] for x in A[r]]
+        for i in range(n):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [A[i][j] - f * A[r][j] for j in range(n)]
+        pivots.append(c)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -A[i][f]
+        basis.append({rows_labels[j]: vec[j] for j in range(n)})
+    return basis
 
 
 @pytest.fixture

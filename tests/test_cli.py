@@ -190,6 +190,17 @@ def test_successor_steps(chacon_file):
     assert out["steps"][0]["first_levels"][0] == "1>1.1"
 
 
+@pytest.mark.parametrize("token", ["1>1", "1>1.x", "11.0", ""])
+@pytest.mark.parametrize("command", ["successor", "measure"])
+def test_bad_edge_token_is_a_one_line_error(chacon_file, command, token):
+    args = (["--path", "1>1.0,%s|min" % token] if command == "successor"
+            else ["--ray", "1", "--cylinder", "1>1.0,%s" % token])
+    r = run_cli(command, chacon_file, *args)
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [
+        "error: bad edge token %r: expected a>b.i" % token]
+
+
 def test_simulate_dyadic_uniform(tmp_path):
     dy = tmp_path / "dy.json"
     run_cli("example", "dyadic", "--emit", str(dy))

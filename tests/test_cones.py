@@ -22,7 +22,8 @@ from adic.cones import (
 )
 
 from conftest import (labels, phase1_feasible_fraction, random_ep_sequence,
-                      random_reduced_sequence, simplex_image_reference)
+                      random_reduced_sequence, simplex_image_reference,
+                      solve_kernel_fraction)
 
 
 def test_in_convex_hull_exact():
@@ -91,6 +92,67 @@ def test_phase1_kernel_matches_fraction_oracle(monkeypatch):
         divided += sum(1 for _, _, den in pivots if den != 1)
     assert verdicts[True] >= 1000 and verdicts[False] >= 1000, verdicts
     assert divided >= 3000, divided
+
+
+def _random_kernel_system(rng):
+    """A random solve_kernel input: shuffled labels, a nonnegative Q that
+    may have entries off those labels, and lam.  Half the systems are
+    Q = lam*I + U*V with U*V of rank below the dimension, so lam is an
+    eigenvalue.  A quarter are row-stochastic on the labels, in Fractions
+    whose denominators differ from row to row, with lam = 1.  The rest are
+    integer Q with a random Fraction lam."""
+    n = rng.randint(1, 6)
+    labels_ = [str(j) for j in range(n)]
+    rng.shuffle(labels_)
+    everything = labels_ + (["x"] if rng.random() < 0.3 else [])
+    kind = rng.choice(["singular", "singular", "stochastic", "random"])
+    r = rng.randint(0, n - 1) if kind == "singular" else n
+    U = [[rng.choice([0, 0, 1, 2]) for _ in range(r)] for _ in everything]
+    V = [[rng.choice([0, 0, 1, 2]) for _ in everything] for _ in range(r)]
+    if kind == "singular":
+        lam = rng.choice([0, 1, 2, 3, Fraction(2), Fraction(0)])
+    elif kind == "stochastic":
+        lam = 1
+    else:
+        lam = Fraction(rng.randint(0, 9), rng.randint(1, 4))
+    entries = {}
+    for i, a in enumerate(everything):
+        row = {b: sum(U[i][t] * V[t][j] for t in range(r))
+               for j, b in enumerate(everything)}
+        if a in labels_:
+            row[a] += int(lam) if kind == "singular" else rng.randint(0, 2)
+        if kind == "stochastic":
+            total = sum(row[b] for b in labels_)
+            if not total:
+                row[a], total = 1, 1
+            row = {b: Fraction(v, total) for b, v in row.items()}
+        entries.update(((a, b), v) for b, v in row.items() if v)
+    return labels_, entries, lam
+
+
+def test_solve_kernel_matches_fraction_gauss_jordan(monkeypatch):
+    """The fraction-free kernel against the Fraction Gauss-Jordan it
+    replaced, on 5000 random systems: repr-equal bases, and every division
+    of every pivot exact."""
+    original = cones._pivot
+
+    def checked_pivot(tab, r, c, den):
+        prow = tab[r]
+        for i, row in enumerate(tab):
+            if i != r:
+                assert all((prow[c] * a - row[c] * b) % den == 0
+                           for a, b in zip(row, prow))
+        original(tab, r, c, den)
+
+    monkeypatch.setattr(cones, "_pivot", checked_pivot)
+    rng = random.Random(83)
+    nontrivial = 0
+    for _ in range(5000):
+        labels_, entries, lam = _random_kernel_system(rng)
+        got = cones.solve_kernel(labels_, entries, lam)
+        assert repr(got) == repr(solve_kernel_fraction(labels_, entries, lam))
+        nontrivial += bool(got)
+    assert nontrivial >= 2000, nontrivial
 
 
 def test_simplex_image_matches_fraction_reference(monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from adic.errors import (
-    MalformedWord, NotInBase, ShapeMismatch, UndeterminedTail)
+    MalformedWord, NotInBase, NotReduced, ShapeMismatch, UndeterminedTail)
 from adic.matrixseq import (
     EventuallyPeriodic,
     GenMatrix,
@@ -37,6 +37,7 @@ from adic import gallery
 import adic.vershik as vershik
 
 from conftest import (
+    extremal_paths_reference,
     kac_partial_sum_brute,
     random_ep_sequence,
     random_reduced_sequence,
@@ -226,6 +227,50 @@ def test_extremal_paths_bounded_by_alphabet():
                     assert d.order.is_max(e)
 
 
+def test_extremal_paths_match_the_return_map_on_reduced_diagrams():
+    # the lasso from each level-P vertex finds exactly the paths of the
+    # one-period return map's cycles, in the same order
+    rng = random.Random(2024)
+    compared = 0
+    for _ in range(1000):
+        seq = random_reduced_sequence(rng, max_period=3, max_prefix=3)
+        d = _shuffled_diagram(rng, seq)
+        for kind in ("min", "max"):
+            want = extremal_paths_reference(d, kind)
+            assert [_path_key(p) for p in extremal_paths(d, kind)] == \
+                [_path_key(p) for p in want]
+            compared += len(want)
+    assert compared >= 1000
+
+
+def test_extremal_paths_on_unreduced_diagrams():
+    # where the return map is defined the paths are its paths; where it is
+    # not (NotReduced), the paths are still all-extremal and distinct at
+    # every cycle level, so at most the liminf alphabet size many
+    rng = random.Random(99)
+    compared = bounded = 0
+    for _ in range(1000):
+        seq = random_ep_sequence(rng, max_period=3, max_prefix=3)
+        d = _shuffled_diagram(rng, seq)
+        for kind in ("min", "max"):
+            got = extremal_paths(d, kind)
+            try:
+                want = extremal_paths_reference(d, kind)
+            except NotReduced:
+                extremal = d.order.is_min if kind == "min" else d.order.is_max
+                for p in got:
+                    assert p.tail_start == seq.prefix_len
+                    assert all(extremal(e) for e in p.prefix_edges
+                               + p.tail_cycle)
+                assert len(got) <= seq.liminf_alphabet_size()
+                bounded += 1
+                continue
+            assert [_path_key(p) for p in got] == \
+                [_path_key(p) for p in want]
+            compared += len(want)
+    assert compared >= 200 and bounded >= 200
+
+
 # ---------------------------------------------------------------------------
 # embeddings and return times
 
@@ -270,25 +315,23 @@ def _continuation_by_recursion(d, vertex, level, kind):
     return None if idx is None else (tuple(edges[:idx]), tuple(edges[idx:]))
 
 
+def _shuffled_diagram(rng, seq):
+    """seq as a diagram whose edges into each symbol are in random order."""
+    return BratteliDiagram(seq, StableOrder(seq,
+                                            _shuffled_orders(rng, seq.prefix),
+                                            _shuffled_orders(rng, seq.cycle)))
+
+
+def _path_key(p):
+    return p.prefix_edges, p.tail_cycle
+
+
 def test_extremal_continuation_matches_recursive_search():
     rng = random.Random(7)
-
-    def shuffled(mats):
-        orders = []
-        for m in mats:
-            level = {}
-            for b in m.cols:
-                into = [(a, i) for a in m.rows for i in range(m.entry(a, b))]
-                rng.shuffle(into)
-                level[b] = into
-            orders.append(level)
-        return orders
-
     found = 0
     for _ in range(80):
         seq = random_ep_sequence(rng, max_period=3, max_prefix=3)
-        d = BratteliDiagram(seq, StableOrder(seq, shuffled(seq.prefix),
-                                             shuffled(seq.cycle)))
+        d = _shuffled_diagram(rng, seq)
         for kind in ("min", "max"):
             for level in range(seq.prefix_len + 2):
                 for v in seq.alphabet(level):
