@@ -8,10 +8,15 @@ strongly connected components of the lifted (phase, symbol) graph of the
 cycle part; an SCC whose layered period is rho splits into rho cyclic
 classes, and each cyclic class traced around the cycle is one stream.
 
-A decomposition resolves one table per layout position, and the stream
-relations are lookups in it: `reach(k, a)` is the set of streams symbol a
-at level k has an edge path into, its own included; the streams that
-communicate into a stream are those whose members reach it.
+A decomposition is built in two steps.  Ordering finds the streams in
+order, with valid_from and lcm_period; a stream's members at the periodic
+levels follow from its SCC alone.  Resolution fills one table per layout
+position and certifies the streams and the pool; it runs on the first read
+of the table or of `certificates`, and `stream_decompose` reads both before
+it returns.  The stream relations are lookups in the table: `reach(k, a)`
+is the set of streams symbol a at level k has an edge path into, its own
+included; the streams that communicate into a stream are those whose
+members reach it.
 """
 
 import collections
@@ -154,6 +159,7 @@ def _matrix_graph(m):
 class Stream:
     """One primitive stream: a cyclic class of one SCC of the lifted graph,
     together with its backward extension through the prefix.  Its members
+    at the periodic levels follow from the SCC; at the prefix levels they
     are read from the decomposition's table."""
 
     def __init__(self, decomp, index, scc, ell, rho, residue):
@@ -164,8 +170,24 @@ class Stream:
         self.rho = rho              # rotation period in levels
         self.residue = residue
 
+    @functools.cached_property
+    def _periodic_members(self):
+        """The members at the positions valid_from + m, m < lcm_period: the
+        symbols a with (m mod period, a) in the SCC in cyclic class
+        (residue + m) mod rho."""
+        d = self.decomp
+        out = [set() for _ in range(d.lcm_period)]
+        for (ph, a), c in self.ell.items():
+            for m in range(ph, d.lcm_period, d.period):
+                if c == (self.residue + m) % self.rho:
+                    out[m].add(a)
+        return [frozenset(g) for g in out]
+
     def members_at(self, k):
-        return self.decomp._at(k).members.get(self.index, frozenset())
+        d = self.decomp
+        if k >= d.valid_from:
+            return self._periodic_members[d.index(k) - d.valid_from]
+        return d._at(k).members.get(self.index, frozenset())
 
     @property
     def starting_time(self):
@@ -176,7 +198,12 @@ class Stream:
 
     def induced_cycle(self):
         """The induced periodic subsequence on the stream's symbols (cycle
-        part only, one full rotation)."""
+        part only, one full rotation).  Built once, and shared by the
+        primitivity certificate and `period_product`."""
+        return self._cycle
+
+    @functools.cached_property
+    def _cycle(self):
         P, L = self.decomp.valid_from, self.decomp.lcm_period
         mats = []
         for j in range(L):
@@ -202,33 +229,10 @@ class Stream:
         reads it."""
         return PerronRoot(self.period_product())
 
-    def has_single_path(self):
-        """True iff the stream's subdiagram carries exactly one path."""
-        return _single_path(self) is not None
-
     def __repr__(self):
         return "Stream(%d, at %d: %r)" % (
             self.index, self.decomp.valid_from,
             sorted(self.members_at(self.decomp.valid_from)))
-
-
-def _single_path(stream):
-    """The edges (k, a, b, 0) of a stream's only path, from its starting
-    time through valid_from + lcm_period - 1, or None when it carries more
-    than one: a stream has members at every level from its starting time
-    on, and the walk needs one member per level, joined by one edge."""
-    decomp = stream.decomp
-    edges = []
-    for k in range(stream.starting_time,
-                   decomp.valid_from + decomp.lcm_period):
-        here, there = stream.members_at(k), stream.members_at(k + 1)
-        if len(here) != 1 or len(there) != 1:
-            return None
-        (a,), (b,) = here, there
-        if decomp.seq.matrix(k).entry(a, b) != 1:
-            return None
-        edges.append((k, a, b, 0))
-    return edges
 
 
 # One layout position of a decomposition: each symbol's block, the set of
@@ -239,9 +243,10 @@ _Position = collections.namedtuple("_Position", "blocks reach members")
 class StreamDecomposition:
     """Streams and pool of a sequence.  Its layout is the prefix levels
     0..valid_from-1 followed by one lcm period; `index(k)` maps a level to
-    its position, and `_table` holds one `_Position` per position, resolved
-    once by stream_decompose.  Every membership and block reader below is a
-    lookup in that table."""
+    its position, and `_table` holds one `_Position` per position.  The
+    table and `certificates` are resolved together on the first read of
+    either.  Every membership and block reader below is a lookup in that
+    table."""
 
     def __init__(self, seq, valid_from, period, provisional=False):
         self.seq = seq
@@ -250,8 +255,19 @@ class StreamDecomposition:
         self.provisional = provisional
         self.streams = []
         self.lcm_period = period
-        self._table = []
-        self.certificates = {}
+
+    @functools.cached_property
+    def _resolved(self):
+        return _fill_table(self), _certify(self)
+
+    @property
+    def _table(self):
+        return self._resolved[0]
+
+    @property
+    def certificates(self):
+        """Primitivity of every stream and acyclicity of the pool."""
+        return self._resolved[1]
 
     def index(self, k):
         """The layout position of level k: k below valid_from, then one lcm
@@ -384,11 +400,20 @@ def _lifted_graph(seq, n):
 
 def stream_decompose(seq):
     """Decompose a reduced sequence into ordered primitive streams plus a
-    pool.  Eventually periodic input is decided exactly; Truncated input
-    yields a provisional decomposition (see the docstring of
-    _decompose_truncated)."""
+    pool, with the table and the certificates resolved.  Eventually
+    periodic input is decided exactly; Truncated input yields a provisional
+    decomposition (see the docstring of _decompose_truncated)."""
     if isinstance(seq, Truncated):
         return _decompose_truncated(seq)
+    decomp = _stream_order(seq)
+    decomp.certificates     # resolves the table and certifies
+    return decomp
+
+
+def _stream_order(seq):
+    """The ordering step of stream_decompose on a reduced eventually
+    periodic sequence: the streams in order, valid_from and lcm_period.
+    The table and the certificates are left to their first read."""
     if not matrixseq.is_reduced(seq):
         raise NotReduced("reduce the sequence before decomposing")
     P, T = seq.prefix_len, seq.period
@@ -409,18 +434,15 @@ def stream_decompose(seq):
                 a for (ph, a) in scc if ph == 0 and ell[(ph, a)] == r), r)):
             decomp.streams.append(Stream(decomp, len(decomp.streams) + 1,
                                          scc, ell, rho, r))
-
-    _fill_table(decomp)
-    _certify(decomp)
     return decomp
 
 
 def _fill_table(decomp):
-    """Resolve the decomposition's table, one `_Position` per layout
-    position.  On the L-periodic lifted graph, a node reaches the streams
-    owning the nodes of its SCC plus what its successors outside the SCC
-    reach (`_reach`), and a node no stream owns has the block ('pool', i),
-    i the least stream it reaches (the stream count + 1 when none).  Prefix
+    """The decomposition's table, one `_Position` per layout position.  On
+    the L-periodic lifted graph, a node reaches the streams owning the
+    nodes of its SCC plus what its successors outside the SCC reach
+    (`_reach`), and a node no stream owns has the block ('pool', i), i the
+    least stream it reaches (the stream count + 1 when none).  Prefix
     symbols, filled backward, reach what their successors reach and join
     the least stream i they reach; the block is ('pool', i) when the symbol
     has an edge into a ('pool', i) block, which keeps the block matrices
@@ -428,12 +450,8 @@ def _fill_table(decomp):
     seq, P, L = decomp.seq, decomp.valid_from, decomp.lcm_period
     n = len(decomp.streams)
     graph = _lifted_graph(seq, L)
-    own = {}
-    for s in decomp.streams:
-        for (ph, a) in s.scc:
-            for m in range(ph, L, decomp.period):
-                if s.ell[(ph, a)] == (s.residue + m) % s.rho:
-                    own[(m, a)] = s.index
+    own = {(m, a): s.index for s in decomp.streams
+           for m, members in enumerate(s._periodic_members) for a in members}
     node_reach = _reach(graph, strongly_connected_components(graph), own)
 
     levels = []                 # (blocks, reach) per position
@@ -456,20 +474,28 @@ def _fill_table(decomp):
             blocks[a] = ("pool" if ("pool", i) in targets[a] else "stream", i)
         levels.insert(0, (blocks, {a: frozenset(r) for a, r in reach.items()}))
 
+    table = []
     for k, (blocks, reach) in enumerate(levels):
+        if k >= P:
+            table.append(_Position(blocks, reach, {
+                s.index: s._periodic_members[k - P] for s in decomp.streams
+                if s._periodic_members[k - P]}))
+            continue
         members = {}
         for a, (kind, i) in blocks.items():
             # a prefix symbol is a member of the least stream it reaches,
             # also when its block is ('pool', i)
-            if kind == "stream" or (k < P and reach[a]):
+            if kind == "stream" or reach[a]:
                 members.setdefault(i, set()).add(a)
-        decomp._table.append(_Position(
+        table.append(_Position(
             blocks, reach, {i: frozenset(g) for i, g in members.items()}))
+    return table
 
 
 def _certify(decomp):
-    """Attach machine-checkable certificates: primitivity of every stream
-    and acyclicity of the pool."""
+    """Machine-checkable certificates: primitivity of every stream and
+    acyclicity of the pool.  They read the streams' members at the periodic
+    levels only, so no table."""
     certs = {"streams": {}, "pool": None}
     for s in decomp.streams:
         v = is_primitive(s.induced_cycle())
@@ -508,7 +534,7 @@ def _certify(decomp):
     maxlen = max(longest.values(), default=0)
     certs["pool"] = {"longest_pool_path": maxlen,
                      "pool_nodes": len(pool_nodes)}
-    decomp.certificates = certs
+    return certs
 
 
 def _decompose_truncated(seq):
@@ -519,11 +545,10 @@ def _decompose_truncated(seq):
     last = seq.terms[-1]
     if set(last.rows) != set(last.cols):
         decomp = StreamDecomposition(seq, seq.horizon, 1, provisional=True)
-        decomp._table = [_Position({a: ("pool", 1) for a in seq.alphabet(k)},
-                                   {}, {})
-                         for k in range(seq.horizon + 1)]
-        decomp.certificates = {"streams": {}, "pool": None,
-                               "note": "window ends rectangular"}
+        decomp._resolved = (
+            [_Position({a: ("pool", 1) for a in seq.alphabet(k)}, {}, {})
+             for k in range(seq.horizon + 1)],
+            {"streams": {}, "pool": None, "note": "window ends rectangular"})
         return decomp
     extended = EventuallyPeriodic(seq.terms, [last])
     extended, _ = reduce_sequence(extended)

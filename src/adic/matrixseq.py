@@ -118,11 +118,13 @@ class GenMatrix:
         return GenMatrix(self.rows, self.cols, entries)
 
     def restrict(self, rows, cols):
-        rows, cols = tuple(rows), tuple(cols)
-        rowset, colset = set(rows), set(cols)
-        entries = {(a, b): v for (a, b), v in self.entries.items()
-                   if a in rowset and b in colset}
-        return GenMatrix(rows, cols, entries)
+        # the kept entries are valid already: reuse their keys instead of
+        # checking and copying them again
+        out = GenMatrix(rows, cols)
+        rowset, colset = set(out.rows), set(out.cols)
+        out.entries = {key: v for key, v in self.entries.items()
+                       if key[0] in rowset and key[1] in colset}
+        return out
 
     def mul_vec(self, vec):
         """Apply to a column vector given as {col_label: value}."""

@@ -33,7 +33,7 @@ from .matrixseq import (
     _spec_term,
 )
 from .diagram import check_word
-from .frobenius import stream_decompose, _single_path
+from .frobenius import stream_decompose, _stream_order
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +192,16 @@ def communicating_streams(decomp, stream):
             and stream.index in decomp.reach(P, min(s.members_at(P)))]
 
 
-def _finiteness_verdict(decomp, stream):
+def _finiteness_verdict(decomp, stream, comms=None):
     """Finite iff every communicating stream has strictly smaller
-    per-period growth (equality already diverges)."""
+    per-period growth (equality already diverges).  `comms` is the list of
+    communicating stream indices when the caller already knows it."""
     if decomp.provisional:
         return Verdict.undecided(getattr(decomp.seq, "horizon", None) or
                                  decomp.valid_from,
                                  {"reason": "provisional decomposition"})
-    comms = communicating_streams(decomp, stream)
+    if comms is None:
+        comms = communicating_streams(decomp, stream)
     comparisons = []
     failed = None
     for i in comms:
@@ -279,11 +281,24 @@ def is_distinguished(w, m, mhat):
 
 
 class ErgodicMeasure:
-    def __init__(self, stream, verdict, atomic, atom=None):
+    """The ergodic measure of one stream and its finiteness verdict.  The
+    atom and the ray are built on first read, from the stream's
+    decomposition; for a tower's base measure, a read that needs the
+    base's table resolves it then."""
+
+    def __init__(self, stream, verdict):
         self.stream = stream
         self.verdict = verdict      # Yes = finite, No = infinite
-        self.atomic = atomic
-        self.atom = atom            # edge data of the single path, if atomic
+
+    @functools.cached_property
+    def atom(self):
+        """Edge data of the stream's single path, or None when it carries
+        more than one."""
+        return _atom_path(self.stream.decomp, self.stream)
+
+    @property
+    def atomic(self):
+        return self.atom is not None
 
     @functools.cached_property
     def ray(self):
@@ -329,24 +344,32 @@ class Classification:
 
 
 def _atom_path(decomp, stream):
-    """Edge data of the unique path of a single-path stream."""
-    edges, start = _single_path(stream), stream.starting_time
+    """Edge data of a stream's only path: its edges (k, a, b, 0) from its
+    starting time through valid_from + lcm_period - 1, split at
+    valid_from.  None when it carries more than one: a stream has members
+    at every level from its starting time on, and the walk needs one
+    member per level, joined by one edge."""
+    start, edges = stream.starting_time, []
+    for k in range(start, decomp.valid_from + decomp.lcm_period):
+        here, there = stream.members_at(k), stream.members_at(k + 1)
+        if len(here) != 1 or len(there) != 1:
+            return None
+        (a,), (b,) = here, there
+        if decomp.seq.matrix(k).entry(a, b) != 1:
+            return None
+        edges.append((k, a, b, 0))
     cut = decomp.valid_from - start
     return {"start": start, "prefix_edges": edges[:cut],
             "cycle_edges": edges[cut:]}
 
 
 def _classification(seq):
-    """The streams, verdicts and atoms of classify_measures; each
-    measure's ray is left to its first read."""
+    """The streams and verdicts of classify_measures; each measure's atom
+    and ray are left to their first read."""
     red, _ = reduce_sequence(seq)
     decomp = stream_decompose(red)
-    measures = []
-    for s in decomp.streams:
-        verdict = _finiteness_verdict(decomp, s)
-        atomic = s.has_single_path()
-        atom = _atom_path(decomp, s) if atomic else None
-        measures.append(ErgodicMeasure(s, verdict, atomic, atom))
+    measures = [ErgodicMeasure(s, _finiteness_verdict(decomp, s))
+                for s in decomp.streams]
     return Classification(red, decomp, measures)
 
 
@@ -354,11 +377,13 @@ def classify_measures(seq):
     """One ergodic measure per stream of the reduced sequence: finite iff
     the stream is distinguished (all communicating streams grow strictly
     slower), atomic iff the stream carries a single path.  Rays are exact
-    whenever the per-period eigenvalue is rational, and are all built
-    before this returns."""
+    whenever the per-period eigenvalue is rational.  Atoms and rays are
+    all built before this returns."""
     cls = _classification(seq)
     for e in cls.measures:
-        e.ray  # built here, so that the call's cost includes its rays
+        # built here, so that the call's cost includes them
+        e.atom
+        e.ray
     return cls
 
 
@@ -390,31 +415,57 @@ class SubdiagramResult:
 def classify_subdiagram(m, mhat):
     """For each finite ergodic measure of the base m, decide whether its
     invariant extension to the ambient mhat (the tower over the base) has
-    finite or infinite total mass.  When either sequence is truncated each
-    verdict is Undecided at the cover's horizon, as in is_distinguished."""
+    finite or infinite total mass.
+
+    Only the canonical cover is fully decomposed.  Its unprimed symbols
+    have edges only to unprimed symbols, and those are the base's edges,
+    so each base stream is a cover stream, and base stream t communicates
+    into base stream s iff t reaches s's cover stream in the cover.  The
+    base gives its stream order (its numbering) and its own Perron roots,
+    so the base verdicts and witnesses are classify_measures(m)'s; a base
+    measure's atom and ray are built on first read.
+
+    NoFiniteBaseMeasure when the base has no finite measure (a truncated
+    base has none) or a base stream is not a cover stream.  When only the
+    ambient is truncated, each verdict is Undecided at the cover's
+    horizon, as in is_distinguished."""
     decomp = _cover_decomposition(m, mhat)
-    base_cls = _classification(m)
-    finite = [e for e in base_cls.measures if e.verdict.is_yes()]
-    if not finite:
-        raise NoFiniteBaseMeasure("the base carries no finite ergodic measure")
     if isinstance(decomp, Verdict):
+        finite = [e for e in _classification(m).measures
+                  if e.verdict.is_yes()]
+        if not finite:
+            raise NoFiniteBaseMeasure(
+                "the base carries no finite ergodic measure")
         return [SubdiagramResult(e, decomp, {}) for e in finite]
-    K = max(decomp.valid_from, base_cls.decomposition.valid_from)
-    L = math.lcm(decomp.lcm_period, base_cls.decomposition.lcm_period)
-    results = []
-    for e in finite:
-        # the one candidate is the cover stream of a base member at level K
-        i = decomp.stream_of(K, min(e.stream.members_at(K)))
+    base = _stream_order(reduce_sequence(m)[0])
+    K = max(decomp.valid_from, base.valid_from)
+    L = math.lcm(decomp.lcm_period, base.lcm_period)
+    targets, reach = [], []
+    for s in base.streams:
+        # the one candidate is the cover stream of a base member at level K,
+        # and the cover streams that member reaches are the stream's
+        a = min(s.members_at(K))
+        i = decomp.stream_of(K, a)
         target = None if i is None else decomp.streams[i - 1]
         if target is None or any(
-                target.members_at(K + j) != e.stream.members_at(K + j)
+                target.members_at(K + j) != s.members_at(K + j)
                 for j in range(L)):
             raise NoFiniteBaseMeasure(
-                "base stream %d is not recurrent in the cover" % e.stream.index)
-        verdict = _finiteness_verdict(decomp, target)
-        witness = dict(verdict.witness)
-        witness["cover_stream"] = target.index
-        results.append(SubdiagramResult(e, verdict, witness))
+                "base stream %d is not recurrent in the cover" % s.index)
+        targets.append(target)
+        reach.append(decomp.reach(K, a))
+    results = []
+    for s, target in zip(base.streams, targets):
+        comms = [t.index for t, r in zip(base.streams, reach)
+                 if t is not s and target.index in r]
+        e = ErgodicMeasure(s, _finiteness_verdict(base, s, comms))
+        if e.verdict.is_yes():
+            verdict = _finiteness_verdict(decomp, target)
+            witness = dict(verdict.witness)
+            witness["cover_stream"] = target.index
+            results.append(SubdiagramResult(e, verdict, witness))
+    if not results:
+        raise NoFiniteBaseMeasure("the base carries no finite ergodic measure")
     return results
 
 

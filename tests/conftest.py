@@ -14,9 +14,10 @@ def labels(d):
 
 
 def random_ep_sequence(rng, max_dim=4, max_period=3, max_prefix=2,
-                       max_entry=2):
+                       max_entry=2, upper=False):
     """A random eventually periodic sequence with nonzero matrices.  Not
-    necessarily reduced."""
+    necessarily reduced.  With `upper`, no entry (a, b) has b < a, so the
+    streams are loops of many growth rates, often one reaching another."""
     while True:
         P = rng.randrange(0, max_prefix + 1)
         T = rng.randrange(1, max_period + 1)
@@ -31,7 +32,7 @@ def random_ep_sequence(rng, max_dim=4, max_period=3, max_prefix=2,
             for a in rows:
                 for b in cols:
                     v = rng.choice([0, 0, 1, 1, rng.randrange(max_entry + 1)])
-                    if v:
+                    if v and not (upper and b < a):
                         entries[(a, b)] = v
             m = GenMatrix(rows, cols, entries)
             if m.is_zero():
@@ -59,12 +60,11 @@ def random_reduced_sequence(rng, **kw):
             return red
 
 
-def random_nested_pair(rng, max_dim=4, max_period=3, max_prefix=2):
-    """A random nested pair: reduced base plus an entrywise-larger ambient
-    over the same alphabets."""
-    base = random_reduced_sequence(rng, max_dim=max_dim,
-                                   max_period=max_period,
-                                   max_prefix=max_prefix)
+def random_nested_pair(rng, **kw):
+    """A random nested pair: a reduced base (`random_reduced_sequence` with
+    the keywords `kw`) plus an entrywise-larger ambient over the same
+    alphabets."""
+    base = random_reduced_sequence(rng, **kw)
     P, T = base.prefix_len, base.period
 
     def bump(m):

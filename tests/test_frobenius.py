@@ -337,7 +337,8 @@ def test_decomposition_index_mirrors_the_layout():
 
 
 def old_has_single_path(s):
-    """Reference for Stream.has_single_path: the induced cycle matrices
+    """Reference for a stream that carries a single path (one that
+    measures._atom_path gives an atom for): the induced cycle matrices
     are 1x1 with entry 1, and the backward extension is single too."""
     cyc = s.induced_cycle()
     for j in range(s.decomp.lcm_period):
@@ -396,9 +397,10 @@ def test_stream_relations_match_the_scans():
                            if s.index in reach[(P + j, a)]})
             assert communicating_streams(dec, s) == want
             single = old_has_single_path(s)
-            assert s.has_single_path() == single
+            atom = _atom_path(dec, s)
+            assert (atom is not None) == single
             if single:
-                assert _atom_path(dec, s) == old_atom_path(dec, s)
+                assert atom == old_atom_path(dec, s)
             counts["communicating"] += bool(want)
             counts["atomic"] += single
     assert counts["prefixed"] >= 100, counts

@@ -9,7 +9,8 @@ import sympy
 
 from adic import cones, frobenius, gallery, measures
 from adic.errors import NoFiniteBaseMeasure, NotNested
-from adic.matrixseq import GenMatrix, constant, from_int_matrices, Truncated
+from adic.matrixseq import (GenMatrix, EventuallyPeriodic, constant,
+                            from_int_matrices, reduce_sequence, Truncated)
 from adic.cones import ExactEigvec, stream_period_eigenvalue
 from adic.measures import (
     CentralMeasure,
@@ -502,6 +503,96 @@ def test_classify_subdiagram_builds_no_base_ray(monkeypatch):
                 assert ray.ray0 == want.ray0
                 read += 1
     assert read >= 30 and calls["exact_ray"] >= read, (read, calls)
+
+
+def test_classify_subdiagram_base_measures_equal_classify_measures():
+    # the tower reads the base verdicts off the cover decomposition; each
+    # base measure it returns is classify_measures(base)'s, in its index,
+    # verdict and witness, and on read in its atom and ray
+    rng = random.Random(23)
+    # upper triangular bases have loops of many growth rates, so many
+    # finite streams have communicating streams
+    pairs = _tower_pairs(rng, 300) + [
+        random_nested_pair(rng, max_dim=8, max_period=1, max_entry=3,
+                           upper=True) for _ in range(600)]
+    counts = collections.Counter()
+    for base, amb in pairs:
+        results = classify_subdiagram(base, amb)
+        by_stream = {e.stream.index: e
+                     for e in classify_measures(base).measures}
+        finite = [i for i, e in by_stream.items() if e.verdict.is_yes()]
+        assert [r.base_measure.stream.index for r in results] == finite
+        covers = [r.witness["cover_stream"] for r in results]
+        counts["reordered"] += covers != sorted(covers)
+        for r in results:
+            got, want = r.base_measure, by_stream[r.base_measure.stream.index]
+            assert got.verdict.value == want.verdict.value
+            assert got.verdict.witness == want.verdict.witness
+            assert (got.atomic, got.atom) == (want.atomic, want.atom)
+            assert got.ray.ray0 == want.ray.ray0
+            counts["measures"] += 1
+            counts["communicating"] += bool(want.verdict.witness[
+                "communicating"])
+    assert counts["measures"] >= 1000, counts
+    assert counts["communicating"] >= 50, counts
+    # the cover numbers some base streams in another order
+    assert counts["reordered"] >= 1, counts
+
+
+def test_classify_subdiagram_resolves_the_cover_table_only(monkeypatch):
+    # one table and one certificate set per tower, the cover's; the base's
+    # are built once, when a base-only field such as its certificates (or
+    # a ray with a rational root) is read
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(frobenius, name)
+
+        def wrapper(decomp):
+            calls[name] += 1
+            return fn(decomp)
+        return wrapper
+
+    for name in ("_fill_table", "_certify"):
+        monkeypatch.setattr(frobenius, name, counting(name))
+    towers = 0
+    for base, amb in _tower_pairs(random.Random(29)):
+        calls.clear()
+        results = classify_subdiagram(base, amb)
+        assert calls == {"_fill_table": 1, "_certify": 1}, calls
+        for _ in range(2):
+            for r in results:
+                r.base_measure.ray
+                r.base_measure.stream.decomp.certificates
+        assert calls == {"_fill_table": 2, "_certify": 2}, calls
+        towers += 1
+    assert towers >= 30
+
+
+def test_cover_stream_that_is_not_a_base_stream():
+    # b is an unprimed cover symbol that only the primed part reaches: the
+    # cover's stream 1 is {b}, which is no base stream, so the base's one
+    # stream {a} is finite although {b} reaches it in the cover with equal
+    # growth.  Its tower is infinite, dominated by that stream.
+    def pair(prefix_entries):
+        first = GenMatrix(("a",), ("a", "b"), prefix_entries)
+        cycle = GenMatrix(("a", "b"), ("a", "b"),
+                          {("a", "a"): 1, ("b", "a"): 1, ("b", "b"): 1})
+        return EventuallyPeriodic([first], [cycle])
+
+    base = pair({("a", "a"): 1})
+    amb = pair({("a", "a"): 1, ("a", "b"): 1})
+    [e] = classify_measures(base).measures
+    assert e.verdict.is_yes() and e.stream.members_at(1) == {"a"}
+    cover = frobenius.stream_decompose(
+        reduce_sequence(canonical_cover(base, amb).cover)[0])
+    assert cover.streams[0].members_at(1) == {"b"}
+    [r] = classify_subdiagram(base, amb)
+    assert r.base_measure.stream.index == 1
+    assert r.base_measure.verdict.witness == e.verdict.witness
+    assert r.verdict.is_no()
+    assert r.witness["dominating_stream"] == 1
+    assert r.witness["cover_stream"] == 2
 
 
 def test_extreme_count_builds_no_ray(monkeypatch):
