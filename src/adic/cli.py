@@ -145,21 +145,19 @@ def decompose(diagram, as_json, emit):
     """Stream decomposition: streams, pool, and block matrices."""
     dec = stream_decompose(_load_diagram(diagram).seq)
     K = dec.valid_from
-    certs = dec.certificates.get("streams", {})
+    certs = dec.certificates["streams"]
     report = {
         "command": "decompose",
         "streams": [
             {"index": s.index,
              "members_at_%d" % K: sorted(s.members_at(K)),
-             "primitive": certs[s.index].to_json()
-             if s.index in certs else None}
+             "primitive": certs[s.index].to_json()}
             for s in dec.streams
         ],
         "pool_at_%d" % K: sorted(dec.pool_members_at(K)),
         "block_matrices": [dec.block_matrix(k).to_lists()
                            for k in range(K, K + dec.lcm_period + 1)
-                           if dec.seq.horizon is None
-                           or k < dec.seq.horizon],
+                           if dec.horizon is None or k < dec.horizon],
         "valid_from": K,
         "provisional": dec.provisional,
     }

@@ -21,13 +21,7 @@ from fractions import Fraction
 
 from .errors import (EmptyCone, NotPrimitive, NonPositiveEntry, DepthExceeded,
                      InternalError)
-from .matrixseq import (
-    GenMatrix,
-    EventuallyPeriodic,
-    partial_product,
-    is_primitive,
-    wielandt_bound,
-)
+from .matrixseq import EventuallyPeriodic, partial_product, is_primitive
 
 
 def normalize(vec):
@@ -154,11 +148,6 @@ def simplex_image(seq, k, n):
     return extreme
 
 
-def raw_extreme_count(seq, depth):
-    """Number of extreme points of the depth-limited simplex at level 0."""
-    return len(simplex_image(seq, 0, depth))
-
-
 def extreme_count(seq, depth):
     """Count the surviving extreme directions at level 0.
 
@@ -169,7 +158,7 @@ def extreme_count(seq, depth):
     info = {"depth": depth}
     if seq.horizon is not None and depth >= seq.horizon:
         raise DepthExceeded("depth %d beyond horizon %d" % (depth, seq.horizon))
-    raw = raw_extreme_count(seq, depth)
+    raw = len(simplex_image(seq, 0, depth))
     info["count_at_depth"] = raw
     info["alphabet_bound"] = min(len(seq.alphabet(i))
                                  for i in range(1, depth + 2))
@@ -192,7 +181,8 @@ def extreme_count(seq, depth):
 class EigvecSeqApprox:
     """A finite eigenvector sequence w_0..w_{defect+1} with all relations
     w_i = M_i w_{i+1} holding exactly; the direction is only guaranteed to
-    approximate a surviving extreme ray up to the recorded defect."""
+    approximate a surviving extreme ray up to the recorded defect.
+    `check(seq)` re-verifies the relations (`_relations_hold`)."""
 
     def __init__(self, levels, defect, provenance):
         self.levels = levels  # list of dicts, index = level
@@ -209,12 +199,21 @@ class EigvecSeqApprox:
         return self.levels[0]
 
     def check(self, seq):
-        for i in range(len(self.levels) - 1):
-            m = seq.matrix(i)
-            img = m.mul_vec(self.levels[i + 1])
-            if any(img.get(a, 0) != self.levels[i].get(a, 0) for a in m.rows):
-                return False
-        return True
+        return _relations_hold(seq, self.value, len(self.levels) - 1)
+
+
+def _relations_hold(seq, value, n, rows_at=None):
+    """Whether w_i = M_i w_{i+1} holds exactly for i < n, with w_i =
+    value(i) and M_i = seq.matrix(i); with `rows_at`, only on the rows
+    rows_at(i)."""
+    for i in range(n):
+        m = seq.matrix(i)
+        img, cur = m.mul_vec(value(i + 1)), value(i)
+        rows = m.rows if rows_at is None else \
+            [a for a in m.rows if a in rows_at(i)]
+        if any(img.get(a, 0) != cur.get(a, 0) for a in rows):
+            return False
+    return True
 
 
 def eigvec_sequences(seq, depth):
@@ -243,21 +242,16 @@ def eigvec_sequences(seq, depth):
 DEFAULT_EPS = Fraction(1, 10 ** 30)
 
 
-def periodic_pf(mat_or_seq, eps=DEFAULT_EPS):
+def periodic_pf(m):
     """Certified enclosure of the Perron eigenvalue and eigenvector of a
-    primitive square matrix (or of the one-period product of an eventually
-    periodic sequence).  Returns a dict with exact rational interval bounds.
+    primitive square matrix m.  Returns a dict with exact rational bounds.
 
-    The eigenvalue interval comes from the classical row-ratio bounds
-    min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i for positive v; the
-    eigenvector box is the componentwise hull of the normalized columns of
-    M^n, which contains the Perron direction for every n."""
-    if isinstance(mat_or_seq, GenMatrix):
-        m = mat_or_seq
-    else:
-        seq = mat_or_seq
-        m = partial_product(seq, seq.prefix_len,
-                            seq.prefix_len + seq.period - 1)
+    The eigenvalue interval is the Collatz-Wielandt bounds (`_cw_bounds`,
+    as in `PerronRoot`) at x = m**n * 1, n = 0, 1, ... until hi - lo <=
+    DEFAULT_EPS * lo.  The eigenvector box is the componentwise hull of
+    the normalized columns of m**p, p the positivity power of
+    `is_primitive`'s witness, squared until each width is <= DEFAULT_EPS;
+    it contains the Perron direction for every power."""
     if set(m.rows) != set(m.cols):
         raise NonPositiveEntry("need a square matrix")
     if any(v < 0 for v in m.entries.values()):
@@ -266,25 +260,16 @@ def periodic_pf(mat_or_seq, eps=DEFAULT_EPS):
     prim = is_primitive(stat)
     if not prim.is_yes():
         raise NotPrimitive("matrix is not primitive")
-    d = len(m.rows)
-    # power up to strict positivity first so the ratio bounds apply
-    power = m
-    steps = 1
-    while not power.is_positive():
-        power = power.mul(m)
-        steps += 1
-        if steps > wielandt_bound(d) + 1:
-            raise NotPrimitive("no positive power within the expected bound")
-    v = {a: Fraction(1) for a in m.rows}
+    steps = prim.witness["positive_after"][0]
+    power = partial_product(stat, 0, steps - 1)
+    if not power.is_positive():
+        raise InternalError("m**%d is not positive" % steps)
+    x = dict.fromkeys(m.rows, 1)
     iterations = 0
     while True:
-        w = {a: Fraction(x) for a, x in m.mul_vec(v).items()}
-        ratios = [w[a] / v[a] for a in m.rows]
-        lo, hi = min(ratios), max(ratios)
-        total = sum(w.values())
-        v = {a: w[a] / total for a in m.rows}
+        x, lo, hi = _cw_bounds(m, x)
         iterations += 1
-        if hi - lo <= eps * lo:
+        if hi - lo <= DEFAULT_EPS * lo:
             break
         if iterations > 100000:
             raise NotPrimitive("enclosure failed to contract")
@@ -298,7 +283,7 @@ def periodic_pf(mat_or_seq, eps=DEFAULT_EPS):
         box = {a: (min(c[a] for c in cols), max(c[a] for c in cols))
                for a in m.rows}
         width = max(hi_ - lo_ for lo_, hi_ in box.values())
-        if width <= eps:
+        if width <= DEFAULT_EPS:
             break
         box_power = box_power.mul(box_power)
     return {"eigenvalue": (lo, hi),
@@ -354,7 +339,8 @@ def solve_kernel(rows_labels, matrix_rows, lam):
 class ExactEigvec:
     """An exact eigenvector sequence: w_i = M_i w_{i+1} for all i, with
     w_{n+L} = w_n / Lambda in the periodic region.  Values are exact
-    rationals at every level."""
+    rationals at every level.  `check` re-verifies the relations
+    (`_relations_hold`), on the rows `rows_at(i)` when that is set."""
 
     def __init__(self, seq, valid_from, lcm_period, lam, base_levels,
                  prefix_levels, stream_index, rows_at=None):
@@ -383,16 +369,7 @@ class ExactEigvec:
 
     def check(self, levels=None):
         n = levels if levels is not None else self.valid_from + 2 * self.lcm_period
-        for i in range(n):
-            m = self.seq.matrix(i)
-            img = m.mul_vec(self.value(i + 1))
-            cur = self.value(i)
-            rows = m.rows if self.rows_at is None else \
-                [a for a in m.rows if a in self.rows_at(i)]
-            if any(Fraction(img.get(a, 0)) != Fraction(cur.get(a, 0))
-                   for a in rows):
-                return False
-        return True
+        return _relations_hold(self.seq, self.value, n, self.rows_at)
 
 
 # x = q**CW_STEPS * 1 is the positive vector of a root's Collatz-Wielandt
@@ -402,16 +379,15 @@ CW_STEPS = 4
 
 
 class PerronRoot:
-    """The Perron root of a square nonnegative integer matrix q, held
+    """The Perron root of a square nonnegative integer matrix `q`, held
     exactly.
 
     `bounds` is a pair of Fractions (lo, hi) with lo <= root <= hi, or
-    None.  They are the Collatz-Wielandt bounds (Collatz 1942, Wielandt
-    1950): for any x > 0, min_i (qx)_i/x_i <= root <= max_i (qx)_i/x_i.
-    Here x = q**CW_STEPS * 1 in integers, kept as `vector` (a dict from
-    symbol to a positive int); when some x_i is 0 there are no bounds.  A
-    1x1 matrix has x = 1.  When lo == hi, qx = lo*x with x > 0, so the root
-    is lo exactly.
+    None.  They are the Collatz-Wielandt bounds of `_cw_bounds`, which
+    `periodic_pf` runs too, at x = q**CW_STEPS * 1 in integers, kept as
+    `vector` (a dict from symbol to a positive int); when some x_i is 0
+    there are no bounds.  A 1x1 matrix has x = 1.  When lo == hi, qx =
+    lo*x with x > 0, so the root is lo exactly.
 
     `value` is the root as a Fraction when it is rational, else None.
     `minpoly` is its minimal polynomial: integer coefficients, leading
@@ -429,7 +405,7 @@ class PerronRoot:
     comparison the bounds cannot decide reads."""
 
     def __init__(self, q):
-        self._q = q
+        self.q = q
         self.bounds = self.vector = None
         if len(q.rows) == 1:
             x = {q.rows[0]: 1}
@@ -439,11 +415,10 @@ class PerronRoot:
                 x = q.mul_vec(x)
             if not all(x.values()):
                 return
-        qx = q.mul_vec(x)
-        ratios = [Fraction(qx[a], x[a]) for a in q.rows]
-        self.vector, self.bounds = x, (min(ratios), max(ratios))
-        if self.bounds[0] == self.bounds[1]:
-            self.value, self.minpoly, self.interval = _rational(ratios[0])
+        _, lo, hi = _cw_bounds(q, x)
+        self.vector, self.bounds = x, (lo, hi)
+        if lo == hi:
+            self.value, self.minpoly, self.interval = _rational(lo)
 
     @functools.cached_property
     def value(self):
@@ -462,7 +437,7 @@ class PerronRoot:
         """(value, minpoly, interval), read off sympy's largest real root
         of the charpoly of q."""
         import sympy
-        q = self._q
+        q = self.q
         labels = list(q.rows)
         M = sympy.Matrix([[q.entry(a, b) for b in labels] for a in labels])
         top = M.charpoly().real_roots(radicals=False)[-1]
@@ -533,6 +508,14 @@ class PerronRoot:
             "vectors": [self.vector, other.vector]}
 
 
+def _cw_bounds(q, x):
+    """(qx, lo, hi) for an integer vector x > 0: lo <= root <= hi are the
+    least and greatest (qx)_i / x_i (Collatz 1942, Wielandt 1950)."""
+    qx = q.mul_vec(x)
+    ratios = [Fraction(qx[a], x[a]) for a in q.rows]
+    return qx, min(ratios), max(ratios)
+
+
 def _rational(v):
     """(value, minpoly, interval) of a rational root v."""
     return v, (v.denominator, -v.numerator), (v, v)
@@ -594,7 +577,7 @@ def stream_base_ray(decomp, stream):
     lam = stream_period_eigenvalue(stream)
     if lam is None:
         return None
-    q = stream.period_product()
+    q = stream.perron_root.q
     return _ray(decomp, stream, lam, list(q.rows), q, stream.members_at)
 
 

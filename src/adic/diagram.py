@@ -53,6 +53,10 @@ class StableOrder:
     @staticmethod
     def _fill(m, order):
         """Normalize/validate one level's order: {target: [(source, idx)]}."""
+        for b in order or ():
+            if b not in m.cols:
+                raise MalformedWord("order names target %r, which is not a "
+                                    "symbol of its level" % (b,))
         full = {}
         for b in m.cols:
             expect = [(a, i) for a in m.rows for i in range(m.entry(a, b))]

@@ -45,10 +45,6 @@ class NonPositiveEntry(AdicError):
     pass
 
 
-class NotIrreducible(AdicError):
-    pass
-
-
 class NotInBase(AdicError):
     pass
 

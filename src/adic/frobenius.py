@@ -24,7 +24,7 @@ import functools
 import heapq
 import math
 
-from .errors import (NotReduced, ShapeMismatch, NotIrreducible,
+from .errors import (NotReduced, ShapeMismatch, InternalError,
                      HorizonExceeded)
 from . import matrixseq
 from .cones import PerronRoot
@@ -246,10 +246,13 @@ class StreamDecomposition:
     its position, and `_table` holds one `_Position` per position.  The
     table and `certificates` are resolved together on the first read of
     either.  Every membership and block reader below is a lookup in that
-    table."""
+    table.  `horizon` is the horizon of the input: None when it is
+    eventually periodic, and a truncated window's own horizon also when
+    the window was decomposed through its periodic extension."""
 
     def __init__(self, seq, valid_from, period, provisional=False):
         self.seq = seq
+        self.horizon = seq.horizon
         self.valid_from = valid_from
         self.period = period
         self.provisional = provisional
@@ -372,11 +375,11 @@ class StreamDecomposition:
             asg_c = dict(block_alphabets[nxt])
             for (a, b) in m.entries:
                 if self.block_key(asg_r[a]) > self.block_key(asg_c[b]):
-                    raise NotIrreducible(
+                    raise InternalError(
                         "internal error: form is not triangular")
                 if (gl == len(prefix) and asg_r[a][0] == "pool"
                         and asg_r[a] == asg_c[b]):
-                    raise NotIrreducible(
+                    raise InternalError(
                         "internal error: pool diagonal nonzero")
 
         return FrobeniusForm(self, form, times, permutations)
@@ -501,7 +504,7 @@ def _certify(decomp):
         v = is_primitive(s.induced_cycle())
         certs["streams"][s.index] = v
         if not v.is_yes():
-            raise NotIrreducible(
+            raise InternalError(
                 "internal error: stream %d failed primitivity" % s.index)
     # pool acyclicity: no pool node may sit on a cycle of the lifted graph;
     # by construction pool nodes are exactly the trivial SCCs, so a direct
@@ -530,7 +533,7 @@ def _certify(decomp):
             if not waiting[pred]:
                 ready.append(pred)
     if any(waiting.values()):
-        raise NotIrreducible("internal error: pool contains a cycle")
+        raise InternalError("internal error: pool contains a cycle")
     maxlen = max(longest.values(), default=0)
     certs["pool"] = {"longest_pool_path": maxlen,
                      "pool_nodes": len(pool_nodes)}
@@ -554,7 +557,7 @@ def _decompose_truncated(seq):
     extended, _ = reduce_sequence(extended)
     decomp = stream_decompose(extended)
     decomp.provisional = True
-    decomp.seq = extended
+    decomp.horizon = seq.horizon
     return decomp
 
 

@@ -275,11 +275,6 @@ def seven_matrix_example():
     return diagram
 
 
-def full_shift(n=2):
-    """The full n-shift as a stationary diagram: single vertex, n edges."""
-    return BratteliDiagram(constant([[n]], ["0"]))
-
-
 EXAMPLES = {
     "dyadic": lambda: odometer(2),
     "triadic": lambda: odometer(3),

@@ -78,9 +78,6 @@ class GenMatrix:
             return False
         return all((a, b) in self.entries for a in self.rows for b in self.cols)
 
-    def is_zero_one(self):
-        return all(v == 1 for v in self.entries.values())
-
     def transpose(self):
         return GenMatrix(self.cols, self.rows,
                          {(b, a): v for (a, b), v in self.entries.items()})
@@ -140,16 +137,13 @@ class GenMatrix:
             out[b] += vec.get(a, 0) * v
         return out
 
-    def same_as(self, other):
+    def __eq__(self, other):
         """Equality of alphabets-as-sets and all entries."""
+        if not isinstance(other, GenMatrix):
+            return NotImplemented
         return (set(self.rows) == set(other.rows)
                 and set(self.cols) == set(other.cols)
                 and self.entries == other.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, GenMatrix):
-            return NotImplemented
-        return self.same_as(other)
 
     def __hash__(self):
         return hash((frozenset(self.rows), frozenset(self.cols),

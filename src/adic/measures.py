@@ -60,16 +60,9 @@ class CentralMeasure:
         end_symbol = word[-1][2]
         return Fraction(self.eigvec.value(end_level).get(end_symbol, 0))
 
-    def total_mass(self):
-        return sum(self.eigvec.value(0).values())
-
 
 # ---------------------------------------------------------------------------
 # canonical cover
-
-
-def _primed(a):
-    return a + "'"
 
 
 class CanonicalCover:
@@ -77,35 +70,42 @@ class CanonicalCover:
         self.cover = cover
 
 
-def _block_matrix(a, c, b):
+def _block_matrix(a, c, b, prime):
     """The block matrix [[A, C], [0, B]]: rows are A's rows primed, then B's
-    rows; columns are A's columns primed, then B's columns."""
-    rows = tuple(_primed(x) for x in a.rows) + tuple(b.rows)
-    cols = tuple(_primed(y) for y in a.cols) + tuple(b.cols)
-    entries = {(_primed(x), _primed(y)): v for (x, y), v in a.entries.items()}
-    entries.update(((_primed(x), y), v) for (x, y), v in c.entries.items())
+    rows; columns are A's columns primed, then B's columns.  A symbol is
+    primed by appending the string `prime`."""
+    rows = tuple(x + prime for x in a.rows) + tuple(b.rows)
+    cols = tuple(y + prime for y in a.cols) + tuple(b.cols)
+    entries = {(x + prime, y + prime): v for (x, y), v in a.entries.items()}
+    entries.update(((x + prime, y), v) for (x, y), v in c.entries.items())
     entries.update(b.entries)
     return GenMatrix(rows, cols, entries)
 
 
-def _cover_matrix(mh, mb):
+def _cover_matrix(mh, mb, prime):
     """One level of the cover: [[Mhat, Mhat - M], [0, M]] over doubled
     (primed + unprimed) ambient alphabets, with M zero-extended.  The
     caller has checked M <= Mhat at this level."""
     base = GenMatrix(mh.rows, mh.cols, mb.entries)
-    return _block_matrix(mh, mh.sub(base), base)
+    return _block_matrix(mh, mh.sub(base), base, prime)
 
 
 def canonical_cover(m, mhat):
     """The canonical cover of a nested pair m <= mhat: per level the block
     matrix [[Mhat, Mhat-M],[0, M]] over primed+unprimed ambient alphabets.
-    Verified invariants: the nesting itself, and entry-sum doubling
-    (sum of the cover matrix = 2 * sum of the ambient matrix)."""
+    A primed symbol ends in one more "'" than any ambient symbol of the
+    pair does, so it is never an ambient name: plain "'" unless some
+    symbol already ends in "'".  Verified invariants: the nesting itself,
+    and entry-sum doubling (sum of the cover matrix = 2 * sum of the
+    ambient matrix)."""
     leq = submatrix_leq(m, mhat)
     if leq.is_no():
         raise NotNested("m is not a subsequence of mhat: %r" % (leq.witness,))
     P, L = _compare_horizon(m, mhat)
-    mats = [_cover_matrix(mhat.matrix(k), m.matrix(k)) for k in range(P + L)]
+    names = {a for k in range(P + L + 1) for a in mhat.alphabet(k)}
+    prime = "'" * (1 + max(len(a) - len(a.rstrip("'")) for a in names))
+    mats = [_cover_matrix(mhat.matrix(k), m.matrix(k), prime)
+            for k in range(P + L)]
     cover = EventuallyPeriodic(mats[:P], mats[P:]) if L else Truncated(mats)
     for k, mat in enumerate(mats):
         if mat.entry_sum() != 2 * mhat.matrix(k).entry_sum():
@@ -197,8 +197,7 @@ def _finiteness_verdict(decomp, stream, comms=None):
     per-period growth (equality already diverges).  `comms` is the list of
     communicating stream indices when the caller already knows it."""
     if decomp.provisional:
-        return Verdict.undecided(getattr(decomp.seq, "horizon", None) or
-                                 decomp.valid_from,
+        return Verdict.undecided(decomp.horizon,
                                  {"reason": "provisional decomposition"})
     if comms is None:
         comms = communicating_streams(decomp, stream)
@@ -473,7 +472,7 @@ def classify_subdiagram(m, mhat):
 # stationary Parry data
 
 
-def parry_measure_stationary(m, word, eps=cones.DEFAULT_EPS):
+def parry_measure_stationary(m, word):
     """Certified rational enclosures of the central and invariant (Parry)
     measures of a cylinder of a primitive stationary diagram.  `word` is a
     state word x_0..x_n (n edges).  Central: lambda^{-n} w_{x_n} with w the
@@ -490,10 +489,10 @@ def parry_measure_stationary(m, word, eps=cones.DEFAULT_EPS):
                     "invariant": (Fraction(0), Fraction(0)),
                     "empty": True}
     n = len(states) - 1
-    pf = cones.periodic_pf(m, eps)
+    pf = cones.periodic_pf(m)
     lam_lo, lam_hi = pf["eigenvalue"]
     w_box = pf["eigenvector_box"]
-    pf_t = cones.periodic_pf(m.transpose(), eps)
+    pf_t = cones.periodic_pf(m.transpose())
     v_box = pf_t["eigenvector_box"]
     x0, xn = states[0], states[-1]
 

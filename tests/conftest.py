@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from adic.cones import normalize
 from adic.diagram import enumerate_paths
-from adic.errors import InternalError
+from adic.errors import InternalError, NonPositiveEntry, NotPrimitive
 from adic.matrixseq import (GenMatrix, EventuallyPeriodic, partial_product,
-                            reduce_sequence)
+                            reduce_sequence, is_primitive, wielandt_bound)
 from adic.vershik import LazyPath, _word_into, cyclic_return_time
 
 
@@ -257,6 +258,83 @@ def solve_kernel_fraction(rows_labels, matrix_rows, lam):
             vec[c] = -A[i][f]
         basis.append({rows_labels[j]: vec[j] for j in range(n)})
     return basis
+
+
+def periodic_pf_fraction(m, eps):
+    """Oracle for cones.periodic_pf: powers m up to strict positivity by
+    its own loop (guarded by the Wielandt bound), and iterates the
+    row-ratio bounds on Fraction vectors normalized to sum 1."""
+    if set(m.rows) != set(m.cols):
+        raise NonPositiveEntry("need a square matrix")
+    if any(v < 0 for v in m.entries.values()):
+        raise NonPositiveEntry("negative entry")
+    prim = is_primitive(EventuallyPeriodic([], [m]))
+    if not prim.is_yes():
+        raise NotPrimitive("matrix is not primitive")
+    d = len(m.rows)
+    power = m
+    steps = 1
+    while not power.is_positive():
+        power = power.mul(m)
+        steps += 1
+        if steps > wielandt_bound(d) + 1:
+            raise NotPrimitive("no positive power within the expected bound")
+    v = {a: Fraction(1) for a in m.rows}
+    iterations = 0
+    while True:
+        w = {a: Fraction(x) for a, x in m.mul_vec(v).items()}
+        ratios = [w[a] / v[a] for a in m.rows]
+        lo, hi = min(ratios), max(ratios)
+        total = sum(w.values())
+        v = {a: w[a] / total for a in m.rows}
+        iterations += 1
+        if hi - lo <= eps * lo:
+            break
+        if iterations > 100000:
+            raise NotPrimitive("enclosure failed to contract")
+    box_power = power
+    while True:
+        cols = []
+        for b in box_power.cols:
+            col = {a: box_power.entry(a, b) for a in box_power.rows}
+            cols.append(normalize(col))
+        box = {a: (min(c[a] for c in cols), max(c[a] for c in cols))
+               for a in m.rows}
+        width = max(hi_ - lo_ for lo_, hi_ in box.values())
+        if width <= eps:
+            break
+        box_power = box_power.mul(box_power)
+    return {"eigenvalue": (lo, hi),
+            "eigenvector_box": box,
+            "iterations": iterations,
+            "positivity_power": steps}
+
+
+def exact_check_reference(ray, levels=None):
+    """Oracle for cones.ExactEigvec.check: its own relation loop, over
+    Fractions, on the rows ray.rows_at(i) when that is set."""
+    n = levels if levels is not None else ray.valid_from + 2 * ray.lcm_period
+    for i in range(n):
+        m = ray.seq.matrix(i)
+        img = m.mul_vec(ray.value(i + 1))
+        cur = ray.value(i)
+        rows = m.rows if ray.rows_at is None else \
+            [a for a in m.rows if a in ray.rows_at(i)]
+        if any(Fraction(img.get(a, 0)) != Fraction(cur.get(a, 0))
+               for a in rows):
+            return False
+    return True
+
+
+def approx_check_reference(ray, seq):
+    """Oracle for cones.EigvecSeqApprox.check: its own relation loop over
+    the stored levels."""
+    for i in range(len(ray.levels) - 1):
+        m = seq.matrix(i)
+        img = m.mul_vec(ray.levels[i + 1])
+        if any(img.get(a, 0) != ray.levels[i].get(a, 0) for a in m.rows):
+            return False
+    return True
 
 
 @pytest.fixture

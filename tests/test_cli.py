@@ -91,6 +91,28 @@ def test_decompose_truncated_rectangular_is_provisional(rectangular_file):
     assert out["pool_at_2"] == ["0"] and out["block_matrices"] == []
 
 
+def test_decompose_truncated_square_keeps_its_horizon(truncated_file):
+    # the window is decomposed through its periodic extension, but block
+    # matrices are reported only for the levels the file defines; the
+    # window ends at the valid-from level 3, so there are none
+    r = run_cli("decompose", truncated_file, "--json")
+    assert r.returncode == 2, r.stderr
+    out = json.loads(r.stdout)
+    assert out["provisional"] is True and out["valid_from"] == 3
+    assert out["block_matrices"] == []
+
+
+def test_order_naming_an_unknown_target_is_a_one_line_error(tmp_path):
+    path = tmp_path / "bad-order.json"
+    path.write_text(json.dumps({"alphabets": [["0"]], "cycle": [[[1]]],
+                                "order": {"cycle": [{"1": [["0", 0]]}]}}))
+    r = run_cli("classify", str(path))
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "'1'" in lines[0]
+
+
 def test_classify_provisional_is_marked(rectangular_file, truncated_file,
                                         chacon_file):
     r = run_cli("classify", rectangular_file, "--json")

@@ -1,18 +1,22 @@
+import copy
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from adic import cones, gallery
+from adic.errors import NonPositiveEntry, NotPrimitive
 from adic.matrixseq import GenMatrix, Truncated, constant, partial_product
 from adic.frobenius import stream_decompose
+from adic.measures import classify_measures
 from adic.vershik import SubdiagramEmbedding
 from adic.cones import (
+    EigvecSeqApprox,
     PerronRoot,
     eigvec_sequences,
     in_convex_hull,
     simplex_image,
-    raw_extreme_count,
     extreme_count,
     periodic_pf,
     exact_ray,
@@ -21,9 +25,10 @@ from adic.cones import (
     DEFAULT_EPS,
 )
 
-from conftest import (labels, phase1_feasible_fraction, random_ep_sequence,
-                      random_reduced_sequence, simplex_image_reference,
-                      solve_kernel_fraction)
+from conftest import (approx_check_reference, exact_check_reference, labels,
+                      periodic_pf_fraction, phase1_feasible_fraction,
+                      random_ep_sequence, random_reduced_sequence,
+                      simplex_image_reference, solve_kernel_fraction)
 
 
 def test_in_convex_hull_exact():
@@ -178,7 +183,7 @@ def test_simplex_image_matches_fraction_reference(monkeypatch):
         for depth in depths:
             expected = simplex_image_reference(seq, 0, depth)
             assert repr(simplex_image(seq, 0, depth)) == repr(expected)
-            assert raw_extreme_count(seq, depth) == len(expected)
+            assert len(simplex_image(seq, 0, depth)) == len(expected)
     # the pruning is exercised: many columns are not extreme
     assert inside.count(True) >= 60, inside.count(True)
 
@@ -191,7 +196,7 @@ def test_simplex_image_dedups_directions():
 
 def test_raw_extreme_count_triangular():
     seq = constant([[3, 1], [0, 2]], ["0", "1"])
-    assert raw_extreme_count(seq, 6) == 2
+    assert len(simplex_image(seq, 0, 6)) == 2
 
 
 def test_extreme_count_exact_ep():
@@ -214,28 +219,112 @@ def test_extreme_count_bounded_by_liminf_random():
         count, info = extreme_count(seq, 6)
         assert count <= seq.liminf_alphabet_size()
         for d in range(1, 6):
-            assert raw_extreme_count(seq, d) <= max(
+            assert len(simplex_image(seq, 0, d)) <= max(
                 len(seq.alphabet(i)) for i in range(d + 1))
 
 
 def test_periodic_pf_integer_eigenvalue():
-    pf = periodic_pf(constant([[6]], ["0"]).matrix(0), DEFAULT_EPS)
+    pf = periodic_pf(constant([[6]], ["0"]).matrix(0))
     lo, hi = pf["eigenvalue"]
     assert lo <= 6 <= hi
     assert hi - lo <= DEFAULT_EPS
 
 
 def test_periodic_pf_golden_mean():
-    pf = periodic_pf(constant([[1, 1], [1, 0]], ["0", "1"]).matrix(0),
-                     Fraction(1, 10 ** 12))
+    pf = periodic_pf(constant([[1, 1], [1, 0]], ["0", "1"]).matrix(0))
     lo, hi = pf["eigenvalue"]
     # phi is the positive root of x^2 = x + 1
     assert lo * lo < lo + 1
     assert hi * hi > hi + 1
-    assert hi - lo <= Fraction(1, 10 ** 12)
+    assert hi - lo <= DEFAULT_EPS * lo
     box = pf["eigenvector_box"]
     # eigenvector ratio w0/w1 = phi: w0 > w1 strictly
     assert box["0"][0] > box["1"][1]
+
+
+def _random_square(rng, d):
+    rows = labels(d)
+    entries = {(a, b): v for a in rows for b in rows
+               for v in [rng.choice([0, 0, 1, 1, 2, 3])] if v}
+    return GenMatrix(rows, rows, entries)
+
+
+def test_periodic_pf_matches_fraction_reference():
+    """periodic_pf reads its positivity power from is_primitive and runs
+    the Collatz-Wielandt bounds on integer powers m**n * 1; the reference
+    powers m by its own loop and normalizes Fraction vectors.  The dicts
+    are repr-equal, and refused inputs raise the same error."""
+    rng = random.Random(53)
+    primitive, refused, powers = 0, 0, set()
+    while primitive < 300:
+        m = _random_square(rng, rng.randrange(1, 6))
+        try:
+            want = periodic_pf_fraction(m, cones.DEFAULT_EPS)
+        except NotPrimitive as e:
+            with pytest.raises(NotPrimitive, match="^%s$" % e):
+                periodic_pf(m)
+            refused += 1
+            continue
+        assert repr(periodic_pf(m)) == repr(want)
+        primitive += 1
+        powers.add(want["positivity_power"])
+    assert refused >= 30 and len(powers) >= 3, (refused, powers)
+    negative = GenMatrix(("0",), ("0",))
+    negative.entries = {("0", "0"): -1}
+    for m in (GenMatrix(("0", "1"), ("0",), {("0", "0"): 1}), negative):
+        with pytest.raises(NonPositiveEntry) as want:
+            periodic_pf_fraction(m, cones.DEFAULT_EPS)
+        with pytest.raises(NonPositiveEntry, match="^%s$" % want.value):
+            periodic_pf(m)
+
+
+def _one_entry_changed(ray, rng):
+    """A copy of the ray with one value raised by 1 at a level its check
+    reads."""
+    changed = copy.copy(ray)
+    if isinstance(ray, EigvecSeqApprox):
+        changed.levels = levels = [dict(v) for v in ray.levels]
+    else:
+        changed._prefix = [dict(v) for v in ray._prefix]
+        changed._base = [dict(v) for v in ray._base]
+        levels = changed._prefix + changed._base
+    level = rng.choice([v for v in levels if v])
+    a = rng.choice(sorted(level))
+    level[a] += 1
+    return changed
+
+
+def test_relation_checks_match_their_references():
+    """ExactEigvec.check and EigvecSeqApprox.check run one relation loop;
+    on the rays of classify_measures, and on copies with one entry
+    changed, each gives its reference loop's answer.  The base rays of
+    infinite streams are checked on their stream's rows only."""
+    rng = random.Random(59)
+    counts = {"exact": 0, "approx": 0, "restricted": 0, "rejected": 0}
+    while (counts["exact"] < 100 or counts["approx"] < 50
+           or counts["restricted"] < 30):
+        seq = random_ep_sequence(rng, upper=rng.random() < 0.5)
+        cls = classify_measures(seq)
+        for e in cls.measures:
+            if e.ray is None:
+                continue
+            for ray in (e.ray, _one_entry_changed(e.ray, rng)):
+                if isinstance(ray, EigvecSeqApprox):
+                    want = approx_check_reference(ray, cls.seq)
+                    assert ray.check(cls.seq) == want
+                else:
+                    want = exact_check_reference(ray)
+                    assert ray.check() == want
+                if ray is e.ray:
+                    assert want
+                else:
+                    counts["rejected"] += not want
+            if isinstance(e.ray, EigvecSeqApprox):
+                counts["approx"] += 1
+            else:
+                counts["exact"] += 1
+                counts["restricted"] += e.ray.rows_at is not None
+    assert counts["rejected"] >= 200, counts
 
 
 def test_stream_period_eigenvalues_triangular():

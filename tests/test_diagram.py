@@ -93,6 +93,14 @@ def test_diagram_json_roundtrip_with_order():
     assert back.seq.matrix(0) == seq.matrix(0)
 
 
+def test_order_naming_an_unknown_target_is_rejected():
+    doc = {"kind": "eventually_periodic", "alphabets": [["0"]],
+           "prefix": [], "cycle": [[[1]]],
+           "order": {"cycle": [{"1": [["0", 0]]}]}}
+    with pytest.raises(MalformedWord, match="'1'"):
+        BratteliDiagram.from_json(doc)
+
+
 def test_truncated_diagram_order_roundtrip():
     t = Truncated([GenMatrix.from_lists(("0",), ("0",), [[2]])] * 3)
     d = BratteliDiagram(t)

@@ -16,7 +16,6 @@ from adic.gallery import (
     nested_odometer,
     three_cycle,
     seven_matrix_example,
-    full_shift,
     EXAMPLES,
 )
 
@@ -115,9 +114,8 @@ def test_nested_odometer_verdicts():
         nested_odometer(2, 3)
 
 
-def test_three_cycle_and_full_shift():
+def test_three_cycle():
     assert three_cycle().seq.matrix(0).entry("2", "0") == 3
-    assert full_shift(4).seq.matrix(0).entry("0", "0") == 4
 
 
 def test_seven_matrix_expected_streams():

@@ -595,6 +595,30 @@ def test_cover_stream_that_is_not_a_base_stream():
     assert r.witness["cover_stream"] == 2
 
 
+def test_cover_names_never_collide_with_ambient_names():
+    # "a'" is an ambient symbol, so the primed copies end in two or more
+    # primes; the answers are those of the same pair named a, b
+    def pair(names):
+        return (constant([[1, 1], [0, 1]], names),
+                constant([[2, 1], [0, 1]], names))
+
+    def answers(names):
+        base, amb = pair(names)
+        [e] = [m for m in classify_measures(base).measures
+               if m.verdict.is_yes()]
+        return ([(r.verdict.value, r.witness["cover_stream"],
+                  r.witness["dominating_stream"])
+                 for r in classify_subdiagram(base, amb)],
+                is_distinguished(e.ray, base, amb).value)
+
+    assert answers(["a", "a'"]) == answers(["a", "b"]) == ([("no", 2, 1)],
+                                                          "no")
+    assert canonical_cover(*pair(["a", "a'"])).cover.alphabet(0) == (
+        "a''", "a'''", "a", "a'")
+    assert canonical_cover(*pair(["a", "b"])).cover.alphabet(0) == (
+        "a'", "b'", "a", "b")
+
+
 def test_extreme_count_builds_no_ray(monkeypatch):
     # count-ergodic reads verdicts only, so it builds no ray
     calls = collections.Counter()
@@ -658,9 +682,7 @@ def _measure_additive(seq, measure, depth):
             masses.setdefault(tuple(w[:-1]), Fraction(0))
             masses[tuple(w[:-1])] += measure.cylinder_mass(list(w))
         for prefix, total in masses.items():
-            want = (measure.cylinder_mass(list(prefix)) if prefix
-                    else measure.total_mass())
-            assert total == want
+            assert total == measure.cylinder_mass(list(prefix))
 
 
 def _measure_fc_invariant(seq, measure, depth):
