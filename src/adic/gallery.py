@@ -9,7 +9,6 @@ import math
 from fractions import Fraction
 
 from .errors import NotNested
-from .verdict import Verdict
 from .matrixseq import (
     GenMatrix,
     constant,
@@ -18,7 +17,6 @@ from .matrixseq import (
     _spec_term as _cf_term,
 )
 from .diagram import BratteliDiagram, substitution_order
-from .cones import compare_perron
 from .vershik import SubdiagramEmbedding
 from .measures import classify_subdiagram
 
@@ -160,9 +158,9 @@ class NestedRotation:
 def nested_rotation(n_spec, nhat_spec):
     """Nested pair of rotation diagrams from partial quotients n <= nhat.
     The verdict is Yes for a finite invariant measure on the subdiagram's
-    tower (per-period product of lambda-hat/lambda at most 1), No for
-    infinite.  The per-period products are Perron eigenvalues of integer
-    2x2 continuant matrices, compared exactly."""
+    tower, No for infinite, decided by classifying the canonical cover.
+    `detail` holds the per-period Perron eigenvalues (t + sqrt(D)) / 2 of
+    the integer 2x2 continuant matrices, as (t, D)."""
     np_, nc = _cf_scalars(n_spec)
     hp, hc = _cf_scalars(nhat_spec)
     P = max(len(np_), len(hp))
@@ -176,25 +174,16 @@ def nested_rotation(n_spec, nhat_spec):
             raise NotNested("partial quotients must be at least 1")
     base = rotation_diagram((np_, nc))
     ambient = rotation_diagram((hp, hc))
-    # identical tails: bounded ratio regardless of eigenvalues
-    tails_equal = all(_cf_term(np_, nc, P + j) == _cf_term(hp, hc, P + j)
-                      for j in range(L))
-    q1 = _period_matrix(np_, nc, P, L)
-    q2 = _period_matrix(hp, hc, P, L)
-    t1, D1 = _perron_2x2(q1)
-    t2, D2 = _perron_2x2(q2)
     detail = {
         "period": L,
-        "lambda_period_eigenvalue": (t1, D1),
-        "lambda_hat_period_eigenvalue": (t2, D2),
+        "lambda_period_eigenvalue": _perron_2x2(
+            _period_matrix(np_, nc, P, L)),
+        "lambda_hat_period_eigenvalue": _perron_2x2(
+            _period_matrix(hp, hc, P, L)),
     }
-    if tails_equal:
-        verdict = Verdict.yes({"reason": "identical tails", **detail})
-    elif compare_perron(q2, q1)[0] <= 0:  # lambda-hat vs lambda
-        verdict = Verdict.yes({"reason": "per-period ratio <= 1", **detail})
-    else:
-        verdict = Verdict.no({"reason": "per-period ratio > 1", **detail})
-    return NestedRotation(base, ambient, verdict, detail)
+    results = classify_subdiagram(base.seq, ambient.seq)
+    # a rotation base carries a single ergodic measure
+    return NestedRotation(base, ambient, results[0].verdict, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ Conventions used throughout the package:
   fractions.Fraction.  No floats anywhere on a decision path.
 """
 
+import functools
 import itertools
 import math
+import operator
 
 from .errors import (
     IncompatibleAlphabets,
@@ -495,61 +497,141 @@ def wielandt_bound(d):
     return (d - 1) ** 2 + 1
 
 
-def _positivity_from(seq, k):
-    """Iterate boolean partial products starting at level k until a strictly
-    positive product appears, the state (stored position, boolean product)
-    repeats, or a truncated sequence runs out.  Returns ('yes', n) /
-    ('no', n) / ('horizon', n).
+def _after(seq, j):
+    """The step key of a boolean product whose last matrix sits at stored
+    position j, or None past a truncated sequence's horizon.  The key is j
+    itself: the next matrix is the one after position j (`_next`), and the
+    product's columns are in the order of stored[j].cols.  Only the last
+    prefix and the last cycle position share a next matrix; they share the
+    key P - 1 when they list their columns alike.  So two products share a
+    key exactly when their next matrix and column order agree."""
+    if j + 1 < len(seq.stored):
+        return j
+    if seq.horizon is not None:
+        return None
+    P = seq.prefix_len
+    return P - 1 if P and seq.stored[P - 1].cols == seq.stored[j].cols \
+        else j
 
-    The product is kept as one int bitmask per column, in column order:
-    bit i of a column's mask is set iff row i of matrix(k) reaches that
-    column.  Multiplying by the next matrix is one OR per nonzero entry."""
-    first = seq.matrix(k)
-    full = (1 << len(first.rows)) - 1
-    bit = {a: 1 << i for i, a in enumerate(first.rows)}
-    cols, masks = first.cols, dict.fromkeys(first.cols, 0)
-    for (a, b) in first.entries:
-        masks[b] |= bit[a]
-    m = k + 1
+
+def _next(seq, key):
+    """The stored position of the matrix after step key `key`."""
+    return key + 1 if key + 1 < len(seq.stored) else seq.prefix_len
+
+
+def _step(seq, table, key):
+    """The gather step at `key` (see `_after`): multiply a product whose
+    columns are in the order of stored[key].cols by the next matrix.
+    Built and kept in `table` as the tuple (gather, zeros, extras,
+    zero_row, following):
+
+    - `gather` takes each new column's first source mask in one C call;
+      the `extras` (column, source) pairs are OR-ed in after it, and the
+      `zeros`, columns with no source, are cleared;
+    - `zero_row` says whether the matrix has a zero row, the only way a
+      step can drop a row from the product's union;
+    - `following` is the key after this step.
+
+    The sequence constructors check that consecutive alphabets agree as
+    sets, so the order lists the matrix's rows."""
+    i = _next(seq, key)
+    mat = seq.stored[i]
+    order = seq.stored[key].cols
+    at = dict(zip(order, range(len(order))))
+    col = dict(zip(mat.cols, range(len(mat.cols))))
+    index = [None] * len(mat.cols)
+    extras = []
+    for (a, b) in mat.entries:
+        c = col[b]
+        if index[c] is None:
+            index[c] = at[a]
+        else:
+            extras.append((c, at[a]))
+    zeros = [c for c, j in enumerate(index) if j is None] \
+        if None in index else ()
+    for c in zeros:
+        index[c] = 0
+    # a run takes gather steps only after a direct pass over every cycle
+    # level, and a pass over a one-symbol level ends the run (the product
+    # is positive or has a zero row), so `index` has two or more entries and
+    # the gather returns a tuple
+    gather = operator.itemgetter(*index)
+    zero_row = len({a for a, _ in mat.entries}) < len(mat.rows)
+    step = table[key] = (gather, zeros, extras, zero_row, _after(seq, i))
+    return step
+
+
+def _positivity_from(seq, k, table):
+    """Iterate boolean partial products starting at level k until a strictly
+    positive product appears, the state (stored position, column order,
+    boolean product) repeats, or a truncated sequence runs out.  Returns
+    ('yes', n) / ('no', n) / ('horizon', n).  matrix(k) must have rows.
+
+    The product is kept as a tuple of int bitmasks, one per column in the
+    column order of the last matrix multiplied: bit i of a column's mask is
+    set iff row i of matrix(k) reaches that column.  The first
+    2 * len(seq.stored) steps are direct, by label; later steps are the
+    gather steps of `table` (see `_step`), which one table shares among all
+    start levels of a sequence.  A gather step costs more to build than a
+    direct step and pays off only when it is reused, which the short runs
+    of most sequences rarely do."""
+    i = seq.index(k)
+    mat = seq.stored[i]
+    full = (1 << len(mat.rows)) - 1
+    direct = 2 * len(seq.stored)
+    by_label = {a: 1 << j for j, a in enumerate(mat.rows)}
+    n = 0
     seen = set()
     while True:
-        if full and cols and all(v == full for v in masks.values()):
-            return ("yes", m - k)
+        if n < direct:
+            if n:
+                i = _next(seq, key)
+                mat = seq.stored[i]
+            by_label, prev = dict.fromkeys(mat.cols, 0), by_label
+            for (a, b) in mat.entries:
+                by_label[b] |= prev[a]
+            masks = tuple(by_label.values())
+            zero_row = True
+            key = _after(seq, i)
+        else:
+            gather, zeros, extras, zero_row, key = \
+                table.get(key) or _step(seq, table, key)
+            prev, masks = masks, gather(masks)
+            if zeros or extras:
+                fixed = list(masks)
+                for c in zeros:
+                    fixed[c] = 0
+                for c, j in extras:
+                    fixed[c] |= prev[j]
+                masks = tuple(fixed)
+        n += 1
         # an all-zero row can never fill in again
-        hit = 0
-        for v in masks.values():
-            hit |= v
-        if hit != full:
-            return ("no", m - k)
-        try:
-            i = seq.index(m)
-        except HorizonExceeded:
-            return ("horizon", m - k)
-        state = (i, cols, tuple(masks.values()))
-        if state in seen:
-            return ("no", m - k)
-        seen.add(state)
-        nxt = seq.stored[i]
-        if set(cols) != set(nxt.rows):
-            raise IncompatibleAlphabets(
-                "cannot multiply: cols %r vs rows %r" % (cols, nxt.rows))
-        new = dict.fromkeys(nxt.cols, 0)
-        for (a, b) in nxt.entries:
-            new[b] |= masks[a]
-        cols, masks = nxt.cols, new
-        m += 1
+        if zero_row and functools.reduce(operator.or_, masks, 0) != full:
+            return ("no", n)
+        # masks is not empty: a direct step's union is full, and a gather
+        # step has two or more columns
+        if masks.count(full) == len(masks):
+            return ("yes", n)
+        if key is None:
+            return ("horizon", n)
+        # one hash per state: a repeat leaves the set's size unchanged
+        seen.add((key, masks))
+        if len(seen) < n:
+            return ("no", n)
 
 
 def is_primitive(seq):
     """Verdict on: for every level k there is n with the partial product
     from k to n strictly positive.  Exact for eventually periodic input;
-    Truncated input can only be refuted (a zero row persists forever), never
+    Truncated input can only be refuted (a zero row persists forever, and a
+    level with an empty alphabet has no positive product), never
     confirmed."""
-    if seq.is_eventually_periodic and any(not m.rows for m in seq.stored):
+    if any(not m.rows for m in seq.stored):
         return Verdict.no({"reason": "empty alphabet"})
+    table = {}
     witness = {}
     for k in range(len(seq.stored)):
-        res, n = _positivity_from(seq, k)
+        res, n = _positivity_from(seq, k, table)
         if res == "no":
             return Verdict.no({"start_level": k, "steps_explored": n})
         if res == "horizon":

@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from adic.cones import normalize
+from adic.cones import compare_perron, normalize
 from adic.diagram import enumerate_paths
 from adic.errors import InternalError, NonPositiveEntry, NotPrimitive
+from adic.gallery import _cf_scalars, _cf_term, _period_matrix
 from adic.matrixseq import (GenMatrix, EventuallyPeriodic, partial_product,
                             reduce_sequence, is_primitive, wielandt_bound)
 from adic.vershik import LazyPath, _word_into, cyclic_return_time
@@ -59,6 +61,15 @@ def random_reduced_sequence(rng, **kw):
         if all(red.alphabet(i) for i in range(red.prefix_len
                                               + red.period + 1)):
             return red
+
+
+def cycle_with_loop(n):
+    """The stationary n-cycle 0 -> 1 -> ... -> n-1 -> 0 with one loop at 0:
+    primitive, with least positive power 2n - 2."""
+    labs = labels(n)
+    entries = {(labs[j], labs[(j + 1) % n]): 1 for j in range(n)}
+    entries[(labs[0], labs[0])] = 1
+    return EventuallyPeriodic([], [GenMatrix(labs, labs, entries)])
 
 
 def random_nested_pair(rng, **kw):
@@ -335,6 +346,24 @@ def approx_check_reference(ray, seq):
         if any(img.get(a, 0) != ray.levels[i].get(a, 0) for a in m.rows):
             return False
     return True
+
+
+def nested_rotation_tails_rule(n_spec, nhat_spec):
+    """Oracle for gallery.nested_rotation's verdict, as "yes" or "no": the
+    closed form it used before it classified the cover.  Finite when the
+    partial quotients agree over one joint period of the tails, else when
+    the ambient's per-period Perron root is at most the base's (a branch
+    that Perron-Frobenius rules out for n <= nhat, n != nhat)."""
+    np_, nc = _cf_scalars(n_spec)
+    hp, hc = _cf_scalars(nhat_spec)
+    P = max(len(np_), len(hp))
+    L = math.lcm(len(nc), len(hc))
+    window = range(P, P + L)
+    if all(_cf_term(np_, nc, i) == _cf_term(hp, hc, i) for i in window):
+        return "yes"
+    q = _period_matrix(np_, nc, P, L)
+    qhat = _period_matrix(hp, hc, P, L)
+    return "yes" if compare_perron(qhat, q)[0] <= 0 else "no"
 
 
 @pytest.fixture

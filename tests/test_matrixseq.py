@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from adic.errors import (
     HorizonExceeded,
     ShapeMismatch,
 )
-from adic import matrixseq
+from adic import frobenius, matrixseq
 from adic.matrixseq import (
     GenMatrix,
     EventuallyPeriodic,
@@ -23,7 +24,8 @@ from adic.matrixseq import (
     wielandt_bound,
 )
 
-from conftest import random_ep_sequence, random_reduced_sequence
+from conftest import (cycle_with_loop, random_ep_sequence,
+                      random_reduced_sequence)
 
 
 def test_matrix_multiplication_hand_oracle():
@@ -249,22 +251,210 @@ def test_positivity_from_matches_dict_boolean_products():
             seq = EventuallyPeriodic(
                 seq.prefix,
                 seq.cycle[:-1] + [GenMatrix(last.rows, cols, last.entries)])
+        table = {}
         for k in range(seq.prefix_len + seq.period):
-            assert (matrixseq._positivity_from(seq, k)
+            assert (matrixseq._positivity_from(seq, k, table)
                     == _dict_positivity_from(seq, k))
         n = rng.randrange(1, 8)
         trunc = Truncated([seq.matrix(j) for j in range(n)])
+        table = {}
         for k in range(n):
-            assert (matrixseq._positivity_from(trunc, k)
+            assert (matrixseq._positivity_from(trunc, k, table)
                     == _dict_positivity_from(trunc, k))
 
 
-def test_is_primitive_makes_no_matrix_products(mul_calls):
-    n = 68
+def _wielandt_matrix(n):
+    """Wielandt's n x n matrix: the n-cycle plus one chord n-1 -> 1, whose
+    least positive power is the bound (n - 1)^2 + 1 itself."""
+    mat = [[0] * n for _ in range(n)]
+    for j in range(n):
+        mat[j][(j + 1) % n] = 1
+    mat[n - 1][1] = 1
+    return constant(mat)
+
+
+def _late_zero_row(n):
+    """A prefix sending every row to symbol 0, then the n-chain with an
+    empty last row: the product from level 0 first gets a zero row after
+    n + 1 steps."""
     labs = tuple(str(j) for j in range(n))
-    entries = {(labs[j], labs[(j + 1) % n]): 1 for j in range(n)}
-    entries[(labs[0], labs[0])] = 1
-    v = is_primitive(EventuallyPeriodic([], [GenMatrix(labs, labs, entries)]))
+    funnel = GenMatrix(labs, labs, {(a, "0"): 1 for a in labs})
+    chain = GenMatrix(labs, labs, {(labs[j], labs[j + 1]): 1
+                                   for j in range(n - 1)})
+    return EventuallyPeriodic([funnel], [chain])
+
+
+def _shuffled_columns(rng, seq):
+    """The same sequence with some stored matrices listing their columns
+    in another order."""
+    stored = []
+    for m in seq.stored:
+        cols = list(m.cols)
+        if rng.random() < 0.5:
+            rng.shuffle(cols)
+        stored.append(GenMatrix(m.rows, cols, m.entries))
+    if seq.is_eventually_periodic:
+        return EventuallyPeriodic(stored[:seq.prefix_len],
+                                  stored[seq.prefix_len:])
+    return Truncated(stored)
+
+
+def _kernel_cases(seq):
+    """The structural cases of one sequence that the positivity kernel
+    handles apart."""
+    stored = seq.stored
+    nxt = stored[1:] + ([stored[seq.prefix_len]]
+                        if seq.is_eventually_periodic else [])
+    cases = set()
+    if any(len({b for _, b in m.entries}) < len(m.cols) for m in stored):
+        cases.add("zero column")
+    if any(len(m.cols) == 1 for m in stored):
+        cases.add("one column")
+    if any(len({b for _, b in m.entries}) < len(m.entries) for m in stored):
+        cases.add("two or more sources")
+    if any(m.cols != after.rows for m, after in zip(stored, nxt)):
+        cases.add("reordered columns")
+    if seq.is_eventually_periodic and any(
+            m.rows != m.cols for m in seq.prefix):
+        cases.add("rectangular prefix")
+    if max(len(m.rows) for m in stored) >= 8:
+        cases.add("dim 8 to 10")
+    return cases
+
+
+def _sparse_sequence(rng):
+    """A random eventually periodic sequence with one or two entries in
+    most rows, some zero rows and some one-symbol levels: its boolean
+    products take many steps to fill in or to repeat."""
+    P, T = rng.randrange(3), rng.randrange(1, 5)
+    dims = [1 if rng.random() < 0.15 else rng.randrange(2, 9)
+            for _ in range(P + T)]
+    dims.append(dims[P])
+    mats = []
+    for d0, d1 in zip(dims, dims[1:]):
+        rows = tuple(str(j) for j in range(d0))
+        cols = tuple(str(j) for j in range(d1))
+        entries = {}
+        for a in rows:
+            if rng.random() < 0.02:
+                continue
+            for _ in range(1 + (rng.random() < 0.3)):
+                entries[(a, rng.choice(cols))] = 1
+        mats.append(GenMatrix(rows, cols, entries))
+    return EventuallyPeriodic(mats[:P], mats[P:])
+
+
+def _positivity_kernel_set(rng):
+    """Cycles with a loop, Wielandt's matrices, late zero rows, and seeded
+    random sequences (dims up to 10, and sparse ones), half of them with
+    reordered columns, then truncated windows of the last 120."""
+    seqs = [cycle_with_loop(n) for n in (8, 17, 33, 68)]
+    seqs += [_wielandt_matrix(n) for n in range(2, 9)]
+    seqs += [_late_zero_row(n) for n in (3, 8, 12)]
+    for trial in range(240):
+        if trial % 3 == 0:
+            seq = random_ep_sequence(rng, max_dim=10, max_period=3,
+                                     max_prefix=3)
+        elif trial % 3 == 1:
+            seq = random_ep_sequence(rng, max_dim=3, max_period=4,
+                                     max_prefix=2)
+        else:
+            seq = _sparse_sequence(rng)
+        seqs.append(_shuffled_columns(rng, seq) if trial % 2 else seq)
+    for seq in seqs[-120:]:
+        n = rng.randrange(1, 8)
+        seqs.append(Truncated([seq.matrix(j) for j in range(n)]))
+    return seqs
+
+
+def _first_positive_power(cycle, k):
+    """The least n for which n matrices of `cycle` from level k have a
+    strictly positive product, by reach sets; None if none within 200."""
+    reach = {a: {a} for a in cycle.matrix(k).rows}
+    for n in range(1, 201):
+        m = cycle.matrix(k + n - 1)
+        adj = {}
+        for (a, b) in m.entries:
+            adj.setdefault(a, set()).add(b)
+        reach = {a: set().union(*(adj.get(x, ()) for x in r))
+                 for a, r in reach.items()}
+        if all(len(r) == len(m.cols) for r in reach.values()):
+            return n
+    return None
+
+
+def test_positivity_kernel_matches_the_dict_oracle_on_every_start_level():
+    rng = random.Random(2021)
+    results = collections.Counter()
+    cases = collections.Counter()
+    for seq in _positivity_kernel_set(rng):
+        table = {}
+        seq_cases = _kernel_cases(seq)
+        if not seq.is_eventually_periodic:
+            seq_cases.add("truncated window")
+        for k in range(len(seq.stored)):
+            got = matrixseq._positivity_from(seq, k, table)
+            assert got == _dict_positivity_from(seq, k), (seq.stored, k)
+            results[got[0]] += 1
+            # runs past two passes over the stored matrices take the
+            # gather steps
+            long_run = got[1] > 2 * len(seq.stored)
+            results["gather"] += long_run
+            for case in seq_cases:
+                cases[case] += 1
+                cases[case, "gather"] += long_run
+            if got[0] == "no" and got[1] > 1 and \
+                    len({a for a, _ in seq.matrix(k).entries}) \
+                    == len(seq.matrix(k).rows):
+                prod = partial_product(seq, k, k + got[1] - 1)
+                if len({a for a, _ in prod.entries}) < len(prod.rows):
+                    cases["zero row after step 1"] += 1
+                    cases["zero row after step 1", "gather"] += long_run
+    assert results["yes"] >= 300 and results["no"] >= 300 \
+        and results["horizon"] >= 100 and results["gather"] >= 50, results
+    assert min(cases[c] for c in (
+        "zero column", "one column", "two or more sources",
+        "reordered columns", "rectangular prefix", "dim 8 to 10",
+        "truncated window", "zero row after step 1")) >= 20, cases
+    assert min(cases[c, "gather"] for c in (
+        "zero column", "two or more sources", "reordered columns",
+        "rectangular prefix", "dim 8 to 10")) >= 20, cases
+    assert cases["zero row after step 1", "gather"] >= 2, cases
+
+
+def test_certified_positivity_powers_are_least():
+    # each positive_after[k] = n of a stream certificate, on the reduced
+    # eventually periodic members of the kernel set, is the least n:
+    # n matrices from k have a positive product and n - 1 do not
+    seqs = []
+    for seq in _positivity_kernel_set(random.Random(2021)):
+        if seq.is_eventually_periodic:
+            red = reduce_sequence(seq)[0]
+            if all(m.rows for m in red.stored):
+                seqs.append(red)
+    checked = collections.Counter()
+    for seq in seqs:
+        decomp = frobenius.stream_decompose(seq)
+        for s in decomp.streams:
+            v = decomp.certificates["streams"][s.index]
+            assert v.is_yes()
+            for k, n in v.witness["positive_after"].items():
+                assert _first_positive_power(s.induced_cycle(), k) == n
+                checked[n > 1] += 1
+    assert checked[True] >= 50 and checked[False] >= 50, checked
+
+
+def test_is_primitive_of_an_empty_alphabet_is_no_also_when_truncated():
+    empty = GenMatrix((), ("0",))
+    loop = GenMatrix(("0",), ("0",), {("0", "0"): 1})
+    for seq in (Truncated([empty, loop]), Truncated([loop, loop.restrict(
+            ("0",), ()), GenMatrix((), ())])):
+        v = is_primitive(seq)
+        assert v.is_no() and v.witness == {"reason": "empty alphabet"}
+
+
+def test_is_primitive_makes_no_matrix_products(mul_calls):
+    v = is_primitive(cycle_with_loop(68))
     assert v.is_yes()
     assert mul_calls == []
 
@@ -273,6 +463,11 @@ def test_wielandt_bound():
     assert wielandt_bound(1) == 1
     assert wielandt_bound(2) == 2
     assert wielandt_bound(3) == 5
+    # Wielandt's matrices attain it
+    for n in range(2, 9):
+        v = is_primitive(_wielandt_matrix(n))
+        assert v.witness == {"positive_after": {0: wielandt_bound(n)},
+                             "wielandt_bound": wielandt_bound(n)}
 
 
 def test_json_roundtrip_ep():

@@ -24,7 +24,8 @@ from adic.measures import (
 from adic.diagram import BratteliDiagram, enumerate_paths
 from adic.gallery import nested_odometer, nested_rotation
 
-from conftest import (labels, random_ep_sequence, random_nested_pair,
+from conftest import (labels, nested_rotation_tails_rule,
+                      random_ep_sequence, random_nested_pair,
                       random_reduced_sequence)
 from test_eigen import THREE_BLOCKS
 
@@ -228,21 +229,41 @@ def test_is_distinguished_agrees_with_classify_subdiagram():
     assert counts["yes"] >= 30 and counts["no"] >= 100, counts
 
 
+def _random_rotation_pair(rng):
+    """Partial-quotient specs n <= nhat, seeded: nhat raises some terms of
+    n's prefix, and for most pairs some of its cycle too."""
+    prefix = [rng.randint(1, 3) for _ in range(rng.randrange(3))]
+    cycle = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    reps = rng.randint(1, 2)
+    bump_tail = rng.random() < 0.7
+    hat_prefix = [n + (rng.random() < 0.5) for n in prefix]
+    hat_cycle = [n + (bump_tail and rng.random() < 0.5)
+                 for n in cycle * reps]
+    return (prefix, cycle), (hat_prefix, hat_cycle)
+
+
 def test_nested_rotation_closed_form_agrees_with_classify_subdiagram():
+    # nested_rotation's verdict is classify_subdiagram's; the tails rule
+    # it used before is the oracle (conftest), on fixed specs and seeded
+    # random pairs
     specs = [1, 2, 3, [1, 2], [2, 1], [1, 3], [2, 2, 1], ([2], [1]),
              ([1], [3, 2])]
+    pairs = [(n, nhat) for n in specs for nhat in specs]
+    rng = random.Random(61)
+    pairs += [_random_rotation_pair(rng) for _ in range(60)]
     counts = {"yes": 0, "no": 0}
-    for n_spec in specs:
-        for nhat_spec in specs:
-            try:
-                r = nested_rotation(n_spec, nhat_spec)
-            except NotNested:
-                continue
-            results = classify_subdiagram(r.base.seq, r.ambient.seq)
-            assert [x.verdict.value for x in results] == [r.verdict.value], \
-                (n_spec, nhat_spec)
-            counts[r.verdict.value] += 1
-    assert counts["yes"] >= 8 and counts["no"] >= 20, counts
+    for n_spec, nhat_spec in pairs:
+        try:
+            r = nested_rotation(n_spec, nhat_spec)
+        except NotNested:
+            continue
+        want = nested_rotation_tails_rule(n_spec, nhat_spec)
+        assert r.verdict.value == want, (n_spec, nhat_spec)
+        # one base measure, so its verdict is the pair's
+        results = classify_subdiagram(r.base.seq, r.ambient.seq)
+        assert [x.verdict.value for x in results] == [want]
+        counts[want] += 1
+    assert counts["yes"] >= 40 and counts["no"] >= 40, counts
 
 
 def test_truncated_pair_is_undecided_at_the_cover_horizon():
