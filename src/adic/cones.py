@@ -573,7 +573,9 @@ def exact_ray(decomp, stream):
 def stream_base_ray(decomp, stream):
     """Exact eigenvector sequence supported on the stream itself (zero off
     the stream); always exists when the per-period eigenvalue is rational.
-    This is the base ray of the stream's tower."""
+    This is the base ray of the stream's tower.  It reads the stream's
+    prefix members, so it reads `decomp.certificates` first."""
+    decomp.certificates
     lam = stream_period_eigenvalue(stream)
     if lam is None:
         return None

@@ -8,15 +8,17 @@ strongly connected components of the lifted (phase, symbol) graph of the
 cycle part; an SCC whose layered period is rho splits into rho cyclic
 classes, and each cyclic class traced around the cycle is one stream.
 
-A decomposition is built in two steps.  Ordering finds the streams in
-order, with valid_from and lcm_period; a stream's members at the periodic
-levels follow from its SCC alone.  Resolution fills one table per layout
-position and certifies the streams and the pool; it runs on the first read
-of the table or of `certificates`, and `stream_decompose` reads both before
-it returns.  The stream relations are lookups in the table: `reach(k, a)`
-is the set of streams symbol a at level k has an edge path into, its own
-included; the streams that communicate into a stream are those whose
-members reach it.
+A decomposition is built in two steps.  Ordering takes every SCC's period
+first, so lcm_period is known, and then builds the streams in order; a
+stream's members at the periodic levels follow from its SCC alone.
+Resolution fills one table per layout position, hands each stream its
+prefix members, and certifies the streams and the pool; it runs on the
+first read of the table or of `certificates`, and `stream_decompose` reads
+both before it returns.  The stream relations are lookups in the table:
+`reach(k, a)` is the set of streams symbol a at level k has an edge path
+into, its own included; the streams that communicate into a stream are
+those whose members reach it.  A stream is plain data with no reference to
+its decomposition, so reference counting frees a dropped decomposition.
 """
 
 import collections
@@ -158,36 +160,45 @@ def _matrix_graph(m):
 
 class Stream:
     """One primitive stream: a cyclic class of one SCC of the lifted graph,
-    together with its backward extension through the prefix.  Its members
-    at the periodic levels follow from the SCC; at the prefix levels they
-    are read from the decomposition's table."""
+    together with its backward extension through the prefix.  It holds its
+    decomposition's layout (seq, valid_from, period, lcm_period), its SCC
+    data and its members, and no reference to the decomposition.  Its
+    members at the periodic levels follow from the SCC; its members at the
+    prefix levels are handed over once, when the decomposition's table is
+    filled, and reading one before that is an InternalError."""
 
-    def __init__(self, decomp, index, scc, ell, rho, residue):
-        self.decomp = decomp
+    def __init__(self, layout, index, scc, ell, rho, residue):
+        self.seq, self.valid_from, self.period, self.lcm_period = layout
         self.index = index          # 1-based position in the ordering
         self.scc = scc              # tuple of (phase, symbol) nodes
         self.ell = ell              # node -> cyclic class in Z_rho
         self.rho = rho              # rotation period in levels
         self.residue = residue
+        self._prefix_members = None     # levels 0..valid_from-1
 
     @functools.cached_property
     def _periodic_members(self):
         """The members at the positions valid_from + m, m < lcm_period: the
         symbols a with (m mod period, a) in the SCC in cyclic class
         (residue + m) mod rho."""
-        d = self.decomp
-        out = [set() for _ in range(d.lcm_period)]
+        out = [set() for _ in range(self.lcm_period)]
         for (ph, a), c in self.ell.items():
-            for m in range(ph, d.lcm_period, d.period):
+            for m in range(ph, self.lcm_period, self.period):
                 if c == (self.residue + m) % self.rho:
                     out[m].add(a)
         return [frozenset(g) for g in out]
 
     def members_at(self, k):
-        d = self.decomp
-        if k >= d.valid_from:
-            return self._periodic_members[d.index(k) - d.valid_from]
-        return d._at(k).members.get(self.index, frozenset())
+        """The stream's symbols at level k, at any k >= 0."""
+        P = self.valid_from
+        if k >= P:
+            return self._periodic_members[(k - P) % self.lcm_period]
+        if k < 0:
+            raise IndexError(k)
+        if self._prefix_members is None:
+            raise InternalError("internal error: stream %d read at prefix "
+                                "level %d before its table" % (self.index, k))
+        return self._prefix_members[k]
 
     @property
     def starting_time(self):
@@ -204,21 +215,15 @@ class Stream:
 
     @functools.cached_property
     def _cycle(self):
-        P, L = self.decomp.valid_from, self.decomp.lcm_period
-        mats = []
-        for j in range(L):
-            m = self.decomp.seq.matrix(P + j)
-            here, there = self.members_at(P + j), self.members_at(P + j + 1)
-            rows = tuple(a for a in m.rows if a in here)
-            cols = tuple(b for b in m.cols if b in there)
-            mats.append(m.restrict(rows, cols))
-        return EventuallyPeriodic([], mats)
+        P = self.valid_from
+        return EventuallyPeriodic([], [matrixseq._restrict_to(
+            self.seq.matrix(P + j), self.members_at(P + j),
+            self.members_at(P + j + 1)) for j in range(self.lcm_period)])
 
     def period_product(self):
         """Product of the induced matrices over one lcm period: a square
         matrix on the stream's symbols at the valid-from level."""
-        cyc = self.induced_cycle()
-        return partial_product(cyc, 0, self.decomp.lcm_period - 1)
+        return partial_product(self.induced_cycle(), 0, self.lcm_period - 1)
 
     @functools.cached_property
     def perron_root(self):
@@ -231,13 +236,13 @@ class Stream:
 
     def __repr__(self):
         return "Stream(%d, at %d: %r)" % (
-            self.index, self.decomp.valid_from,
-            sorted(self.members_at(self.decomp.valid_from)))
+            self.index, self.valid_from,
+            sorted(self.members_at(self.valid_from)))
 
 
-# One layout position of a decomposition: each symbol's block, the set of
-# streams each symbol reaches, and each stream's members
-_Position = collections.namedtuple("_Position", "blocks reach members")
+# One layout position of a decomposition: each symbol's block, and the set
+# of streams each symbol reaches
+_Position = collections.namedtuple("_Position", "blocks reach")
 
 
 class StreamDecomposition:
@@ -245,19 +250,19 @@ class StreamDecomposition:
     0..valid_from-1 followed by one lcm period; `index(k)` maps a level to
     its position, and `_table` holds one `_Position` per position.  The
     table and `certificates` are resolved together on the first read of
-    either.  Every membership and block reader below is a lookup in that
-    table.  `horizon` is the horizon of the input: None when it is
-    eventually periodic, and a truncated window's own horizon also when
-    the window was decomposed through its periodic extension."""
+    either, and the streams own their members.  Every membership and block
+    reader below reads that table and the streams.  `horizon` is the
+    horizon of the input: None when it is eventually periodic, and a
+    truncated window's own horizon also when the window was decomposed
+    through its periodic extension.  The readers answer for levels up to
+    max(horizon, valid_from), so a report can read its anchor level
+    valid_from."""
 
-    def __init__(self, seq, valid_from, period, provisional=False):
-        self.seq = seq
-        self.horizon = seq.horizon
-        self.valid_from = valid_from
-        self.period = period
+    def __init__(self, layout, streams, provisional=False):
+        self.seq, self.valid_from, self.period, self.lcm_period = layout
+        self.horizon = self.seq.horizon
+        self.streams = streams
         self.provisional = provisional
-        self.streams = []
-        self.lcm_period = period
 
     @functools.cached_property
     def _resolved(self):
@@ -274,16 +279,16 @@ class StreamDecomposition:
 
     def index(self, k):
         """The layout position of level k: k below valid_from, then one lcm
-        period repeating.  IndexError for k < 0; HorizonExceeded past the
-        horizon of a truncated sequence."""
+        period repeating.  IndexError for k < 0; HorizonExceeded past
+        max(horizon, valid_from) of a truncated window."""
         P = self.valid_from
         if k < P:
             if k < 0:
                 raise IndexError(k)
             return k
-        if self.seq.horizon is not None and k > self.seq.horizon:
+        if self.horizon is not None and k > max(self.horizon, P):
             raise HorizonExceeded("level %d beyond horizon %d"
-                                  % (k, self.seq.horizon))
+                                  % (k, self.horizon))
         return P + (k - P) % self.lcm_period
 
     def _at(self, k):
@@ -293,9 +298,9 @@ class StreamDecomposition:
 
     def stream_of(self, k, a):
         """Stream index containing symbol a at level k, or None (pool)."""
-        pos = self._at(k)
-        _, i = pos.blocks.get(a, (None, None))
-        return i if a in pos.members.get(i, ()) else None
+        _, i = self._at(k).blocks.get(a, (None, 0))
+        s = self.streams[i - 1] if 0 < i <= len(self.streams) else None
+        return i if s is not None and a in s.members_at(k) else None
 
     def reach(self, k, a):
         """The streams that symbol a at level k has an edge path into, its
@@ -303,8 +308,8 @@ class StreamDecomposition:
         return self._at(k).reach.get(a, frozenset())
 
     def pool_members_at(self, k):
-        pos = self._at(k)
-        return frozenset(pos.blocks).difference(*pos.members.values())
+        return frozenset(self._at(k).blocks).difference(
+            *(s.members_at(k) for s in self.streams))
 
     # -- blocks ---------------------------------------------------------
 
@@ -421,13 +426,12 @@ def _stream_order(seq):
         raise NotReduced("reduce the sequence before decomposing")
     P, T = seq.prefix_len, seq.period
     graph = _lifted_graph(seq, T)
-    order = _class_analysis(graph)
-
-    decomp = StreamDecomposition(seq, P, T)
-    for scc in order:
-        depth, rho = _depths_and_period(graph, scc)
+    classes = [(scc,) + _depths_and_period(graph, scc)
+               for scc in _class_analysis(graph)]
+    layout = (seq, P, T, math.lcm(T, *(rho for _, _, rho in classes)))
+    streams = []
+    for scc, depth, rho in classes:
         ell = {node: depth[node] % rho for node in scc}
-        decomp.lcm_period = math.lcm(decomp.lcm_period, rho)
         # valid residues r: the stream (scc, r) is nonempty at some level,
         # i.e. r = ell(u) - (phase(u) + t*T) mod rho for some node and t.
         # The streams of one SCC are ordered by their symbols at phase 0.
@@ -435,9 +439,8 @@ def _stream_order(seq):
                     for u in scc for t in range(max(1, rho))}
         for r in sorted(residues, key=lambda r: (sorted(
                 a for (ph, a) in scc if ph == 0 and ell[(ph, a)] == r), r)):
-            decomp.streams.append(Stream(decomp, len(decomp.streams) + 1,
-                                         scc, ell, rho, r))
-    return decomp
+            streams.append(Stream(layout, len(streams) + 1, scc, ell, rho, r))
+    return StreamDecomposition(layout, streams)
 
 
 def _fill_table(decomp):
@@ -449,7 +452,8 @@ def _fill_table(decomp):
     symbols, filled backward, reach what their successors reach and join
     the least stream i they reach; the block is ('pool', i) when the symbol
     has an edge into a ('pool', i) block, which keeps the block matrices
-    upper triangular, and ('stream', i) otherwise."""
+    upper triangular, and ('stream', i) otherwise.  Each stream is handed
+    its prefix members here, once."""
     seq, P, L = decomp.seq, decomp.valid_from, decomp.lcm_period
     n = len(decomp.streams)
     graph = _lifted_graph(seq, L)
@@ -477,22 +481,16 @@ def _fill_table(decomp):
             blocks[a] = ("pool" if ("pool", i) in targets[a] else "stream", i)
         levels.insert(0, (blocks, {a: frozenset(r) for a, r in reach.items()}))
 
-    table = []
-    for k, (blocks, reach) in enumerate(levels):
-        if k >= P:
-            table.append(_Position(blocks, reach, {
-                s.index: s._periodic_members[k - P] for s in decomp.streams
-                if s._periodic_members[k - P]}))
-            continue
-        members = {}
-        for a, (kind, i) in blocks.items():
+    prefix = [[set() for _ in range(P)] for _ in range(n)]
+    for k, (blocks, reach) in enumerate(levels[:P]):
+        for a, (_, i) in blocks.items():
             # a prefix symbol is a member of the least stream it reaches,
             # also when its block is ('pool', i)
-            if kind == "stream" or reach[a]:
-                members.setdefault(i, set()).add(a)
-        table.append(_Position(
-            blocks, reach, {i: frozenset(g) for i, g in members.items()}))
-    return table
+            if reach[a]:
+                prefix[i - 1][k].add(a)
+    for s, members in zip(decomp.streams, prefix):
+        s._prefix_members = [frozenset(g) for g in members]
+    return [_Position(blocks, reach) for blocks, reach in levels]
 
 
 def _certify(decomp):
@@ -547,9 +545,10 @@ def _decompose_truncated(seq):
     the result is flagged provisional and valid only to the horizon."""
     last = seq.terms[-1]
     if set(last.rows) != set(last.cols):
-        decomp = StreamDecomposition(seq, seq.horizon, 1, provisional=True)
+        decomp = StreamDecomposition((seq, seq.horizon, 1, 1), [],
+                                     provisional=True)
         decomp._resolved = (
-            [_Position({a: ("pool", 1) for a in seq.alphabet(k)}, {}, {})
+            [_Position({a: ("pool", 1) for a in seq.alphabet(k)}, {})
              for k in range(seq.horizon + 1)],
             {"streams": {}, "pool": None, "note": "window ends rectangular"})
         return decomp

@@ -280,12 +280,13 @@ def is_distinguished(w, m, mhat):
 
 
 class ErgodicMeasure:
-    """The ergodic measure of one stream and its finiteness verdict.  The
-    atom and the ray are built on first read, from the stream's
-    decomposition; for a tower's base measure, a read that needs the
-    base's table resolves it then."""
+    """The ergodic measure of one stream of `decomposition`, and its
+    finiteness verdict.  The atom and the ray are built on first read; one
+    that needs the stream's prefix members first fills the decomposition's
+    table, and for a tower's base measure that is the base's first read."""
 
-    def __init__(self, stream, verdict):
+    def __init__(self, decomposition, stream, verdict):
+        self.decomposition = decomposition
         self.stream = stream
         self.verdict = verdict      # Yes = finite, No = infinite
 
@@ -293,7 +294,7 @@ class ErgodicMeasure:
     def atom(self):
         """Edge data of the stream's single path, or None when it carries
         more than one."""
-        return _atom_path(self.stream.decomp, self.stream)
+        return _atom_path(self.decomposition, self.stream)
 
     @property
     def atomic(self):
@@ -305,7 +306,7 @@ class ErgodicMeasure:
         finite measure the exact ray when there is one, else a
         depth-limited one; for any other measure the stream's exact base
         ray.  None when no ray exists."""
-        decomp = self.stream.decomp
+        decomp = self.decomposition
         if self.verdict.is_yes():
             ray = cones.exact_ray(decomp, self.stream)
             return ray if ray is not None else _approx_ray(decomp, self.stream)
@@ -347,17 +348,19 @@ def _atom_path(decomp, stream):
     starting time through valid_from + lcm_period - 1, split at
     valid_from.  None when it carries more than one: a stream has members
     at every level from its starting time on, and the walk needs one
-    member per level, joined by one edge."""
+    member per level, joined by one edge.  It fills decomp's table first,
+    for the stream's prefix members."""
+    decomp.certificates
     start, edges = stream.starting_time, []
-    for k in range(start, decomp.valid_from + decomp.lcm_period):
+    for k in range(start, stream.valid_from + stream.lcm_period):
         here, there = stream.members_at(k), stream.members_at(k + 1)
         if len(here) != 1 or len(there) != 1:
             return None
         (a,), (b,) = here, there
-        if decomp.seq.matrix(k).entry(a, b) != 1:
+        if stream.seq.matrix(k).entry(a, b) != 1:
             return None
         edges.append((k, a, b, 0))
-    cut = decomp.valid_from - start
+    cut = stream.valid_from - start
     return {"start": start, "prefix_edges": edges[:cut],
             "cycle_edges": edges[cut:]}
 
@@ -367,7 +370,7 @@ def _classification(seq):
     and ray are left to their first read."""
     red, _ = reduce_sequence(seq)
     decomp = stream_decompose(red)
-    measures = [ErgodicMeasure(s, _finiteness_verdict(decomp, s))
+    measures = [ErgodicMeasure(decomp, s, _finiteness_verdict(decomp, s))
                 for s in decomp.streams]
     return Classification(red, decomp, measures)
 
@@ -457,7 +460,7 @@ def classify_subdiagram(m, mhat):
     for s, target in zip(base.streams, targets):
         comms = [t.index for t, r in zip(base.streams, reach)
                  if t is not s and target.index in r]
-        e = ErgodicMeasure(s, _finiteness_verdict(base, s, comms))
+        e = ErgodicMeasure(base, s, _finiteness_verdict(base, s, comms))
         if e.verdict.is_yes():
             verdict = _finiteness_verdict(decomp, target)
             witness = dict(verdict.witness)

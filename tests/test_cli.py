@@ -102,6 +102,21 @@ def test_decompose_truncated_square_keeps_its_horizon(truncated_file):
     assert out["block_matrices"] == []
 
 
+def test_decompose_window_shorter_than_its_valid_from(tmp_path):
+    # horizon 1, but the extension is reduced to valid_from 2: the report
+    # still reads its anchor level 2, and prints no block matrices
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({
+        "kind": "truncated", "alphabets": [["a", "b", "c"], ["a", "b", "c"]],
+        "terms": [[[1, 0, 0], [1, 0, 0], [0, 1, 0]]]}))
+    r = run_cli("decompose", str(path), "--json")
+    assert r.returncode == 2, r.stderr
+    out = json.loads(r.stdout)
+    assert out["provisional"] is True and out["valid_from"] == 2
+    assert [s["members_at_2"] for s in out["streams"]] == [["a"]]
+    assert out["pool_at_2"] == [] and out["block_matrices"] == []
+
+
 def test_order_naming_an_unknown_target_is_a_one_line_error(tmp_path):
     path = tmp_path / "bad-order.json"
     path.write_text(json.dumps({"alphabets": [["0"]], "cycle": [[[1]]],

@@ -1,9 +1,11 @@
 import collections
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -11,6 +13,7 @@ from adic.errors import HorizonExceeded, InternalError, NotReduced
 from adic.matrixseq import (
     GenMatrix, EventuallyPeriodic, Truncated, constant, from_json,
     reduce_sequence)
+from adic import frobenius
 from adic.frobenius import (
     strongly_connected_components,
     stream_decompose,
@@ -336,22 +339,88 @@ def test_decomposition_index_mirrors_the_layout():
         dec.block_assignment(3)
 
 
+def test_square_ended_window_readers_stop_at_the_horizon():
+    # the window is decomposed through its periodic extension, whose own
+    # horizon is None; the readers still stop at the window's horizon 3
+    dec = stream_decompose(Truncated([GenMatrix.from_lists(
+        ("0", "1"), ("0", "1"), [[1, 1], [1, 0]])] * 3))
+    assert dec.provisional and dec.horizon == 3 and dec.valid_from == 3
+    assert dec.block_matrix(2).to_lists() == [[1]]
+    assert dec.stream_of(3, "0") == 1
+    with pytest.raises(HorizonExceeded):
+        dec.block_matrix(10)
+    with pytest.raises(HorizonExceeded):
+        dec.stream_of(50, "0")
+    with pytest.raises(HorizonExceeded):
+        dec.pool_members_at(4)
+    # a stream's own members are not bounded: rays and atoms walk a full
+    # period of the extension
+    assert dec.streams[0].members_at(50) == {"0", "1"}
+    with pytest.raises(IndexError):
+        dec.streams[0].members_at(-1)
+    # the anchor level valid_from stays readable past a shorter horizon
+    dec = stream_decompose(Truncated([GenMatrix.from_lists(
+        ("a", "b", "c"), ("a", "b", "c"),
+        [[1, 0, 0], [1, 0, 0], [0, 1, 0]])]))
+    assert dec.horizon == 1 and dec.valid_from == 2
+    assert dec.pool_members_at(2) == frozenset()
+    assert dec.stream_of(2, "a") == 1
+    with pytest.raises(HorizonExceeded):
+        dec.block_assignment(3)
+
+
+# two loops, and a prefix symbol that reaches only the first
+PREFIXED = from_json({"alphabets": [["0"], ["0", "1"]],
+                      "prefix": [[[1, 1]]], "cycle": [[[1, 1], [0, 1]]]})
+
+
+def test_prefix_members_are_read_only_after_the_table_is_filled():
+    # the ordering step builds the streams; their prefix members come with
+    # the table, and a read before it is an internal error, not an empty set
+    dec = frobenius._stream_order(PREFIXED)
+    assert dec.valid_from == 1
+    assert [s.members_at(1) for s in dec.streams] == [{"0"}, {"1"}]
+    with pytest.raises(InternalError):
+        dec.streams[0].members_at(0)
+    dec.certificates
+    assert [s.members_at(0) for s in dec.streams] == [{"0"}, frozenset()]
+
+
+def test_a_dropped_decomposition_is_freed_without_the_collector():
+    # no stream refers back to its decomposition, so reference counting
+    # frees a decomposition, its streams and what they cache
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dec = stream_decompose(PREFIXED)
+        for s in dec.streams:
+            s.perron_root, repr(s)
+            assert not any(isinstance(v, frobenius.StreamDecomposition)
+                           for v in vars(s).values())
+        refs = [weakref.ref(x) for x in [dec] + dec.streams]
+        del dec, s
+        assert all(r() is None for r in refs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def old_has_single_path(s):
     """Reference for a stream that carries a single path (one that
     measures._atom_path gives an atom for): the induced cycle matrices
     are 1x1 with entry 1, and the backward extension is single too."""
     cyc = s.induced_cycle()
-    for j in range(s.decomp.lcm_period):
+    for j in range(s.lcm_period):
         m = cyc.matrix(j)
         if len(m.rows) != 1 or len(m.cols) != 1 or m.entry_sum() != 1:
             return False
-    for k in range(s.decomp.valid_from):
+    for k in range(s.valid_from):
         members = s.members_at(k)
         if len(members) > 1:
             return False
         if members:
             nxt = s.members_at(k + 1)
-            m = s.decomp.seq.matrix(k)
+            m = s.seq.matrix(k)
             if sum(m.entry(a, b) for a in members for b in nxt) != 1:
                 return False
     return True

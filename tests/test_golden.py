@@ -2,8 +2,15 @@
 `tests/golden/`.  A golden moves only with a declared output change; the
 helper next to each test rewrites its file."""
 
-from golden_certificates import GOLDEN, certificates_json
+import golden_certificates
+import golden_decompositions
 
 
 def test_certificates_match_the_golden_file():
-    assert certificates_json() == GOLDEN.read_text()
+    assert golden_certificates.certificates_json() == \
+        golden_certificates.GOLDEN.read_text()
+
+
+def test_decompositions_and_measures_match_the_golden_file():
+    assert golden_decompositions.decompositions_json() == \
+        golden_decompositions.GOLDEN.read_text()

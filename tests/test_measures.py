@@ -1,7 +1,9 @@
 import collections
 import functools
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -584,10 +586,42 @@ def test_classify_subdiagram_resolves_the_cover_table_only(monkeypatch):
         for _ in range(2):
             for r in results:
                 r.base_measure.ray
-                r.base_measure.stream.decomp.certificates
+                r.base_measure.decomposition.certificates
         assert calls == {"_fill_table": 2, "_certify": 2}, calls
         towers += 1
     assert towers >= 30
+
+
+def test_dropped_results_free_their_decompositions_without_the_collector():
+    # a measure holds its decomposition and no stream refers back to it, so
+    # reference counting frees a classification's decomposition, and the
+    # base decomposition behind a tower's base measures, with the streams'
+    # atoms, rays and Perron roots read
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        towers = prefixed = 0
+        for base, amb in _tower_pairs(random.Random(31), n=12):
+            cls = classify_measures(base)
+            ref = weakref.ref(cls.decomposition)
+            del cls
+            assert ref() is None
+            try:
+                results = classify_subdiagram(base, amb)
+            except NoFiniteBaseMeasure:
+                continue
+            for e in (r.base_measure for r in results):
+                e.atom, e.ray
+            dec = results[0].base_measure.decomposition
+            prefixed += dec.valid_from > 0
+            ref = weakref.ref(dec)
+            del dec, results, e
+            assert ref() is None
+            towers += 1
+    finally:
+        if enabled:
+            gc.enable()
+    assert towers >= 10 and prefixed >= 3
 
 
 def test_cover_stream_that_is_not_a_base_stream():
