@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from .errors import AdicError
+from .errors import AdicError, ShapeMismatch
 from .verdict import Verdict, _frac, _jsonable
 from . import matrixseq
 from .diagram import BratteliDiagram
@@ -289,6 +289,8 @@ def count_ergodic(diagram, depth, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def successor(diagram, path_spec, count, as_json):
     """Apply the successor map n times to a path."""
+    if count < 0:
+        raise ShapeMismatch("-n must be >= 0, got %d" % count)
     d = _load_diagram(diagram)
     p = parse_path(d, path_spec)
     steps = []

@@ -146,6 +146,8 @@ class BratteliDiagram:
     def __init__(self, seq, order=None):
         self.seq = seq
         self.order = order if order is not None else StableOrder(seq)
+        # the rank table: start level -> vershik._RankTable, filled on demand
+        self._rank_tables = {}
 
     def matrix(self, i):
         return self.seq.matrix(i)

@@ -9,6 +9,13 @@ Paths are validated once, at the boundary: the public `LazyPath(...)`
 constructor checks every edge of the prefix and the tail.  The paths that
 `successor` and `predecessor` derive from a valid path are assembled by
 `_rebuild`, valid by construction, and are not checked again.
+
+Ranks, return times and Kac sums read one rank table per ordered diagram
+and start level (`_RankTable`): the word counts at each level, one
+`vec_mul` per level, and each edge's rank term, the running sum of the
+counts below it in its target's order.  The table grows on demand, level
+by level, to the deepest level asked for, and its memory is
+O(depth x edges).
 """
 
 import itertools
@@ -455,8 +462,69 @@ def anti_lex_rank(diagram, word):
     """Number of ambient words with the same final vertex that are strictly
     below `word` in the anti-lexicographic order.  Edges are tuples or
     lists (k, a, b, i); a word that is not a path of the diagram raises
-    MalformedWord."""
+    MalformedWord.  The rank is a sum of the edges' terms in the
+    diagram's rank table for level 0 (word counts and running sums below
+    each edge, see `_RankTable`), which grows on demand to the word's last
+    level and takes O(depth x edges) memory."""
     return _rank(diagram, word, 0)
+
+
+class _RankTable:
+    """The word counts and rank terms of one diagram from one start level
+    s, filled level by level as queries reach them:
+    - `counts[k - s][v]`: the number of words of levels s..k-1 ending at
+      v, one `vec_mul` per level;
+    - `terms[(k, a, b, i)]`: the rank term of that edge, the sum of
+      `counts[k - s][a']` over the edges (k, a', b, i') before it in b's
+      order at level k; levels s..`ordered`-1 are in it.
+    Memory is O(depth x edges).  The diagram's `_rank_tables` maps s to
+    the table, which holds the diagram's sequence and order but no
+    reference back to the diagram."""
+
+    def __init__(self, diagram, start):
+        self.seq, self.order = diagram.seq, diagram.order
+        self.start = start
+        self.counts = [{a: 1 for a in self.seq.alphabet(start)}]
+        self.terms = {}
+        self.ordered = start
+
+    def count(self, n):
+        """counts at level n >= start, extending the counts up to n."""
+        counts, start = self.counts, self.start
+        while len(counts) <= n - start:
+            counts.append(self.seq.matrix(start + len(counts) - 1)
+                          .vec_mul(counts[-1]))
+        return counts[n - start]
+
+    def term(self, e):
+        """The rank term of edge e at a counted level k, adding levels
+        `ordered`..k to `terms` first.  MalformedWord when e is not in its
+        level's order."""
+        terms, k = self.terms, e[0]
+        while self.ordered <= k:
+            j = self.ordered
+            counts = self.counts[j - self.start]
+            for b, pairs in self.order.level_orders(j).items():
+                run = 0
+                for a, i in pairs:
+                    terms[(j, a, b, i)] = run
+                    run += counts[a]
+            self.ordered = j + 1
+        try:
+            return terms[e]
+        except (KeyError, TypeError):
+            self.order.incoming(k, e[2])  # MalformedWord: unknown target
+            raise MalformedWord("edge %r is not in the order at level %d"
+                                % (e, k)) from None
+
+
+def _rank_table(diagram, start):
+    """The diagram's rank table for words from level `start`."""
+    tables = diagram._rank_tables
+    table = tables.get(start)
+    if table is None:
+        table = tables[start] = _RankTable(diagram, start)
+    return table
 
 
 def _rank(diagram, word, start):
@@ -464,38 +532,34 @@ def _rank(diagram, word, start):
     word's edges are on consecutive levels from some level >= start, and
     the words below it range over all prefixes from `start`.  Raises
     MalformedWord for an edge that is not in its level's order, for levels
-    that are not consecutive and for edges that do not compose."""
+    that are not consecutive and for edges that do not compose.
+
+    The rank is the sum of the edges' terms in the diagram's rank table
+    for `start` (`_RankTable`: the word counts per level and the running
+    sum of counts below each edge), one dict lookup per edge.  The table
+    grows on demand: the first edge extends its counts to the word's last
+    level, and a missing term adds the levels up to its own.  Its memory
+    is O(depth x edges)."""
     rank, prev = 0, None
     for e in word:
         if type(e) is not tuple or len(e) != 4:
             e = _edge_tuple(e)
-        k = e[0]
         if prev is None:
+            k = e[0]
             if not isinstance(k, int) or k < start:
                 raise MalformedWord("edge %r is not at an int level >= %d"
                                     % (e, start))
-            counts = _word_counts(diagram.seq, k + len(word) - 1, start)
-        elif k != prev[0] + 1 or e[1] != prev[2]:
+            table = _rank_table(diagram, start)
+            table.count(k + len(word) - 1)
+            terms = table.terms
+        elif e[0] != prev[0] + 1 or e[1] != prev[2]:
             raise MalformedWord("edges %r and %r do not compose" % (prev, e))
-        for low in diagram.order.incoming(k, e[2]):
-            if low == e:
-                break
-            rank += counts[k][low[1]]
-        else:
-            raise MalformedWord("edge %r is not in the order at level %d"
-                                % (e, k))
+        try:
+            rank += terms[e]
+        except (KeyError, TypeError):
+            rank += table.term(e)
         prev = e
     return rank
-
-
-def _word_counts(seq, n, start=0):
-    """counts[k][v] = number of words of levels start..k-1 ending at v, for
-    k = start..n (None below start), by one forward pass of row-vector
-    products."""
-    counts = [None] * start + [{a: 1 for a in seq.alphabet(start)}]
-    for k in range(start, n):
-        counts.append(seq.matrix(k).vec_mul(counts[k]))
-    return counts
 
 
 def _base_step(embedding, path):
@@ -562,7 +626,7 @@ def cyclic_return_time(embedding, word):
         diagram = embedding.ambient
         first = embedding.to_ambient(
             min_word_into(embedding.base, v, end, start))
-        r = _word_counts(diagram.seq, end, start)[end][v] \
+        r = _rank_table(diagram, start).count(end)[v] \
             - _rank(diagram, word, start) + _rank(diagram, first, start)
     return r
 
@@ -574,11 +638,17 @@ def kac_partial_sum(embedding, base_measure, depth):
     return times within an endpoint class sum to the ambient class size, so
     the total collapses to sum_v N_ambient(v) * w_d[v] over endpoints v
     reached by base words; that aggregate is computed here exactly.
-    Nondecreasing in depth; equals the tower mass when it is finite."""
+    Nondecreasing in depth; equals the tower mass when it is finite.
+
+    The class sizes are the word counts at level `depth` in the rank
+    tables of the ambient and of `embedding.base` from level 0 (word
+    counts and rank terms, see `_RankTable`).  They grow on demand, so a
+    deeper sum counts the new levels only, and take O(depth x edges)
+    memory."""
     if depth < 1:
         raise ShapeMismatch("Kac sums need depth >= 1, got %d" % depth)
-    amb_counts = _word_counts(embedding.ambient.seq, depth)[depth]
-    base_counts = _word_counts(embedding.base_seq, depth)[depth]
+    amb_counts = _rank_table(embedding.ambient, 0).count(depth)
+    base_counts = _rank_table(embedding.base, 0).count(depth)
     total = Fraction(0)
     for v, n in amb_counts.items():
         if base_counts.get(v, 0) > 0:
@@ -595,7 +665,10 @@ def kac_partial_sum(embedding, base_measure, depth):
 def simulate_orbit(path, steps, depth=2):
     """Iterate the successor map and collect exact statistics: visit counts
     and frequencies of the depth-limited cylinders, and the histogram of
-    change levels."""
+    change levels.  ShapeMismatch when `steps` or `depth` is negative."""
+    if steps < 0 or depth < 0:
+        raise ShapeMismatch("orbits need steps >= 0 and depth >= 0, got "
+                            "steps=%d, depth=%d" % (steps, depth))
     visits = {}
     change_levels = {}
     cur = path

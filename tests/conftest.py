@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from adic.cones import compare_perron, normalize
-from adic.diagram import enumerate_paths
-from adic.errors import InternalError, NonPositiveEntry, NotPrimitive
+from adic.diagram import _edge_tuple, enumerate_paths
+from adic.errors import (InternalError, MalformedWord, NonPositiveEntry,
+                         NotPrimitive)
 from adic.gallery import _cf_scalars, _cf_term, _period_matrix
 from adic.matrixseq import (GenMatrix, EventuallyPeriodic, partial_product,
                             reduce_sequence, is_primitive, wielandt_bound)
@@ -91,6 +92,44 @@ def random_nested_pair(rng, **kw):
     ambient = EventuallyPeriodic([bump(base.matrix(k)) for k in range(P)],
                                  [bump(base.cycle[p]) for p in range(T)])
     return base, ambient
+
+
+def rank_reference(diagram, word, start=0):
+    """Oracle for vershik._rank: a fresh count pass over the word's levels
+    on every call (`word_counts_reference`), and a scan of each edge's
+    ordered incoming list."""
+    rank, prev = 0, None
+    for e in word:
+        if type(e) is not tuple or len(e) != 4:
+            e = _edge_tuple(e)
+        k = e[0]
+        if prev is None:
+            if not isinstance(k, int) or k < start:
+                raise MalformedWord("edge %r is not at an int level >= %d"
+                                    % (e, start))
+            counts = word_counts_reference(diagram.seq, k + len(word) - 1,
+                                           start)
+        elif k != prev[0] + 1 or e[1] != prev[2]:
+            raise MalformedWord("edges %r and %r do not compose" % (prev, e))
+        for low in diagram.order.incoming(k, e[2]):
+            if low == e:
+                break
+            rank += counts[k][low[1]]
+        else:
+            raise MalformedWord("edge %r is not in the order at level %d"
+                                % (e, k))
+        prev = e
+    return rank
+
+
+def word_counts_reference(seq, n, start=0):
+    """Oracle for the counts of vershik._RankTable: counts[k][v] = number
+    of words of levels start..k-1 ending at v, for k = start..n (None
+    below start), by one forward pass of row-vector products."""
+    counts = [None] * start + [{a: 1 for a in seq.alphabet(start)}]
+    for k in range(start, n):
+        counts.append(seq.matrix(k).vec_mul(counts[k]))
+    return counts
 
 
 def kac_partial_sum_brute(embedding, base_measure, depth):

@@ -249,6 +249,22 @@ def test_simulate_dyadic_uniform(tmp_path):
     assert out["truncated"] is False
 
 
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--steps", "-3"],
+     "orbits need steps >= 0 and depth >= 0, got steps=-3, depth=3"),
+    (["simulate", "--depth", "-2"],
+     "orbits need steps >= 0 and depth >= 0, got steps=100, depth=-2"),
+    (["successor", "-n", "-2"], "-n must be >= 0, got -2"),
+])
+def test_negative_step_counts_are_one_line_errors(tmp_path, args, message):
+    dy = tmp_path / "dy.json"
+    run_cli("example", "dyadic", "--emit", str(dy))
+    r = run_cli(args[0], str(dy), "--path", "|min@0", *args[1:])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["error: " + message]
+
+
 def test_table_output_is_plain_text(chacon_file):
     r = run_cli("classify", chacon_file)
     assert r.returncode == 0

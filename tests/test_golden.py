@@ -4,6 +4,7 @@ helper next to each test rewrites its file."""
 
 import golden_certificates
 import golden_decompositions
+import golden_orbit
 
 
 def test_certificates_match_the_golden_file():
@@ -14,3 +15,7 @@ def test_certificates_match_the_golden_file():
 def test_decompositions_and_measures_match_the_golden_file():
     assert golden_decompositions.decompositions_json() == \
         golden_decompositions.GOLDEN.read_text()
+
+
+def test_ranks_orbits_and_kac_sums_match_the_golden_file():
+    assert golden_orbit.orbit_json() == golden_orbit.GOLDEN.read_text()

@@ -1,15 +1,19 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from adic.errors import (
-    MalformedWord, NotInBase, NotReduced, ShapeMismatch, UndeterminedTail)
+    AdicError, HorizonExceeded, MalformedWord, NotInBase, NotReduced,
+    ShapeMismatch, UndeterminedTail)
 from adic.matrixseq import (
     EventuallyPeriodic,
     GenMatrix,
+    Truncated,
     constant,
     from_int_matrices,
     partial_product,
@@ -40,7 +44,10 @@ from conftest import (
     extremal_paths_reference,
     kac_partial_sum_brute,
     random_ep_sequence,
+    random_nested_pair,
     random_reduced_sequence,
+    rank_reference,
+    word_counts_reference,
 )
 
 
@@ -98,6 +105,20 @@ def test_anti_lex_rank_matches_product_formula():
             assert anti_lex_rank(d, w[2:]) == _rank_by_products(d, w[2:])
 
 
+# words that are no paths of odometer(3)
+MALFORMED_ODOMETER3_WORDS = [
+    [(0, "0", "0", 3)],                        # index beyond the order
+    [(0, "0", "0", "1")],                      # str index
+    [(0, "0", "0", 1), (2, "0", "0", 1)],      # a level skipped
+    [(1, "0", "0", 1), (1, "0", "0", 1)],      # a level repeated
+    [("0", "0", "0", 1)],                      # str level
+    [(0, "0", "0")],                           # three items
+    [5],
+]
+# chacon's edges 0->1 and 0->0 at level 0 do not compose
+MALFORMED_CHACON_WORD = [(0, "0", "1", 0), (1, "0", "0", 0)]
+
+
 def test_anti_lex_rank_reads_list_edges_and_rejects_malformed_words():
     d = odometer(3)
     assert anti_lex_rank(d, [[0, "0", "0", 1], [1, "0", "0", 1]]) == \
@@ -105,21 +126,11 @@ def test_anti_lex_rank_reads_list_edges_and_rejects_malformed_words():
     c = chacon()
     for w in itertools.islice(enumerate_paths(c, 4), 40):
         assert anti_lex_rank(c, [list(e) for e in w]) == anti_lex_rank(c, w)
-    bad = [
-        [(0, "0", "0", 3)],                        # index beyond the order
-        [(0, "0", "0", "1")],                      # str index
-        [(0, "0", "0", 1), (2, "0", "0", 1)],      # a level skipped
-        [(1, "0", "0", 1), (1, "0", "0", 1)],      # a level repeated
-        [("0", "0", "0", 1)],                      # str level
-        [(0, "0", "0")],                           # three items
-        [5],
-    ]
-    for word in bad:
+    for word in MALFORMED_ODOMETER3_WORDS:
         with pytest.raises(MalformedWord):
             anti_lex_rank(d, word)
-    # chacon's edges 0->1 and 0->0 at level 0 do not compose
     with pytest.raises(MalformedWord):
-        anti_lex_rank(c, [(0, "0", "1", 0), (1, "0", "0", 0)])
+        anti_lex_rank(c, MALFORMED_CHACON_WORD)
 
 
 def test_rank_and_kac_sum_make_no_matrix_products(mul_calls):
@@ -133,6 +144,165 @@ def test_rank_and_kac_sum_make_no_matrix_products(mul_calls):
     mul_calls.clear()
     assert kac_partial_sum(emb, mu, 8) == Fraction(3, 2) ** 8
     assert mul_calls == []
+
+
+def _words_from(seq, start, depth):
+    """All words of `depth` edges from level `start`."""
+    words = [()]
+    for k in range(start, start + depth):
+        m = seq.matrix(k)
+        words = [w + ((k, a, b, i),) for w in words
+                 for a in ([w[-1][2]] if w else m.rows)
+                 for b in m.cols for i in range(m.entry(a, b))]
+    return words
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the AdicError it raises."""
+    try:
+        return f(*args)
+    except AdicError as exc:
+        return type(exc), str(exc)
+
+
+def test_rank_table_agrees_with_the_reference_engine():
+    # words of depth 1..12 queried in shuffled depth order on a fresh
+    # diagram: the table grows, then serves shorter words and cut words
+    rng = random.Random(2401)
+    seqs = [chacon().seq, ics("cover").seq, odometer([2, 3]).seq] + [
+        random_reduced_sequence(rng, max_dim=4) for _ in range(27)]
+    checked = 0
+    for seq in seqs:
+        d = _shuffled_diagram(rng, seq)
+        depths = list(range(1, 13)) * 2
+        rng.shuffle(depths)
+        for depth in depths:
+            w = _random_word(rng, d, depth)
+            for c in range(depth):
+                assert anti_lex_rank(d, w[c:]) == rank_reference(d, w[c:])
+                checked += 1
+        assert vershik._rank_table(d, 0).counts == \
+            word_counts_reference(seq, 11)
+    assert checked >= 4000
+
+
+def test_return_times_above_level_zero_agree_with_the_reference_ranks():
+    # over levels s..s+d-1, queried in shuffled (s, d) order, the table
+    # ranks every ambient word as the reference does from level s; in each
+    # endpoint class, in reference rank order, a base word's cyclic return
+    # time is the number of steps to the next base word (wrapping)
+    rng = random.Random(2402)
+    ranked = timed = above = 0
+    for _ in range(40):
+        base, amb = random_nested_pair(rng, max_dim=3)
+        emb = SubdiagramEmbedding(_shuffled_diagram(rng, amb), base)
+        windows = [(s, d) for s in range(4) for d in range(1, 4)]
+        rng.shuffle(windows)
+        for s, depth in windows:
+            classes = {}
+            for w in _words_from(amb, s, depth):
+                r = vershik._rank(emb.ambient, w, s)
+                assert r == rank_reference(emb.ambient, w, s)
+                classes.setdefault(w[-1][2], {})[r] = w
+                ranked += 1
+            for by_rank in classes.values():
+                words = [by_rank[r] for r in range(len(by_rank))]
+                pos = [j for j, w in enumerate(words)
+                       if all(emb.is_base_edge(e) for e in w)]
+                for n, j in enumerate(pos):
+                    steps = (pos[(n + 1) % len(pos)] - j) % len(words) \
+                        or len(words)
+                    assert cyclic_return_time(emb, words[j]) == steps
+                    if n + 1 < len(pos):
+                        assert return_time(emb, words[j]) == steps
+                    timed += 1
+                    above += s > 0
+        for s, table in emb.ambient._rank_tables.items():
+            n = s + len(table.counts) - 1
+            assert table.counts == word_counts_reference(amb, n, s)[s:]
+    assert ranked >= 6000 and timed >= 2000 and above >= 1500
+
+
+def test_rank_table_on_a_truncated_diagram_stops_at_the_horizon():
+    # a word past the horizon raises HorizonExceeded as the reference does,
+    # and the next query is still right
+    rng = random.Random(2403)
+    past = checked = 0
+    for _ in range(12):
+        seq = random_reduced_sequence(rng, max_dim=3)
+        horizon = rng.randint(2, 5)
+        t = Truncated([seq.matrix(k) for k in range(horizon)])
+        d = BratteliDiagram(t, StableOrder(
+            t, term_orders=_shuffled_orders(rng, t.terms)))
+        beyond = BratteliDiagram(seq)
+        depths = list(range(1, horizon + 3)) * 3
+        rng.shuffle(depths)
+        for depth in depths:
+            w = _random_word(rng, beyond, depth)
+            for c in range(depth):
+                got = _outcome(anti_lex_rank, d, w[c:])
+                assert got == _outcome(rank_reference, d, w[c:])
+                if depth > horizon:
+                    assert got[0] is HorizonExceeded
+                    past += 1
+                checked += 1
+    assert past >= 100 and checked >= 300
+
+
+def test_malformed_words_raise_as_the_reference_engine():
+    # the same exception type and message, on fresh and on filled tables
+    for filled in (False, True):
+        d, c = odometer(3), chacon()
+        if filled:
+            anti_lex_rank(d, tuple((k, "0", "0", 2) for k in range(6)))
+            anti_lex_rank(c, tuple((k, "1", "1", 2) for k in range(6)))
+        cases = [(d, w) for w in MALFORMED_ODOMETER3_WORDS] + [
+            (c, MALFORMED_CHACON_WORD),
+            (d, [(0, "0", "1", 0)]),                # unknown target
+            (d, [(0, "0", "0", [1])]),              # unhashable index
+            (c, [(0, "1", "1", 0), (1, "1", "1", 9)])]
+        for diagram, word in cases:
+            want = _outcome(rank_reference, diagram, word)
+            assert want[0] is MalformedWord
+            assert _outcome(anti_lex_rank, diagram, word) == want
+
+
+def test_rank_table_counts_each_level_once(monkeypatch, mul_calls):
+    rng = random.Random(2404)
+    seq = random_reduced_sequence(rng, max_dim=4)
+    d = _shuffled_diagram(rng, seq)
+    words = [_random_word(rng, d, 12) for _ in range(1000)]
+    want = [rank_reference(d, w) for w in words]
+    vec_muls = []
+    vec_mul = GenMatrix.vec_mul
+
+    def counting_vec_mul(self, vec):
+        vec_muls.append(None)
+        return vec_mul(self, vec)
+
+    monkeypatch.setattr(GenMatrix, "vec_mul", counting_vec_mul)
+    mul_calls.clear()
+    assert [anti_lex_rank(d, w) for w in words] == want
+    assert 0 < len(vec_muls) <= 13
+    assert mul_calls == []
+
+
+def test_a_filled_rank_table_keeps_no_reference_to_its_diagram():
+    d = chacon()
+    anti_lex_rank(d, tuple((k, "1", "1", 2) for k in range(8)))
+    emb = ics("triadic")
+    mu = _base_measure(emb.base_seq)
+    assert return_time(emb, ((1, "0", "0", 0), (2, "0", "0", 2))) == 2
+    assert kac_partial_sum(emb, mu, 6) == Fraction(3, 2) ** 6
+    held = (d, emb.ambient, emb.base)
+    assert all(x._rank_tables for x in held)
+    refs = [weakref.ref(x) for x in held]
+    gc.disable()
+    try:
+        del d, emb, held
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def _any_tail(d, vertex, level):
@@ -476,6 +646,13 @@ def test_simulate_dyadic_uniform():
     assert out["steps_performed"] == 3
     assert len(out["visits"]) == 4
     assert all(f == Fraction(1, 4) for f in out["frequencies"].values())
+
+
+@pytest.mark.parametrize("steps, depth", [(-3, 2), (3, -2), (-1, -1)])
+def test_simulate_rejects_negative_steps_and_depth(steps, depth):
+    p = LazyPath(dyadic(), [], tail="min", start_vertex="0")
+    with pytest.raises(ShapeMismatch):
+        simulate_orbit(p, steps, depth=depth)
 
 
 def test_simulate_stops_at_top():
