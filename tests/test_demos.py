@@ -1,6 +1,8 @@
-"""Every demo in demos/ runs to completion."""
+"""Every demo in demos/ runs to completion and prints what
+`tests/golden/demos.json` records (rewritten by `tests/golden_cli.py`)."""
 
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+GOLDEN = os.path.join(ROOT, "tests", "golden", "demos.json")
 
 
 def test_all_five_demos_are_found():
@@ -21,3 +24,5 @@ def test_demo_exits_zero(demo):
     r = subprocess.run([sys.executable, demo], cwd=ROOT, env=env,
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
+    with open(GOLDEN) as fh:
+        assert r.stdout == json.load(fh)[os.path.basename(demo)]

@@ -3,6 +3,7 @@
 helper next to each test rewrites its file."""
 
 import golden_certificates
+import golden_cli
 import golden_decompositions
 import golden_orbit
 
@@ -19,3 +20,7 @@ def test_decompositions_and_measures_match_the_golden_file():
 
 def test_ranks_orbits_and_kac_sums_match_the_golden_file():
     assert golden_orbit.orbit_json() == golden_orbit.GOLDEN.read_text()
+
+
+def test_cli_outputs_match_the_golden_file():
+    assert golden_cli.cli_json() == golden_cli.GOLDEN.read_text()
