@@ -14,7 +14,7 @@ import sys
 import click
 
 from .errors import AdicError, ShapeMismatch
-from .verdict import Verdict, _frac, _jsonable
+from .verdict import _frac, _jsonable
 from . import matrixseq
 from .diagram import BratteliDiagram
 from .frobenius import stream_decompose
@@ -55,10 +55,8 @@ def _write_json(path, obj):
         fh.write(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
-def _output(report, as_json, emit=None):
+def _output(report, as_json):
     payload = _jsonable(report)
-    if emit:
-        _write_json(emit, payload)
     if as_json:
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -69,9 +67,15 @@ def _output(report, as_json, emit=None):
                                      if isinstance(v, list) else v))
 
 
-def _finish(report, as_json, emit=None, undecided=False):
-    _output(report, as_json, emit)
+def _finish(report, as_json, undecided=False):
+    _output(report, as_json)
     sys.exit(2 if undecided else 0)
+
+
+def _label(verdict):
+    """The report label of a finiteness verdict."""
+    return ("Finite" if verdict.is_yes() else
+            "Infinite" if verdict.is_no() else "Undecided")
 
 
 def _edge_token(tok, level):
@@ -184,15 +188,14 @@ def classify(diagram, as_json):
     for m in cls.measures:
         entry = {
             "stream": m.stream.index,
-            "verdict": ("Finite" if m.verdict.is_yes() else
-                        "Infinite" if m.verdict.is_no() else "Undecided"),
+            "verdict": _label(m.verdict),
             "atomic": m.atomic,
         }
         if m.ray is not None:
             entry["ray"] = {a: _frac(v) for a, v in sorted(m.ray.ray0.items())}
             if isinstance(m.ray, EigvecSeqApprox):
                 entry["exact"] = False
-        if m.verdict.value == Verdict.UNDECIDED:
+        if not m.verdict.is_decided():
             entry["horizon"] = m.verdict.horizon
         if m.atomic and m.atom:
             entry["atom"] = _jsonable(m.atom)
@@ -250,8 +253,7 @@ def measure(diagram, ray_index, cyl, as_json):
     report = {
         "command": "measure",
         "ray": {a: _frac(v) for a, v in sorted(m.ray.ray0.items())},
-        "verdict": ("Finite" if m.verdict.is_yes() else
-                    "Infinite" if m.verdict.is_no() else "Undecided"),
+        "verdict": _label(m.verdict),
     }
     approx = isinstance(m.ray, EigvecSeqApprox)
     if approx:
@@ -273,8 +275,6 @@ def count_ergodic(diagram, depth, as_json):
     """Number of ergodic finite invariant measures (exact for eventually
     periodic diagrams; a depth-limited bound otherwise)."""
     d = _load_diagram(diagram)
-    if d.seq.horizon is not None:
-        depth = min(depth, d.seq.horizon - 1)
     count, info = extreme_count(d.seq, depth)
     report = {"command": "count-ergodic", "count": count}
     report.update(_jsonable(info))
@@ -314,8 +314,7 @@ def successor(diagram, path_spec, count, as_json):
 @click.option("--depth", default=3, show_default=True,
               help="Cylinder depth for visit statistics.")
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--emit", type=click.Path())
-def simulate(diagram, path_spec, steps, depth, as_json, emit):
+def simulate(diagram, path_spec, steps, depth, as_json):
     """Iterate the successor map and report exact visit frequencies."""
     d = _load_diagram(diagram)
     p = parse_path(d, path_spec)
@@ -329,7 +328,7 @@ def simulate(diagram, path_spec, steps, depth, as_json, emit):
                           for k, v in sorted(stats["change_levels"].items())},
         "truncated": stats["steps_performed"] < steps,
     }
-    _finish(report, as_json, emit)
+    _finish(report, as_json)
 
 
 @cli.command()

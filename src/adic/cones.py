@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .errors import (EmptyCone, NotPrimitive, NonPositiveEntry, DepthExceeded,
-                     InternalError)
+                     InternalError, ShapeMismatch)
 from .matrixseq import EventuallyPeriodic, partial_product, is_primitive
 
 
@@ -154,10 +154,13 @@ def extreme_count(seq, depth):
     Returns (count, info).  For eventually periodic input the count is
     exact (one ergodic probability measure per distinguished stream, per
     the classification); for truncated input it is the depth-limited count
-    together with the alphabet-size upper bound."""
+    together with the alphabet-size upper bound, at a depth capped at the
+    window's last level, horizon - 1.  ShapeMismatch when depth < 0."""
+    if depth < 0:
+        raise ShapeMismatch("extreme counts need depth >= 0, got %d" % depth)
+    if seq.horizon is not None:
+        depth = min(depth, seq.horizon - 1)
     info = {"depth": depth}
-    if seq.horizon is not None and depth >= seq.horizon:
-        raise DepthExceeded("depth %d beyond horizon %d" % (depth, seq.horizon))
     raw = len(simplex_image(seq, 0, depth))
     info["count_at_depth"] = raw
     info["alphabet_bound"] = min(len(seq.alphabet(i))

@@ -102,20 +102,6 @@ class GenMatrix:
                 entries[key] = entries.get(key, 0) + u * v
         return GenMatrix(self.rows, other.cols, entries)
 
-    def sub(self, other):
-        """Entrywise difference; raises if any entry would go negative."""
-        if set(self.rows) != set(other.rows) or set(self.cols) != set(other.cols):
-            raise IncompatibleAlphabets("subtraction needs identical alphabets")
-        entries = {}
-        for a in self.rows:
-            for b in self.cols:
-                d = self.entry(a, b) - other.entry(a, b)
-                if d < 0:
-                    raise ShapeMismatch("negative difference at (%r,%r)" % (a, b))
-                if d:
-                    entries[(a, b)] = d
-        return GenMatrix(self.rows, self.cols, entries)
-
     def restrict(self, rows, cols):
         # the kept entries are valid already: reuse their keys instead of
         # checking and copying them again

@@ -70,24 +70,18 @@ class CanonicalCover:
         self.cover = cover
 
 
-def _block_matrix(a, c, b, prime):
-    """The block matrix [[A, C], [0, B]]: rows are A's rows primed, then B's
-    rows; columns are A's columns primed, then B's columns.  A symbol is
-    primed by appending the string `prime`."""
-    rows = tuple(x + prime for x in a.rows) + tuple(b.rows)
-    cols = tuple(y + prime for y in a.cols) + tuple(b.cols)
-    entries = {(x + prime, y + prime): v for (x, y), v in a.entries.items()}
-    entries.update(((x + prime, y), v) for (x, y), v in c.entries.items())
-    entries.update(b.entries)
-    return GenMatrix(rows, cols, entries)
-
-
 def _cover_matrix(mh, mb, prime):
-    """One level of the cover: [[Mhat, Mhat - M], [0, M]] over doubled
-    (primed + unprimed) ambient alphabets, with M zero-extended.  The
-    caller has checked M <= Mhat at this level."""
-    base = GenMatrix(mh.rows, mh.cols, mb.entries)
-    return _block_matrix(mh, mh.sub(base), base, prime)
+    """One level of the cover, [[Mhat, Mhat - M], [0, M]] over Mhat's
+    symbols primed, then unprimed: one GenMatrix, entered as Mhat primed,
+    Mhat - M row-major, then M.  The caller has checked M <= Mhat; the
+    constructor rejects negative and off-alphabet entries."""
+    rows = tuple(x + prime for x in mh.rows) + mh.rows
+    cols = tuple(y + prime for y in mh.cols) + mh.cols
+    entries = {(x + prime, y + prime): v for (x, y), v in mh.entries.items()}
+    entries.update(((x + prime, y), mh.entry(x, y) - mb.entry(x, y))
+                   for x in mh.rows for y in mh.cols)
+    entries.update(mb.entries)
+    return GenMatrix(rows, cols, entries)
 
 
 def canonical_cover(m, mhat):
@@ -367,12 +361,15 @@ def _atom_path(decomp, stream):
 
 def _classification(seq):
     """The streams and verdicts of classify_measures; each measure's atom
-    and ray are left to their first read."""
-    red, _ = reduce_sequence(seq)
-    decomp = stream_decompose(red)
+    and ray are left to their first read.  Eventually periodic input is
+    reduced first; a truncated window goes to stream_decompose as it is,
+    read through its continuation, and is the result's `seq`."""
+    if seq.is_eventually_periodic:
+        seq, _ = reduce_sequence(seq)
+    decomp = stream_decompose(seq)
     measures = [ErgodicMeasure(decomp, s, _finiteness_verdict(decomp, s))
                 for s in decomp.streams]
-    return Classification(red, decomp, measures)
+    return Classification(seq, decomp, measures)
 
 
 def classify_measures(seq):

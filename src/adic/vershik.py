@@ -131,15 +131,6 @@ class LazyPath:
         return self.prefix_edges + tuple(
             self.edge(k) for k in range(self.tail_start, upto))
 
-    def vertex(self, k):
-        if k == self.start:
-            if self.prefix_edges:
-                return self.prefix_edges[0][1]
-            if self.tail_cycle:
-                return self.tail_cycle[0][1]
-            raise UndeterminedTail("empty path")
-        return self.edge(k - 1)[2]
-
     def __repr__(self):
         tail = ("+%d-periodic tail" % len(self.tail_cycle)
                 if self.tail_cycle else "")
@@ -238,31 +229,33 @@ def _first_special(path, which):
 
 
 def successor(path):
-    """The next path in the anti-lexicographic order, or None when every
-    edge is maximal (the path has no successor)."""
-    return _successor_at(path)[1]
-
-
-def _successor_at(path):
-    """(m, successor) with m the level the successor changes at, or
-    (None, None) when every edge is maximal."""
-    m = _first_special(path, "succ")
-    if m is None:
-        return None, None
-    order = path.diagram.order
-    new_edge = order.next_edge(path.edge(m))
-    head = min_word_into(path.diagram, new_edge[1], m, path.start)
-    return m, _rebuild(path, head + (new_edge,), m)
+    """The next path in the anti-lexicographic order (`_step`), or None
+    when every edge is maximal."""
+    return _step(path, "succ")[1]
 
 
 def predecessor(path):
-    m = _first_special(path, "pred")
+    """The previous path (`_step`), the inverse of `successor`, or None
+    when every edge is minimal."""
+    return _step(path, "pred")[1]
+
+
+def _step(path, which):
+    """(m, next path) under the adic map (which="succ") or its inverse
+    ("pred"), m the change level; (None, None) when every edge is maximal
+    (minimal).  The edge at m moves to the next (previous) edge into its
+    target, and the levels below m become the minimal (maximal) word into
+    the new edge's source."""
+    m = _first_special(path, which)
     if m is None:
-        return None
+        return None, None
     order = path.diagram.order
-    new_edge = order.prev_edge(path.edge(m))
-    head = max_word_into(path.diagram, new_edge[1], m, path.start)
-    return _rebuild(path, head + (new_edge,), m)
+    if which == "succ":
+        new_edge, pick = order.next_edge(path.edge(m)), order.min_edge_into
+    else:
+        new_edge, pick = order.prev_edge(path.edge(m)), order.max_edge_into
+    head = _word_into(pick, new_edge[1], m, path.start)
+    return m, _rebuild(path, head + (new_edge,), m)
 
 
 def _rebuild(path, new_head, m):
@@ -274,7 +267,7 @@ def _rebuild(path, new_head, m):
     - new_head[-1] is order.next_edge / prev_edge of the old edge at level
       m, so it is an edge at level m with the old edge's target, which is
       where the kept part of `path` continues;
-    - new_head[:-1] is min_word_into / max_word_into of new_head[-1]'s
+    - new_head[:-1] is the minimal / maximal word into new_head[-1]'s
       source, so it is a word over levels start..m-1 ending there;
     - the carry and the tail cycle are edges of the old valid closed tail.
       When m is inside the tail, the carry runs to the next tail boundary
@@ -568,7 +561,7 @@ def _base_step(embedding, path):
     s, or None when the path has no base successor.  The successor changes
     the path at level m, and only levels s..m enter the difference: the
     rank terms of the kept edges beyond it are the same on both sides."""
-    m, nxt = _successor_at(path)
+    m, nxt = _step(path, "succ")
     if nxt is None:
         return None
     diagram, start = embedding.ambient, path.start
@@ -676,7 +669,7 @@ def simulate_orbit(path, steps, depth=2):
     for _ in range(steps):
         word = cur.word(depth)
         visits[word] = visits.get(word, 0) + 1
-        m, nxt = _successor_at(cur)
+        m, nxt = _step(cur, "succ")
         if nxt is None:
             break
         change_levels[m] = change_levels.get(m, 0) + 1

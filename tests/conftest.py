@@ -2,15 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from adic.cones import compare_perron, normalize
 from adic.diagram import _edge_tuple, enumerate_paths
-from adic.errors import (InternalError, MalformedWord, NonPositiveEntry,
-                         NotPrimitive)
+from adic.errors import (IncompatibleAlphabets, InternalError, MalformedWord,
+                         NonPositiveEntry, NotPrimitive, ShapeMismatch)
 from adic.gallery import _cf_scalars, _cf_term, _period_matrix
 from adic.matrixseq import (GenMatrix, EventuallyPeriodic, partial_product,
                             reduce_sequence, is_primitive, wielandt_bound)
-from adic.vershik import LazyPath, _word_into, cyclic_return_time
+from adic.vershik import (LazyPath, _first_special, _rebuild, _word_into,
+                          cyclic_return_time, max_word_into, min_word_into)
 
 
 def labels(d):
@@ -130,6 +132,68 @@ def word_counts_reference(seq, n, start=0):
     for k in range(start, n):
         counts.append(seq.matrix(k).vec_mul(counts[k]))
     return counts
+
+
+def successor_at_reference(path):
+    """Oracle for vershik._step(path, "succ"): the successor engine before
+    the step was shared, (m, successor) with m the level the successor
+    changes at, or (None, None) when every edge is maximal."""
+    m = _first_special(path, "succ")
+    if m is None:
+        return None, None
+    order = path.diagram.order
+    new_edge = order.next_edge(path.edge(m))
+    head = min_word_into(path.diagram, new_edge[1], m, path.start)
+    return m, _rebuild(path, head + (new_edge,), m)
+
+
+def predecessor_reference(path):
+    """Oracle for vershik._step(path, "pred"): the predecessor body before
+    the step was shared, returning (m, predecessor) like
+    `successor_at_reference`."""
+    m = _first_special(path, "pred")
+    if m is None:
+        return None, None
+    order = path.diagram.order
+    new_edge = order.prev_edge(path.edge(m))
+    head = max_word_into(path.diagram, new_edge[1], m, path.start)
+    return m, _rebuild(path, head + (new_edge,), m)
+
+
+def sub_reference(a, b):
+    """The entrywise difference a - b of the deleted GenMatrix.sub; raises
+    if any entry would go negative."""
+    if set(a.rows) != set(b.rows) or set(a.cols) != set(b.cols):
+        raise IncompatibleAlphabets("subtraction needs identical alphabets")
+    entries = {}
+    for x in a.rows:
+        for y in a.cols:
+            d = a.entry(x, y) - b.entry(x, y)
+            if d < 0:
+                raise ShapeMismatch("negative difference at (%r,%r)" % (x, y))
+            if d:
+                entries[(x, y)] = d
+    return GenMatrix(a.rows, a.cols, entries)
+
+
+def block_matrix_reference(a, c, b, prime):
+    """The block matrix [[A, C], [0, B]]: rows are A's rows primed, then B's
+    rows; columns are A's columns primed, then B's columns.  A symbol is
+    primed by appending the string `prime`."""
+    rows = tuple(x + prime for x in a.rows) + tuple(b.rows)
+    cols = tuple(y + prime for y in a.cols) + tuple(b.cols)
+    entries = {(x + prime, y + prime): v for (x, y), v in a.entries.items()}
+    entries.update(((x + prime, y), v) for (x, y), v in c.entries.items())
+    entries.update(b.entries)
+    return GenMatrix(rows, cols, entries)
+
+
+def cover_matrix_reference(mh, mb, prime):
+    """Oracle for measures._cover_matrix: the cover level built from three
+    validated matrices, M zero-extended to Mhat's alphabets, Mhat - M by
+    `sub_reference`, and `block_matrix_reference`."""
+    base = GenMatrix(mh.rows, mh.cols, mb.entries)
+    return block_matrix_reference(mh, sub_reference(mh, base), base, prime)
 
 
 def kac_partial_sum_brute(embedding, base_measure, depth):
@@ -403,6 +467,57 @@ def nested_rotation_tails_rule(n_spec, nhat_spec):
     q = _period_matrix(np_, nc, P, L)
     qhat = _period_matrix(hp, hc, P, L)
     return "yes" if compare_perron(qhat, q)[0] <= 0 else "no"
+
+
+def frobenius_victory_counts(a):
+    """Oracle for the Finite and Infinite counts of
+    classify_measures(constant(a)), from the raw matrix alone (the
+    Frobenius-Victory theorem; Victory 1985, Schneider 1986): each
+    nontrivial class of a (a strongly connected set of symbols with a
+    cycle) of period p gives p ergodic measures, all Finite when the
+    class's Perron root is strictly larger than that of every other
+    nontrivial class with a path into it, else all Infinite.  Classes come
+    from the transitive closure, periods from level differences along the
+    class's edges, and Perron roots are sympy's largest real roots of the
+    charpolys.  Returns (finite, infinite, details), details a list of
+    (period, verdict, tied), tied when an equal root reaches the class."""
+    n = len(a)
+    reach = [[bool(a[i][j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    classes = []
+    for i in range(n):
+        if reach[i][i] and not any(i in c for c in classes):
+            classes.append([j for j in range(n) if reach[i][j] and reach[j][i]])
+    roots, periods = [], []
+    for c in classes:
+        poly = sympy.Matrix([[a[i][j] for j in c] for i in c]).charpoly()
+        roots.append(max(sympy.Poly(poly.as_expr()).real_roots()))
+        depth, todo = {c[0]: 0}, [c[0]]
+        while todo:
+            i = todo.pop()
+            for j in c:
+                if a[i][j] and j not in depth:
+                    depth[j] = depth[i] + 1
+                    todo.append(j)
+        periods.append(math.gcd(*(depth[i] + 1 - depth[j] for i in c
+                                  for j in c if a[i][j])))
+    finite = infinite = 0
+    details = []
+    for x, c in enumerate(classes):
+        above = [roots[y] for y, d in enumerate(classes)
+                 if y != x and reach[d[0]][c[0]]]
+        ok = all(bool(roots[x] > r) for r in above)
+        tied = any(r == roots[x] for r in above)
+        if ok:
+            finite += periods[x]
+        else:
+            infinite += periods[x]
+        details.append((periods[x], ok, tied))
+    return finite, infinite, details
 
 
 @pytest.fixture

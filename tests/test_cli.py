@@ -117,6 +117,43 @@ def test_decompose_window_shorter_than_its_valid_from(tmp_path):
     assert out["pool_at_2"] == [] and out["block_matrices"] == []
 
 
+SHORT_WINDOW = {"kind": "truncated",
+                "alphabets": [["a", "b", "c"], ["a", "b", "c"]],
+                "terms": [[[1, 0, 0], [1, 0, 0], [0, 1, 0]]]}
+
+
+def test_classify_reads_a_window_as_decompose_does(tmp_path):
+    # classify and measure read the raw window through decompose's
+    # continuation, which finds one stream {a}; reducing the window first
+    # left it ending in a 3x2 matrix, with no measure at all
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(SHORT_WINDOW))
+    r = run_cli("decompose", str(path), "--json")
+    assert r.returncode == 2 and len(json.loads(r.stdout)["streams"]) == 1
+    r = run_cli("classify", str(path), "--json")
+    assert r.returncode == 2, r.stderr
+    out = json.loads(r.stdout)
+    assert out["provisional"] is True and out["undecided"] == 1
+    assert out["measures"] == [{
+        "atomic": False, "horizon": 1, "stream": 1, "verdict": "Undecided",
+        "ray": {"a": "1/3", "b": "1/3", "c": "1/3"}}]
+    r = run_cli("measure", str(path), "--ray", "0", "--json")
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stdout)["verdict"] == "Undecided"
+
+
+@pytest.mark.parametrize("name", ["chacon", "short"])
+def test_count_ergodic_negative_depth_is_a_one_line_error(tmp_path,
+                                                          chacon_file, name):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(SHORT_WINDOW))
+    r = run_cli("count-ergodic", chacon_file if name == "chacon"
+                else str(path), "--depth", "-1")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "error: extreme counts need depth >= 0, got -1"]
+
+
 def test_order_naming_an_unknown_target_is_a_one_line_error(tmp_path):
     path = tmp_path / "bad-order.json"
     path.write_text(json.dumps({"alphabets": [["0"]], "cycle": [[[1]]],

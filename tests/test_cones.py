@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from adic import cones, gallery
-from adic.errors import NonPositiveEntry, NotPrimitive
+from adic.errors import NonPositiveEntry, NotPrimitive, ShapeMismatch
 from adic.matrixseq import GenMatrix, Truncated, constant, partial_product
 from adic.frobenius import stream_decompose
 from adic.measures import classify_measures
@@ -205,6 +205,20 @@ def test_extreme_count_exact_ep():
     assert info["exact"] == 2
     count2, _ = extreme_count(constant([[3, 1], [0, 2]], ["0", "1"]), 8)
     assert count2 == 1  # only one finite ergodic measure
+
+
+def test_extreme_count_owns_the_depth_rule():
+    # a window's depth is capped at horizon - 1, and a negative depth is a
+    # named error rather than an empty product range
+    window = Truncated([GenMatrix.from_lists(
+        ("0", "1"), ("0", "1"), [[1, 1], [1, 0]])] * 3)
+    want = extreme_count(window, 2)
+    assert want[1]["depth"] == 2
+    for depth in (3, 4, 64):
+        assert extreme_count(window, depth) == want
+    for seq in (window, constant([[1, 1], [0, 3]], ["0", "1"])):
+        with pytest.raises(ShapeMismatch, match="depth >= 0, got -1"):
+            extreme_count(seq, -1)
 
 
 def test_extreme_count_positive_primitive_is_one():

@@ -12,7 +12,8 @@ import sympy
 from adic import cones, frobenius, gallery, measures
 from adic.errors import NoFiniteBaseMeasure, NotNested
 from adic.matrixseq import (GenMatrix, EventuallyPeriodic, constant,
-                            from_int_matrices, reduce_sequence, Truncated)
+                            from_int_matrices, reduce_sequence, Truncated,
+                            _compare_horizon)
 from adic.cones import ExactEigvec, stream_period_eigenvalue
 from adic.measures import (
     CentralMeasure,
@@ -26,9 +27,9 @@ from adic.measures import (
 from adic.diagram import BratteliDiagram, enumerate_paths
 from adic.gallery import nested_odometer, nested_rotation
 
-from conftest import (labels, nested_rotation_tails_rule,
-                      random_ep_sequence, random_nested_pair,
-                      random_reduced_sequence)
+from conftest import (cover_matrix_reference, frobenius_victory_counts, labels,
+                      nested_rotation_tails_rule, random_ep_sequence,
+                      random_nested_pair, random_reduced_sequence)
 from test_eigen import THREE_BLOCKS
 
 
@@ -179,6 +180,71 @@ def test_canonical_cover_entry_sum_doubling_random():
                     == 2 * amb.matrix(k).entry_sum())
         done += 1
     assert done == 40
+
+
+def _primed_names(rng, seq):
+    """`seq` with each symbol s renamed s + "'" * j, j in 0..2 drawn per
+    symbol, the same at every level."""
+    names = {}
+
+    def name(a):
+        if a not in names:
+            names[a] = a + "'" * rng.randrange(3)
+        return names[a]
+
+    def rename(m):
+        return GenMatrix(map(name, m.rows), map(name, m.cols),
+                         {(name(a), name(b)): v
+                          for (a, b), v in m.entries.items()})
+
+    if seq.is_eventually_periodic:
+        return EventuallyPeriodic([rename(m) for m in seq.prefix],
+                                  [rename(m) for m in seq.cycle])
+    return Truncated([rename(m) for m in seq.terms])
+
+
+def test_cover_levels_match_the_block_oracle():
+    """Each cover level is one GenMatrix built from Mhat's and M's entries;
+    the construction from three validated matrices (M zero-extended,
+    Mhat - M, the block assembly; `cover_matrix_reference`) is the
+    oracle.  Rows, columns and entries, in the same order, agree on seeded
+    nested pairs: eventually periodic, truncated on either side or both,
+    and with symbol names that end in "'"."""
+    rng = random.Random(7117)
+    kinds = collections.Counter()
+    for j in range(360):
+        base, amb = random_nested_pair(rng, max_dim=4, max_period=3)
+        if j % 3 == 1:
+            # one renaming for both, so the pair stays nested
+            state = rng.getstate()
+            base = _primed_names(rng, base)
+            rng.setstate(state)
+            amb = _primed_names(rng, amb)
+            kinds["primed"] += any(a.endswith("'") for a in amb.alphabet(0))
+        if j % 3 == 2:
+            n = base.prefix_len + base.period + 1
+            hb, ha = rng.randint(1, n), rng.randint(1, n)
+            which = rng.randrange(3)
+            if which != 1:
+                base = Truncated([base.matrix(k) for k in range(hb)])
+            if which != 0:
+                amb = Truncated([amb.matrix(k) for k in range(ha)])
+            kinds["truncated"] += 1
+        cover = canonical_cover(base, amb).cover
+        P, L = _compare_horizon(base, amb)
+        names = {a for k in range(P + L + 1) for a in amb.alphabet(k)}
+        prime = "'" * (1 + max(len(a) - len(a.rstrip("'")) for a in names))
+        for k in range(P + L):
+            got = cover.matrix(k)
+            want = cover_matrix_reference(amb.matrix(k), base.matrix(k),
+                                          prime)
+            assert repr(got) == repr(want)
+            assert list(got.entries.items()) == list(want.entries.items())
+        assert (cover.is_eventually_periodic, cover.horizon) == \
+            (bool(L), None if L else P)
+        kinds["pairs"] += 1
+    assert kinds["pairs"] >= 300
+    assert kinds["primed"] >= 80 and kinds["truncated"] >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +771,87 @@ def test_extreme_count_builds_no_ray(monkeypatch):
                             "alphabet_bound": 2, "exact": 1,
                             "liminf_bound": 2, "streams": 1}),
     }
+
+
+def test_classification_of_a_window_is_the_window_itself():
+    # a window is decomposed as it is, not reduced first, so the
+    # classification's sequence is the window and its one stream is the
+    # one stream_decompose finds
+    window = Truncated([GenMatrix.from_lists(
+        ("a", "b", "c"), ("a", "b", "c"),
+        [[1, 0, 0], [1, 0, 0], [0, 1, 0]])])
+    cls = classify_measures(window)
+    assert cls.seq is window
+    assert [e.stream.members_at(2) for e in cls.measures] == \
+        [s.members_at(2) for s in frobenius.stream_decompose(window).streams] \
+        == [{"a"}]
+    (e,) = cls.measures
+    assert not e.verdict.is_decided() and e.verdict.horizon == 1
+    assert e.ray.ray0 == {a: Fraction(1, 3) for a in "abc"}
+
+
+def _random_stationary(rng, dim):
+    """A dim x dim matrix with mostly zero entries, often upper
+    triangular, so that its classes are small and reach one another."""
+    upper = rng.random() < 0.5
+    return [[0 if upper and j < i else rng.choice([0, 0, 0, 1, 1, 2, 3])
+             for j in range(dim)] for i in range(dim)]
+
+
+def _planted_blocks(rng):
+    """Two to four diagonal blocks, chained upper triangular with random
+    links, then symbols shuffled.  A block is a random positive one, an
+    imprimitive cycle of period 2 or 3 with weights, or a copy of an
+    earlier block (a planted tie)."""
+    blocks = []
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.random()
+        if blocks and kind < 0.35:
+            blocks.append(rng.choice(blocks))
+        elif kind < 0.7:
+            p = rng.randint(2, 3)
+            blocks.append([[rng.randint(1, 3) if j == (i + 1) % p else 0
+                            for j in range(p)] for i in range(p)])
+        else:
+            d = rng.randint(1, 2)
+            blocks.append([[rng.randint(1, 3) for _ in range(d)]
+                           for _ in range(d)])
+    n = sum(len(b) for b in blocks)
+    a = [[0] * n for _ in range(n)]
+    at = 0
+    for x, b in enumerate(blocks):
+        for i, row in enumerate(b):
+            a[at + i][at:at + len(b)] = row
+            for j in range(at + len(b), n):
+                if rng.random() < 0.3:
+                    a[at + i][j] = 1
+        at += len(b)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def test_stationary_verdicts_follow_frobenius_victory():
+    """For constant(A), a class of period p gives p measures, Finite
+    exactly when its Perron root is strictly larger than that of every
+    other nontrivial class that reaches it (`frobenius_victory_counts`,
+    which reads the raw matrix only).  The Finite and Infinite counts of
+    classify_measures agree on seeded random matrices (dim <= 6) and on
+    block matrices with planted ties and imprimitive cycle blocks."""
+    rng = random.Random(1985)
+    cases = [_random_stationary(rng, rng.randint(1, 6)) for _ in range(240)]
+    cases += [_planted_blocks(rng) for _ in range(120)]
+    seen = collections.Counter()
+    for a in cases:
+        finite, infinite, details = frobenius_victory_counts(a)
+        cls = classify_measures(constant(a, labels(len(a))))
+        assert (cls.finite_count, cls.infinite_count) == (finite, infinite), a
+        seen["infinite"] += infinite
+        seen["ties"] += sum(tied for _, _, tied in details)
+        seen["imprimitive"] += sum(p > 1 for p, _, _ in details)
+        seen["cases"] += bool(details)
+    assert seen["cases"] >= 300 and seen["infinite"] >= 300
+    assert seen["ties"] >= 100 and seen["imprimitive"] >= 150
 
 
 def test_classify_measures_builds_every_ray():

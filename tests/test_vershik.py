@@ -43,10 +43,12 @@ import adic.vershik as vershik
 from conftest import (
     extremal_paths_reference,
     kac_partial_sum_brute,
+    predecessor_reference,
     random_ep_sequence,
     random_nested_pair,
     random_reduced_sequence,
     rank_reference,
+    successor_at_reference,
     word_counts_reference,
 )
 
@@ -862,3 +864,49 @@ def test_derived_paths_pass_the_public_checks(monkeypatch):
     # the tail branch of _rebuild, with and without a carry, is exercised
     assert steps >= 3000 and len(rebuilt) > 3 * steps
     assert in_tail >= 400 and carried >= 100
+
+
+def _fields(step):
+    """A step result (m, path) as plain fields."""
+    m, p = step
+    return m, p and (p.diagram, p.start, p.prefix_edges, p.tail_cycle)
+
+
+def test_step_matches_the_parent_engines():
+    """vershik._step gives the change level and the path of the parent
+    successor and predecessor engines (`successor_at_reference`,
+    `predecessor_reference` in conftest), field for field, on walks
+    forward and back from the `_start_paths` of the gallery diagrams and
+    of seeded random diagrams with shuffled orders: paths with and without
+    a periodic tail, steps that change inside the tail and steps with a
+    carry."""
+    rng = random.Random(3131)
+    diagrams = [d for d in (f() for f in gallery.EXAMPLES.values())
+                if isinstance(d, BratteliDiagram)]
+    for _ in range(24):
+        seq = random_reduced_sequence(rng, max_dim=3)
+        diagrams.append(BratteliDiagram(seq, StableOrder(
+            seq, _shuffled_orders(rng, seq.prefix),
+            _shuffled_orders(rng, seq.cycle))))
+    counts = {"succ": 0, "pred": 0}
+    in_tail = carried = ends = 0
+    for d in diagrams:
+        for p in _start_paths(rng, d):
+            for which, reference, walk in (
+                    ("succ", successor_at_reference, 80),
+                    ("pred", predecessor_reference, 30)):
+                cur = p
+                for _ in range(walk):
+                    got = vershik._step(cur, which)
+                    assert _fields(got) == _fields(reference(cur))
+                    m, nxt = got
+                    if nxt is None:
+                        ends += 1
+                        break
+                    counts[which] += 1
+                    if cur.tail_cycle is not None and m >= cur.tail_start:
+                        in_tail += 1
+                        carried += len(nxt.prefix_edges) > m + 1
+                    cur = nxt
+    assert counts["succ"] >= 3000 and counts["pred"] >= 1000
+    assert in_tail >= 250 and carried >= 75 and ends >= 200
