@@ -495,7 +495,7 @@ def frobenius_victory_counts(a):
     roots, periods = [], []
     for c in classes:
         poly = sympy.Matrix([[a[i][j] for j in c] for i in c]).charpoly()
-        roots.append(max(sympy.Poly(poly.as_expr()).real_roots()))
+        roots.append(max(poly.real_roots()))
         depth, todo = {c[0]: 0}, [c[0]]
         while todo:
             i = todo.pop()
