@@ -362,7 +362,7 @@ def example(name, as_json, emit):
 
 def main():
     try:
-        cli.main(standalone_mode=False)
+        cli.main(standalone_mode=False, prog_name="adic")
     except SystemExit:
         raise
     except click.exceptions.Exit as exc:  # --help and friends

@@ -149,16 +149,6 @@ class BratteliDiagram:
         # the rank table: start level -> vershik._RankTable, filled on demand
         self._rank_tables = {}
 
-    def matrix(self, i):
-        return self.seq.matrix(i)
-
-    def alphabet(self, i):
-        return self.seq.alphabet(i)
-
-    @property
-    def is_eventually_periodic(self):
-        return self.seq.is_eventually_periodic
-
     def to_json(self):
         out = matrixseq.to_json(self.seq)
         out["order"] = self.order.to_json()
@@ -245,9 +235,12 @@ def substitution_order(seq, substitutions, prefix_substitutions=None):
 
 def _edge_tuple(edge):
     """`edge` as a tuple (k, a, b, i); MalformedWord unless it is a tuple
-    or list of four items with int level k and int index i."""
+    or list of four items with int level k and int index i (a bool is not
+    an int here: True would name level or index 1)."""
     if isinstance(edge, (tuple, list)) and len(edge) == 4 \
-            and isinstance(edge[0], int) and isinstance(edge[3], int):
+            and isinstance(edge[0], int) and isinstance(edge[3], int) \
+            and not isinstance(edge[0], bool) \
+            and not isinstance(edge[3], bool):
         return tuple(edge)
     raise MalformedWord("edge %r is not (level, source, target, index)"
                         % (edge,))
@@ -255,24 +248,50 @@ def _edge_tuple(edge):
 
 def check_word(seq, word, start=0):
     """Validate an edge word starting at `start` and return it as a tuple
-    of edge tuples; raises MalformedWord."""
-    out = []
+    of edge tuples; raises MalformedWord (HorizonExceeded past a truncated
+    sequence's horizon).
+
+    The returned edges are the ones in `seq`'s edge index (see
+    `MatrixSequence`), which holds one tuple per distinct edge validated
+    so far, built from the matrix's own labels: every word over `seq`
+    shares them, whatever objects the caller passed.  An edge already in
+    the index needs one lookup in place of the symbol and multiplicity
+    checks."""
+    index = seq._edge_index
+    if index is None:
+        index = seq._edge_index = {}
+    out, prev = [], None
     for j, edge in enumerate(word):
         k, a, b, i = edge = _edge_tuple(edge)
         if k != start + j:
             raise MalformedWord("edge %r at position %d should be at level %d"
                                 % (edge, j, start + j))
-        m = seq.matrix(k)
-        if a not in m.rows or b not in m.cols:
-            raise MalformedWord("edge %r uses unknown symbols" % (edge,))
-        if not 0 <= i < m.entry(a, b):
-            raise MalformedWord("edge %r index out of range (multiplicity %d)"
-                                % (edge, m.entry(a, b)))
-        if out and out[-1][2] != a:
+        try:
+            known = index.get(edge)
+        except TypeError:   # unhashable symbols: the checks reject them
+            known = None
+        out.append(known or _index_edge(seq, index, edge))
+        if prev is not None and prev[2] != a:
             raise MalformedWord("edges %r and %r do not compose"
-                                % (out[-1], edge))
-        out.append(edge)
+                                % (prev, edge))
+        prev = edge
     return tuple(out)
+
+
+def _index_edge(seq, index, edge):
+    """Check an edge that is not in `seq`'s edge index, then add it, as
+    the tuple of the matrix's own level, symbols and index."""
+    k, a, b, i = edge
+    m = seq.matrix(k)
+    if a not in m.rows or b not in m.cols:
+        raise MalformedWord("edge %r uses unknown symbols" % (edge,))
+    a, b = m.rows[m.rows.index(a)], m.cols[m.cols.index(b)]
+    if not 0 <= i < m.entry(a, b):
+        raise MalformedWord("edge %r index out of range (multiplicity %d)"
+                            % (edge, m.entry(a, b)))
+    edge = (int(k), a, b, int(i))
+    index[edge] = edge
+    return edge
 
 
 def count_words(seq, k, n):
@@ -285,16 +304,14 @@ def enumerate_paths(diagram, depth):
     seq = getattr(diagram, "seq", diagram)
     if depth <= 0:
         return [()]
-    words = [((e,), e[2]) for e in edges_from_matrix(0, seq.matrix(0))]
+    words = [(e,) for e in edges_from_matrix(0, seq.matrix(0))]
     for k in range(1, depth):
-        m = seq.matrix(k)
-        nxt = []
-        for word, v in words:
-            for b in m.cols:
-                for i in range(m.entry(v, b)):
-                    nxt.append((word + ((k, v, b, i),), b))
-        words = nxt
-    return sorted(w for w, _ in words)
+        # each source's outgoing edges once, shared by every word through it
+        out = {}
+        for e in edges_from_matrix(k, seq.matrix(k)):
+            out.setdefault(e[1], []).append((e,))
+        words = [word + e for word in words for e in out.get(word[-1][2], ())]
+    return sorted(words)
 
 
 def word_metric(seq_or_diagram, e, f):

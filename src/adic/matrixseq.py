@@ -158,9 +158,15 @@ class MatrixSequence:
     and HorizonExceeded at or past a truncated horizon.  Any per-level table
     kept parallel to `stored` is read as `table[seq.index(k)]`.  `_parts`
     names the runs of `stored` as the JSON format does, with their lengths.
+
+    `_edge_index` is the sequence's edge index, {(k, a, b, i): edge}: one
+    tuple per distinct edge that `diagram.check_word` has validated, which
+    every validated word over the sequence shares.  It is None until the
+    first word is checked, and its size is O(distinct edges validated).
     """
 
     horizon = None
+    _edge_index = None
 
     def matrix(self, k):
         return self.stored[self.index(k)]

@@ -15,7 +15,11 @@ and start level (`_RankTable`): the word counts at each level, one
 `vec_mul` per level, and each edge's rank term, the running sum of the
 counts below it in its target's order.  The table grows on demand, level
 by level, to the deepest level asked for, and its memory is
-O(depth x edges).
+O(depth^2 x edges) bits: depth x edges counts of O(depth) bits each.
+
+Validated paths share their edges: `check_word` returns the tuples of the
+sequence's edge index, one per distinct edge, so the paths over one
+diagram hold no copies of their own.
 """
 
 import itertools
@@ -74,9 +78,9 @@ class LazyPath:
             else:
                 raise MalformedWord("extremal tail from an empty prefix "
                                     "needs start_vertex")
-            pad, cycle = _extremal_continuation(
-                diagram, v, start + len(self.prefix_edges), tail)
-            self.prefix_edges = self.prefix_edges + pad
+            level = start + len(self.prefix_edges)
+            pad, cycle = _extremal_continuation(diagram, v, level, tail)
+            self.prefix_edges += check_word(diagram.seq, pad, level)
             tail_cycle = cycle
         self.tail_cycle = tuple(tail_cycle) if tail_cycle else None
         if self.tail_cycle:
@@ -458,7 +462,7 @@ def anti_lex_rank(diagram, word):
     MalformedWord.  The rank is a sum of the edges' terms in the
     diagram's rank table for level 0 (word counts and running sums below
     each edge, see `_RankTable`), which grows on demand to the word's last
-    level and takes O(depth x edges) memory."""
+    level and takes O(depth^2 x edges) bits of memory."""
     return _rank(diagram, word, 0)
 
 
@@ -470,8 +474,8 @@ class _RankTable:
     - `terms[(k, a, b, i)]`: the rank term of that edge, the sum of
       `counts[k - s][a']` over the edges (k, a', b, i') before it in b's
       order at level k; levels s..`ordered`-1 are in it.
-    Memory is O(depth x edges).  The diagram's `_rank_tables` maps s to
-    the table, which holds the diagram's sequence and order but no
+    Memory is O(depth^2 x edges) bits.  The diagram's `_rank_tables` maps
+    s to the table, which holds the diagram's sequence and order but no
     reference back to the diagram."""
 
     def __init__(self, diagram, start):
@@ -532,7 +536,7 @@ def _rank(diagram, word, start):
     sum of counts below each edge), one dict lookup per edge.  The table
     grows on demand: the first edge extends its counts to the word's last
     level, and a missing term adds the levels up to its own.  Its memory
-    is O(depth x edges)."""
+    is O(depth^2 x edges) bits."""
     rank, prev = 0, None
     for e in word:
         if type(e) is not tuple or len(e) != 4:
@@ -636,8 +640,8 @@ def kac_partial_sum(embedding, base_measure, depth):
     The class sizes are the word counts at level `depth` in the rank
     tables of the ambient and of `embedding.base` from level 0 (word
     counts and rank terms, see `_RankTable`).  They grow on demand, so a
-    deeper sum counts the new levels only, and take O(depth x edges)
-    memory."""
+    deeper sum counts the new levels only, and take O(depth^2 x edges)
+    bits of memory."""
     if depth < 1:
         raise ShapeMismatch("Kac sums need depth >= 1, got %d" % depth)
     amb_counts = _rank_table(embedding.ambient, 0).count(depth)

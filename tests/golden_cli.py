@@ -51,10 +51,7 @@ def run(argv):
     """[argv, stdout, stderr, exit code] of `adic argv` run in-process."""
     out, err = io.StringIO(), io.StringIO()
     code = 0
-    # click names the program after sys.argv[0] unless __main__ is a
-    # package (as under `python -m pytest`): the installed script's view
     with mock.patch.object(sys, "argv", ["adic"] + list(argv)), \
-            mock.patch.object(sys.modules["__main__"], "__package__", None), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             main()

@@ -4,6 +4,7 @@ import pytest
 
 from adic.errors import (
     MalformedWord,
+    HorizonExceeded,
     InsufficientPrefix,
     AbelianizationMismatch,
 )
@@ -60,6 +61,59 @@ def test_check_word_rejects_gaps():
         check_word(seq, [(0, "0", "0", 5)])
 
 
+# (word, start, an earlier valid word that puts the word's valid edges in
+# the edge index, the error, its message)
+BAD_WORDS = [
+    ([(1, "0", "0", 0)], 0, [(0, "0", "0", 0), (1, "0", "0", 0)],
+     MalformedWord, "edge (1, '0', '0', 0) at position 0 should be at "
+     "level 0"),
+    ([(0, "0", "0", 0), (1, "x", "0", 0)], 0, [(0, "0", "0", 0)],
+     MalformedWord, "edge (1, 'x', '0', 0) uses unknown symbols"),
+    ([(0, "0", "0", 0), (1, ["0"], "0", 0)], 0, [(0, "0", "0", 0)],
+     MalformedWord, "edge (1, ['0'], '0', 0) uses unknown symbols"),
+    ([(0, "0", "0", 0), (1, "0", "1", 1)], 0,
+     [(0, "0", "0", 0), (1, "0", "1", 0)],
+     MalformedWord, "edge (1, '0', '1', 1) index out of range "
+     "(multiplicity 1)"),
+    ([(0, "0", "1", 0), (1, "0", "0", 0)], 0,
+     [(0, "0", "1", 0), (1, "1", "0", 0), (2, "0", "0", 0)],
+     MalformedWord, "edges (0, '0', '1', 0) and (1, '0', '0', 0) do not "
+     "compose"),
+    ([(2, "0", "0", 0), (3, "0", "0", 0)], 2, [(2, "0", "0", 0)],
+     HorizonExceeded, "level 3 beyond horizon 3"),
+]
+
+
+@pytest.mark.parametrize("word, start, valid, error, message", BAD_WORDS)
+def test_check_word_errors_read_the_same_once_edges_are_indexed(
+        word, start, valid, error, message):
+    fib = GenMatrix.from_lists(("0", "1"), ("0", "1"), [[1, 1], [1, 0]])
+    seq = Truncated([fib] * 3)
+    with pytest.raises(error) as before:
+        check_word(seq, word, start)
+    check_word(seq, valid, valid[0][0])
+    with pytest.raises(error) as after:
+        check_word(seq, word, start)
+    assert str(before.value) == str(after.value) == message
+
+
+def test_check_word_returns_the_matrix_labels_whichever_caller_came_first():
+    for first, second in (((0, 1.0, 0, 0), (0, 1, 0, 0)),
+                          ((0, 1, 0, 0), (0, 1.0, 0, 0))):
+        seq = constant([[1, 1], [1, 0]], [0, 1])
+        e1, = check_word(seq, [first])
+        e2, = check_word(seq, [list(second)])
+        assert e1 is e2
+        assert [type(x) for x in e1] == [int] * 4
+
+
+@pytest.mark.parametrize("edge", [(False, "0", "0", 0), (0, "0", "0", True),
+                                  [0, "0", "0", False]])
+def test_check_word_rejects_bool_levels_and_indices(edge):
+    with pytest.raises(MalformedWord, match="is not \\(level"):
+        check_word(constant([[2]], ["0"]), [edge])
+
+
 def test_cylinder_counts():
     seq = constant([[2]], ["0"])
     assert count_words(seq, 0, 2) == 8
@@ -70,6 +124,9 @@ def test_enumerate_paths_sorted_and_complete():
     paths = enumerate_paths(d, 3)
     assert len(paths) == count_words(d.seq, 0, 2)
     assert paths == sorted(paths)
+    # one tuple per distinct edge, shared by every word through it
+    edges = [e for w in paths for e in w]
+    assert len({id(e) for e in edges}) == len(set(edges))
 
 
 def test_word_metric_dyadic():

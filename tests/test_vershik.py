@@ -457,6 +457,29 @@ def test_extremal_tail_after_a_long_prefix():
         assert p.tail_cycle == ((3000, "0", "0", index),)
 
 
+def test_paths_share_one_tuple_per_edge():
+    d = chacon()
+    word = enumerate_paths(d, 4)[5]
+    tail = [(4, "1", "1", 0)]
+    p, q = (LazyPath(d, [list(e) for e in word], [list(e) for e in tail])
+            for _ in range(2))
+    for x, y in zip(p.prefix_edges + p.tail_cycle,
+                    q.prefix_edges + q.tail_cycle):
+        assert x is y
+    # an extremal tail's pad and cycle are the index's edges too
+    one = GenMatrix.from_lists(("0",), ("0",), [[1]])
+    two = GenMatrix.from_lists(("0",), ("0",), [[2]])
+    d = BratteliDiagram(EventuallyPeriodic([one] * 3, [two]))
+    p, q = (LazyPath(d, [], tail="min", start_vertex="0") for _ in range(2))
+    explicit = LazyPath(d, [list(e) for e in p.prefix_edges],
+                        [list(e) for e in p.tail_cycle])
+    assert len(p.prefix_edges) == 3
+    for r in (q, explicit):
+        for x, y in zip(p.prefix_edges + p.tail_cycle,
+                        r.prefix_edges + r.tail_cycle):
+            assert x is y
+
+
 def _continuation_by_recursion(d, vertex, level, kind):
     """Reference: the recursive lasso search, or None when it fails."""
     seq = d.seq
