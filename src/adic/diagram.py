@@ -248,50 +248,26 @@ def _edge_tuple(edge):
 
 def check_word(seq, word, start=0):
     """Validate an edge word starting at `start` and return it as a tuple
-    of edge tuples; raises MalformedWord (HorizonExceeded past a truncated
-    sequence's horizon).
-
-    The returned edges are the ones in `seq`'s edge index (see
-    `MatrixSequence`), which holds one tuple per distinct edge validated
-    so far, built from the matrix's own labels: every word over `seq`
-    shares them, whatever objects the caller passed.  An edge already in
-    the index needs one lookup in place of the symbol and multiplicity
-    checks."""
-    index = seq._edge_index
-    if index is None:
-        index = seq._edge_index = {}
-    out, prev = [], None
+    of edge tuples, built from the matrices' own labels; raises
+    MalformedWord (HorizonExceeded past a truncated sequence's horizon)."""
+    out = []
     for j, edge in enumerate(word):
         k, a, b, i = edge = _edge_tuple(edge)
         if k != start + j:
             raise MalformedWord("edge %r at position %d should be at level %d"
                                 % (edge, j, start + j))
-        try:
-            known = index.get(edge)
-        except TypeError:   # unhashable symbols: the checks reject them
-            known = None
-        out.append(known or _index_edge(seq, index, edge))
-        if prev is not None and prev[2] != a:
+        m = seq.matrix(k)
+        if a not in m.rows or b not in m.cols:
+            raise MalformedWord("edge %r uses unknown symbols" % (edge,))
+        if not 0 <= i < m.entry(a, b):
+            raise MalformedWord("edge %r index out of range (multiplicity %d)"
+                                % (edge, m.entry(a, b)))
+        if out and out[-1][2] != a:
             raise MalformedWord("edges %r and %r do not compose"
-                                % (prev, edge))
-        prev = edge
+                                % (out[-1], edge))
+        a, b = m.rows[m.rows.index(a)], m.cols[m.cols.index(b)]
+        out.append((int(k), a, b, int(i)))
     return tuple(out)
-
-
-def _index_edge(seq, index, edge):
-    """Check an edge that is not in `seq`'s edge index, then add it, as
-    the tuple of the matrix's own level, symbols and index."""
-    k, a, b, i = edge
-    m = seq.matrix(k)
-    if a not in m.rows or b not in m.cols:
-        raise MalformedWord("edge %r uses unknown symbols" % (edge,))
-    a, b = m.rows[m.rows.index(a)], m.cols[m.cols.index(b)]
-    if not 0 <= i < m.entry(a, b):
-        raise MalformedWord("edge %r index out of range (multiplicity %d)"
-                            % (edge, m.entry(a, b)))
-    edge = (int(k), a, b, int(i))
-    index[edge] = edge
-    return edge
 
 
 def count_words(seq, k, n):

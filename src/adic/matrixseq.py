@@ -160,9 +160,10 @@ class MatrixSequence:
     names the runs of `stored` as the JSON format does, with their lengths.
 
     `_edge_index` is the sequence's edge index, {(k, a, b, i): edge}: one
-    tuple per distinct edge that `diagram.check_word` has validated, which
-    every validated word over the sequence shares.  It is None until the
-    first word is checked, and its size is O(distinct edges validated).
+    tuple per distinct edge of the `vershik.LazyPath`s built over the
+    sequence, which they all share.  It is None until the first such path
+    is built, it is kept for the sequence's lifetime, and its size is
+    O(distinct edges of those paths).
     """
 
     horizon = None

@@ -17,9 +17,9 @@ counts below it in its target's order.  The table grows on demand, level
 by level, to the deepest level asked for, and its memory is
 O(depth^2 x edges) bits: depth x edges counts of O(depth) bits each.
 
-Validated paths share their edges: `check_word` returns the tuples of the
-sequence's edge index, one per distinct edge, so the paths over one
-diagram hold no copies of their own.
+Validated paths share their edges: `LazyPath` keeps the tuples of its
+sequence's edge index (`_shared_word`), one per distinct edge, so the paths
+over one diagram hold no copies of their own.
 """
 
 import itertools
@@ -39,6 +39,17 @@ from .matrixseq import (EventuallyPeriodic, Truncated, submatrix_leq,
                         _compare_horizon)
 # unused here; perfbench/test_tracer.py still expects this module binding
 from .matrixseq import partial_product  # noqa: F401
+
+
+def _shared_word(seq, word, start):
+    """`check_word(seq, word, start)` with each edge replaced by its tuple
+    in `seq`'s edge index (see `MatrixSequence`), added on first use, so
+    every path over `seq` holds one tuple per distinct edge."""
+    index = seq._edge_index
+    if index is None:
+        index = seq._edge_index = {}
+    return tuple([index.setdefault(e, e)
+                  for e in check_word(seq, word, start)])
 
 
 class LazyPath:
@@ -65,7 +76,7 @@ class LazyPath:
                  tail=None, start_vertex=None):
         self.diagram = diagram
         self.start = start
-        self.prefix_edges = check_word(diagram.seq, prefix_edges, start) \
+        self.prefix_edges = _shared_word(diagram.seq, prefix_edges, start) \
             if prefix_edges else ()
         if tail in ("min", "max"):
             if tail_cycle is not None:
@@ -80,7 +91,7 @@ class LazyPath:
                                     "needs start_vertex")
             level = start + len(self.prefix_edges)
             pad, cycle = _extremal_continuation(diagram, v, level, tail)
-            self.prefix_edges += check_word(diagram.seq, pad, level)
+            self.prefix_edges += _shared_word(diagram.seq, pad, level)
             tail_cycle = cycle
         self.tail_cycle = tuple(tail_cycle) if tail_cycle else None
         if self.tail_cycle:
@@ -94,7 +105,7 @@ class LazyPath:
             if len(self.tail_cycle) % seq.period != 0:
                 raise ShapeMismatch("tail period must be a multiple of the "
                                     "diagram period")
-            self.tail_cycle = check_word(seq, self.tail_cycle, ts)
+            self.tail_cycle = _shared_word(seq, self.tail_cycle, ts)
             if self.prefix_edges and \
                     self.prefix_edges[-1][2] != self.tail_cycle[0][1]:
                 raise MalformedWord("prefix does not compose with the tail")

@@ -17,6 +17,7 @@ from adic.diagram import (
     enumerate_paths,
     word_metric,
 )
+from adic.vershik import LazyPath
 
 
 def dyadic():
@@ -61,8 +62,8 @@ def test_check_word_rejects_gaps():
         check_word(seq, [(0, "0", "0", 5)])
 
 
-# (word, start, an earlier valid word that puts the word's valid edges in
-# the edge index, the error, its message)
+# (word, start, a valid word whose path puts the word's valid edges in the
+# edge index, the error, its message)
 BAD_WORDS = [
     ([(1, "0", "0", 0)], 0, [(0, "0", "0", 0), (1, "0", "0", 0)],
      MalformedWord, "edge (1, '0', '0', 0) at position 0 should be at "
@@ -91,20 +92,22 @@ def test_check_word_errors_read_the_same_once_edges_are_indexed(
     seq = Truncated([fib] * 3)
     with pytest.raises(error) as before:
         check_word(seq, word, start)
-    check_word(seq, valid, valid[0][0])
+    LazyPath(BratteliDiagram(seq), valid, start=valid[0][0])
+    assert seq._edge_index
     with pytest.raises(error) as after:
         check_word(seq, word, start)
     assert str(before.value) == str(after.value) == message
 
 
-def test_check_word_returns_the_matrix_labels_whichever_caller_came_first():
-    for first, second in (((0, 1.0, 0, 0), (0, 1, 0, 0)),
-                          ((0, 1, 0, 0), (0, 1.0, 0, 0))):
-        seq = constant([[1, 1], [1, 0]], [0, 1])
-        e1, = check_word(seq, [first])
-        e2, = check_word(seq, [list(second)])
-        assert e1 is e2
-        assert [type(x) for x in e1] == [int] * 4
+def test_check_word_returns_the_matrix_labels_and_keeps_no_edges():
+    seq = constant([[1, 1], [1, 0]], [0, 1])
+    for edge in ((0, 1.0, 0, 0), [0, 1.0, 0.0, 0], (0, 1, 0, 0)):
+        got, = check_word(seq, [edge])
+        assert got == (0, 1, 0, 0)
+        assert [type(x) for x in got] == [int] * 4
+    # only the paths that keep their edges fill the edge index
+    word_metric(seq, [(0, 1, 0, 0)], [(0, 0, 0, 0)])
+    assert seq._edge_index is None
 
 
 @pytest.mark.parametrize("edge", [(False, "0", "0", 0), (0, "0", "0", True),
