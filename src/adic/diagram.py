@@ -249,7 +249,9 @@ def _edge_tuple(edge):
 def check_word(seq, word, start=0):
     """Validate an edge word starting at `start` and return it as a tuple
     of edge tuples, built from the matrices' own labels; raises
-    MalformedWord (HorizonExceeded past a truncated sequence's horizon)."""
+    MalformedWord (HorizonExceeded past a truncated sequence's horizon).
+    It keeps nothing: `vershik.LazyPath` puts the edges of the paths it
+    builds in the sequence's edge index (see `MatrixSequence`)."""
     out = []
     for j, edge in enumerate(word):
         k, a, b, i = edge = _edge_tuple(edge)
