@@ -397,89 +397,75 @@ def _restrict_to(m, rows, cols):
                       tuple(b for b in m.cols if b in cols))
 
 
-def _restricted(seq, survive, n):
-    """The matrices of levels 0..n-1 restricted to the surviving symbols
-    survive[i] x survive[i + 1], and {level: sorted symbols removed}."""
-    terms = [_restrict_to(seq.matrix(i), survive[i], survive[i + 1])
-             for i in range(n)]
-    removed = {i: sorted(set(seq.matrix(i).rows) - set(survive[i]))
-               for i in range(n)}
-    return terms, removed
+def _periodic_only(seq, name):
+    """Raise ShapeMismatch unless seq is eventually periodic: reduction and
+    primitivity are statements about infinite sequences."""
+    if not seq.is_eventually_periodic:
+        raise ShapeMismatch("%s needs an eventually periodic sequence; "
+                            "read a window with stream_decompose" % name)
 
 
 def reduce_sequence(seq):
     """Remove symbols that cannot be extended infinitely to the right or
     reached from level 0 on the left.  Returns (reduced, log).
 
-    The result keeps exactly the same infinite edge paths, is unique, and an
-    eventually periodic input yields an eventually periodic output (possibly
-    with a longer prefix).  For Truncated input the right-extendability test
-    is optimistic at the horizon, and the log says so.
+    The input must be eventually periodic; a Truncated window raises
+    ShapeMismatch (stream_decompose reads a window through its
+    continuation).  The result keeps exactly the same infinite edge paths,
+    is unique, and is eventually periodic, possibly with a longer prefix.
+    The log maps the prefix levels ("levels") and the cycle positions
+    ("periodic") of the result to the sorted symbols removed there.
     """
-    if seq.is_eventually_periodic:
-        P, stored = seq.prefix_len, seq.stored
-        # right[i]: the right-extendable rows of stored[i].  Greatest
-        # fixpoint on the cycle, then backward through the prefix.
-        right = [set(m.rows) for m in stored]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(P, len(stored)):
-                keep = _right_alive_step(stored[i], right[seq.index(i + 1)])
-                if keep != right[i]:
-                    right[i] = keep
-                    changed = True
-        for i in range(P - 1, -1, -1):
-            right[i] = _right_alive_step(stored[i], right[i + 1])
+    _periodic_only(seq, "reduce_sequence")
+    P, stored = seq.prefix_len, seq.stored
+    # right[i]: the right-extendable rows of stored[i].  Greatest
+    # fixpoint on the cycle, then backward through the prefix.
+    right = [set(m.rows) for m in stored]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(P, len(stored)):
+            keep = _right_alive_step(stored[i], right[seq.index(i + 1)])
+            if keep != right[i]:
+                right[i] = keep
+                changed = True
+    for i in range(P - 1, -1, -1):
+        right[i] = _right_alive_step(stored[i], right[i + 1])
 
-        # forward sweep until (stored position, surviving set) repeats
-        survive = [frozenset(right[0])]
-        seen = {}
-        k = 0
-        while True:
-            state = (seq.index(k), survive[k])
-            if state in seen:
-                loop_start = seen[state]
-                break
-            seen[state] = k
-            survive.append(_survive_step(seq.matrix(k), survive[k],
-                                         right[seq.index(k + 1)]))
-            k += 1
-        # survive[k] == survive[loop_start], so the last cycle matrix maps
-        # into the cycle's first surviving set
-        terms, removed = _restricted(seq, survive, k)
-        log = {
-            "levels": {i: removed[i] for i in range(loop_start)},
-            "periodic": {i - loop_start: removed[i]
-                         for i in range(loop_start, k)},
-            "horizon_limited": False,
-        }
-        return EventuallyPeriodic(terms[:loop_start], terms[loop_start:]), log
-
-    # truncated: optimistic at the horizon
-    h = seq.horizon
-    right = [None] * h + [set(seq.alphabet(h))]
-    for k in range(h - 1, -1, -1):
-        right[k] = _right_alive_step(seq.matrix(k), right[k + 1])
+    # forward sweep until (stored position, surviving set) repeats
     survive = [frozenset(right[0])]
-    for k in range(h):
-        survive.append(_survive_step(seq.matrix(k), survive[k], right[k + 1]))
-    terms, removed = _restricted(seq, survive, h)
-    return Truncated(terms), {"levels": removed, "horizon_limited": True}
+    seen = {}
+    k = 0
+    while True:
+        state = (seq.index(k), survive[k])
+        if state in seen:
+            loop_start = seen[state]
+            break
+        seen[state] = k
+        survive.append(_survive_step(seq.matrix(k), survive[k],
+                                     right[seq.index(k + 1)]))
+        k += 1
+    # survive[k] == survive[loop_start], so the last cycle matrix maps
+    # into the cycle's first surviving set
+    terms = [_restrict_to(seq.matrix(i), survive[i], survive[i + 1])
+             for i in range(k)]
+    removed = [sorted(set(seq.matrix(i).rows) - survive[i])
+               for i in range(k)]
+    log = {"levels": {i: removed[i] for i in range(loop_start)},
+           "periodic": {i - loop_start: removed[i]
+                        for i in range(loop_start, k)}}
+    return EventuallyPeriodic(terms[:loop_start], terms[loop_start:]), log
 
 
 def is_reduced(seq):
-    """True iff reduce_sequence would remove no symbol: every stored matrix
-    has a nonzero entry in each row and each column.  The columns of a
-    truncated sequence's last term are not checked, because the horizon is
-    right-extendable by assumption and reduce_sequence logs no level there."""
-    last = len(seq.stored) - 1 if seq.horizon is not None else None
-    for i, m in enumerate(seq.stored):
-        if len({a for a, _ in m.entries}) < len(m.rows):
-            return False
-        if i != last and len({b for _, b in m.entries}) < len(m.cols):
-            return False
-    return True
+    """True iff every stored matrix has a nonzero entry in each row and each
+    column.  For an eventually periodic sequence this holds exactly when
+    reduce_sequence removes no symbol; for a window, exactly when it removes
+    none from the window continued by the all-ones square matrix on its
+    last alphabet."""
+    return all(len({a for a, _ in m.entries}) == len(m.rows)
+               and len({b for _, b in m.entries}) == len(m.cols)
+               for m in seq.stored)
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +478,14 @@ def wielandt_bound(d):
 
 def _after(seq, j):
     """The step key of a boolean product whose last matrix sits at stored
-    position j, or None past a truncated sequence's horizon.  The key is j
-    itself: the next matrix is the one after position j (`_next`), and the
+    position j of an eventually periodic sequence.  The key is j itself:
+    the next matrix is the one after position j (`_next`), and the
     product's columns are in the order of stored[j].cols.  Only the last
     prefix and the last cycle position share a next matrix; they share the
     key P - 1 when they list their columns alike.  So two products share a
     key exactly when their next matrix and column order agree."""
     if j + 1 < len(seq.stored):
         return j
-    if seq.horizon is not None:
-        return None
     P = seq.prefix_len
     return P - 1 if P and seq.stored[P - 1].cols == seq.stored[j].cols \
         else j
@@ -555,10 +539,10 @@ def _step(seq, table, key):
 
 
 def _positivity_from(seq, k, table):
-    """Iterate boolean partial products starting at level k until a strictly
-    positive product appears, the state (stored position, column order,
-    boolean product) repeats, or a truncated sequence runs out.  Returns
-    ('yes', n) / ('no', n) / ('horizon', n).  matrix(k) must have rows.
+    """Iterate the boolean partial products of an eventually periodic
+    sequence starting at level k until a strictly positive product appears
+    or the state (stored position, column order, boolean product) repeats.
+    Returns ('yes', n) or ('no', n).  matrix(k) must have rows.
 
     The product is kept as a tuple of int bitmasks, one per column in the
     column order of the last matrix multiplied: bit i of a column's mask is
@@ -605,8 +589,6 @@ def _positivity_from(seq, k, table):
         # step has two or more columns
         if masks.count(full) == len(masks):
             return ("yes", n)
-        if key is None:
-            return ("horizon", n)
         # one hash per state: a repeat leaves the set's size unchanged
         seen.add((key, masks))
         if len(seen) < n:
@@ -615,10 +597,10 @@ def _positivity_from(seq, k, table):
 
 def is_primitive(seq):
     """Verdict on: for every level k there is n with the partial product
-    from k to n strictly positive.  Exact for eventually periodic input;
-    Truncated input can only be refuted (a zero row persists forever, and a
-    level with an empty alphabet has no positive product), never
-    confirmed."""
+    from k to n strictly positive, exact.  The input must be eventually
+    periodic; a Truncated window raises ShapeMismatch.  A level with an
+    empty alphabet has no positive product."""
+    _periodic_only(seq, "is_primitive")
     if any(not m.rows for m in seq.stored):
         return Verdict.no({"reason": "empty alphabet"})
     table = {}
@@ -627,12 +609,7 @@ def is_primitive(seq):
         res, n = _positivity_from(seq, k, table)
         if res == "no":
             return Verdict.no({"start_level": k, "steps_explored": n})
-        if res == "horizon":
-            return Verdict.undecided(seq.horizon, {"positive_after": witness,
-                                                   "stuck_at": k})
         witness[k] = n
-    if seq.horizon is not None:
-        return Verdict.undecided(seq.horizon, {"positive_after": witness})
     d = max(len(m.rows) for m in seq.stored)
     return Verdict.yes({"positive_after": witness,
                         "wielandt_bound": wielandt_bound(d)})

@@ -204,6 +204,8 @@ def test_missing_file_is_an_error():
     {"alphabets": [["0"]], "cycle": [[[1]]], "order": [1]},
     {"alphabets": [["0"]], "cycle": [[[2]]],
      "order": {"cycle": [{"0": [1, 2]}]}},
+    {"alphabets": [[0], [0]], "prefix": [[[1]]], "cycle": [[[1]]]},
+    {"alphabets": ["ab"], "cycle": [[[1, 1], [1, 1]]]},
 ])
 def test_malformed_diagram_is_a_one_line_error(tmp_path, doc):
     path = tmp_path / "bad.json"

@@ -6,7 +6,8 @@ import pytest
 import sympy
 
 from adic import cones, gallery
-from adic.errors import NonPositiveEntry, NotPrimitive, ShapeMismatch
+from adic.errors import (DepthExceeded, NonPositiveEntry, NotPrimitive,
+                         ShapeMismatch)
 from adic.matrixseq import GenMatrix, Truncated, constant, partial_product
 from adic.frobenius import stream_decompose
 from adic.measures import classify_measures
@@ -401,7 +402,8 @@ def _gallery_sequences():
 
 def test_eigvec_sequences_match_product_columns():
     """Reference: level i of each sequence is column b of the product of
-    levels i..depth, scaled so that level 0 sums to 1."""
+    levels i..depth, scaled so that level 0 sums to 1.  A read past level
+    depth + 1 is a DepthExceeded, as every depth-limited read is."""
     rng = random.Random(29)
     seqs = list(_gallery_sequences())
     seqs += [random_ep_sequence(rng, max_dim=5) for _ in range(15)]
@@ -424,6 +426,10 @@ def test_eigvec_sequences_match_product_columns():
                              for a in seq.alphabet(depth + 1)})
                 assert repr(ev.levels) == repr(want)
                 assert ev.check(seq)
+                assert ev.value(depth + 1) == want[-1]
+                with pytest.raises(DepthExceeded,
+                                   match="beyond defect %d" % depth):
+                    ev.value(depth + 2)
 
 
 def test_eigvec_sequences_make_only_the_simplex_product(mul_calls):

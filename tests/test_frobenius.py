@@ -12,7 +12,7 @@ import pytest
 from adic.errors import HorizonExceeded, InternalError, NotReduced
 from adic.matrixseq import (
     GenMatrix, EventuallyPeriodic, Truncated, constant, from_json,
-    reduce_sequence)
+    partial_product, reduce_sequence)
 from adic import frobenius
 from adic.frobenius import (
     strongly_connected_components,
@@ -99,6 +99,24 @@ def test_frobenius_form_triangular_and_conjugate():
     g = form.form
     assert g.matrix(1).rows == g.matrix(1).cols
     assert g.matrix(1) == g.matrix(1 + g.period)
+
+
+def test_frobenius_form_gathering_times_and_permutations():
+    # the times are 0, then P when P > 0, then P + G and P + 2G, where
+    # G = L * (pool symbols over one period + 1); the form's levels start
+    # at the times before P + G, and each has a symbol order
+    golden = EXAMPLES["golden-mean"]().seq
+    pooled = constant([[1, 1, 0], [0, 0, 1], [0, 0, 1]], ["0", "1", "2"])
+    seven = seven_matrix_example().seq
+    for seq, times in ((golden, [0, 1, 2]), (pooled, [0, 2, 4]),
+                       (seven, [0, 5, 7, 9])):
+        form = frobenius_form(seq)
+        assert form.gathering_times == times
+        assert sorted(form.permutations) == times[:-2]
+        for k, order in form.permutations.items():
+            assert sorted(order) == sorted(seq.alphabet(k))
+        for j, (i, n) in enumerate(zip(times, times[1:])):
+            assert form.form.matrix(j) == partial_product(seq, i, n - 1)
 
 
 def test_stationary_frobenius_three_cycle():

@@ -66,6 +66,9 @@ def test_truncated_horizon():
     assert t.horizon == 3
     with pytest.raises(HorizonExceeded):
         t.matrix(3)
+    # reduction is a statement about the infinite sequence
+    with pytest.raises(ShapeMismatch, match="stream_decompose"):
+        reduce_sequence(t)
 
 
 def test_eventually_periodic_phase_and_alphabets():
@@ -108,6 +111,35 @@ def test_gather_blocks_periodic():
     assert g.matrix(0).to_lists() == [[2, 1], [1, 1]]
 
 
+def _random_blocks(rng, total, least):
+    """A random list of at least `least` positive ints summing to total."""
+    cuts = sorted(rng.sample(range(1, total),
+                             rng.randrange(least - 1, total)))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def test_gather_blocks_with_prefix_blocks_are_partial_products():
+    # output term j is the product over the levels of block j, the prefix
+    # blocks first, then the cycle blocks repeating
+    rng = random.Random(37)
+    checked = 0
+    while checked < 40:
+        seq = random_ep_sequence(rng, max_prefix=3)
+        if seq.prefix_len == 0:
+            continue
+        prefix_blocks = _random_blocks(
+            rng, max(2, seq.prefix_len + rng.randrange(3)), 2)
+        cycle_blocks = _random_blocks(rng, seq.period * rng.randrange(1, 4), 1)
+        g = gather(seq, blocks=(prefix_blocks, cycle_blocks))
+        assert g.prefix_len == len(prefix_blocks)
+        assert g.period == len(cycle_blocks)
+        start = 0
+        for j, b in enumerate(prefix_blocks + 2 * cycle_blocks):
+            assert g.matrix(j) == partial_product(seq, start, start + b - 1)
+            start += b
+        checked += 1
+
+
 def test_gather_blocks_validation():
     seq = constant([[2]], ["0"])
     with pytest.raises(ShapeMismatch):
@@ -126,9 +158,15 @@ def test_reduce_drops_dead_symbol():
 
 
 def _removes_symbols(seq):
-    """Reference for is_reduced: reduce_sequence logs a removed symbol."""
+    """Reference for is_reduced: reduce_sequence logs a removed symbol, for
+    a window once it is continued by the all-ones square matrix on its last
+    alphabet."""
+    if not seq.is_eventually_periodic:
+        last = seq.alphabet(seq.horizon)
+        ones = GenMatrix(last, last, {(a, b): 1 for a in last for b in last})
+        seq = EventuallyPeriodic(seq.terms, [ones])
     _, log = reduce_sequence(seq)
-    return any(log["levels"].values()) or any(log.get("periodic", {}).values())
+    return any(log["levels"].values()) or any(log["periodic"].values())
 
 
 def _random_truncated(rng):
@@ -144,14 +182,16 @@ def _random_truncated(rng):
 
 
 def test_is_reduced_matches_the_reduction_log():
-    # every stored matrix has no zero row and no zero column, except the
-    # columns of a truncated sequence's last term
+    # every stored matrix has no zero row and no zero column; the reduced
+    # windows are the first terms of reduced sequences
     rng = random.Random(83)
     kinds = {}
     for _ in range(400):
         seqs = [random_ep_sequence(rng), random_reduced_sequence(rng),
                 _random_truncated(rng)]
-        seqs.append(reduce_sequence(seqs[-1])[0])
+        red = random_reduced_sequence(rng)
+        seqs.append(Truncated([red.matrix(j)
+                               for j in range(rng.randrange(1, 8))]))
         for seq in seqs:
             want = not _removes_symbols(seq)
             assert is_reduced(seq) == want, seq.stored
@@ -205,11 +245,12 @@ def test_is_primitive_golden_mean():
     assert v.is_yes()
 
 
-def test_is_primitive_truncated_undecided():
+def test_is_primitive_of_a_window_raises():
     t = Truncated([GenMatrix.from_lists(("0", "1"), ("0", "1"),
                                         [[1, 1], [1, 0]])] * 2)
-    v = is_primitive(t)
-    assert not v.is_decided()
+    with pytest.raises(ShapeMismatch, match="stream_decompose") as err:
+        is_primitive(t)
+    assert "\n" not in str(err.value)
 
 
 def _dict_positivity_from(seq, k):
@@ -226,15 +267,12 @@ def _dict_positivity_from(seq, k):
             return ("yes", m - k)
         if any(all(B.entry(a, b) == 0 for b in B.cols) for a in B.rows):
             return ("no", m - k)
-        if seq.is_eventually_periodic:
-            if m >= seq.prefix_len:
-                state = ((m - seq.prefix_len) % seq.period,
-                         B.rows, B.cols, frozenset(B.entries))
-                if state in seen:
-                    return ("no", m - k)
-                seen.add(state)
-        elif m >= seq.horizon:
-            return ("horizon", m - k)
+        if m >= seq.prefix_len:
+            state = ((m - seq.prefix_len) % seq.period,
+                     B.rows, B.cols, frozenset(B.entries))
+            if state in seen:
+                return ("no", m - k)
+            seen.add(state)
         B = B.mul(boolean(seq.matrix(m)))
         m += 1
 
@@ -255,12 +293,6 @@ def test_positivity_from_matches_dict_boolean_products():
         for k in range(seq.prefix_len + seq.period):
             assert (matrixseq._positivity_from(seq, k, table)
                     == _dict_positivity_from(seq, k))
-        n = rng.randrange(1, 8)
-        trunc = Truncated([seq.matrix(j) for j in range(n)])
-        table = {}
-        for k in range(n):
-            assert (matrixseq._positivity_from(trunc, k, table)
-                    == _dict_positivity_from(trunc, k))
 
 
 def _wielandt_matrix(n):
@@ -293,18 +325,14 @@ def _shuffled_columns(rng, seq):
         if rng.random() < 0.5:
             rng.shuffle(cols)
         stored.append(GenMatrix(m.rows, cols, m.entries))
-    if seq.is_eventually_periodic:
-        return EventuallyPeriodic(stored[:seq.prefix_len],
-                                  stored[seq.prefix_len:])
-    return Truncated(stored)
+    return EventuallyPeriodic(stored[:seq.prefix_len], stored[seq.prefix_len:])
 
 
 def _kernel_cases(seq):
     """The structural cases of one sequence that the positivity kernel
     handles apart."""
     stored = seq.stored
-    nxt = stored[1:] + ([stored[seq.prefix_len]]
-                        if seq.is_eventually_periodic else [])
+    nxt = stored[1:] + [stored[seq.prefix_len]]
     cases = set()
     if any(len({b for _, b in m.entries}) < len(m.cols) for m in stored):
         cases.add("zero column")
@@ -314,8 +342,7 @@ def _kernel_cases(seq):
         cases.add("two or more sources")
     if any(m.cols != after.rows for m, after in zip(stored, nxt)):
         cases.add("reordered columns")
-    if seq.is_eventually_periodic and any(
-            m.rows != m.cols for m in seq.prefix):
+    if any(m.rows != m.cols for m in seq.prefix):
         cases.add("rectangular prefix")
     if max(len(m.rows) for m in stored) >= 8:
         cases.add("dim 8 to 10")
@@ -347,7 +374,7 @@ def _sparse_sequence(rng):
 def _positivity_kernel_set(rng):
     """Cycles with a loop, Wielandt's matrices, late zero rows, and seeded
     random sequences (dims up to 10, and sparse ones), half of them with
-    reordered columns, then truncated windows of the last 120."""
+    reordered columns."""
     seqs = [cycle_with_loop(n) for n in (8, 17, 33, 68)]
     seqs += [_wielandt_matrix(n) for n in range(2, 9)]
     seqs += [_late_zero_row(n) for n in (3, 8, 12)]
@@ -361,9 +388,6 @@ def _positivity_kernel_set(rng):
         else:
             seq = _sparse_sequence(rng)
         seqs.append(_shuffled_columns(rng, seq) if trial % 2 else seq)
-    for seq in seqs[-120:]:
-        n = rng.randrange(1, 8)
-        seqs.append(Truncated([seq.matrix(j) for j in range(n)]))
     return seqs
 
 
@@ -390,8 +414,6 @@ def test_positivity_kernel_matches_the_dict_oracle_on_every_start_level():
     for seq in _positivity_kernel_set(rng):
         table = {}
         seq_cases = _kernel_cases(seq)
-        if not seq.is_eventually_periodic:
-            seq_cases.add("truncated window")
         for k in range(len(seq.stored)):
             got = matrixseq._positivity_from(seq, k, table)
             assert got == _dict_positivity_from(seq, k), (seq.stored, k)
@@ -411,11 +433,11 @@ def test_positivity_kernel_matches_the_dict_oracle_on_every_start_level():
                     cases["zero row after step 1"] += 1
                     cases["zero row after step 1", "gather"] += long_run
     assert results["yes"] >= 300 and results["no"] >= 300 \
-        and results["horizon"] >= 100 and results["gather"] >= 50, results
+        and results["gather"] >= 50, results
     assert min(cases[c] for c in (
         "zero column", "one column", "two or more sources",
         "reordered columns", "rectangular prefix", "dim 8 to 10",
-        "truncated window", "zero row after step 1")) >= 20, cases
+        "zero row after step 1")) >= 20, cases
     assert min(cases[c, "gather"] for c in (
         "zero column", "two or more sources", "reordered columns",
         "rectangular prefix", "dim 8 to 10")) >= 20, cases
@@ -424,14 +446,13 @@ def test_positivity_kernel_matches_the_dict_oracle_on_every_start_level():
 
 def test_certified_positivity_powers_are_least():
     # each positive_after[k] = n of a stream certificate, on the reduced
-    # eventually periodic members of the kernel set, is the least n:
-    # n matrices from k have a positive product and n - 1 do not
+    # members of the kernel set, is the least n: n matrices from k have a
+    # positive product and n - 1 do not
     seqs = []
     for seq in _positivity_kernel_set(random.Random(2021)):
-        if seq.is_eventually_periodic:
-            red = reduce_sequence(seq)[0]
-            if all(m.rows for m in red.stored):
-                seqs.append(red)
+        red = reduce_sequence(seq)[0]
+        if all(m.rows for m in red.stored):
+            seqs.append(red)
     checked = collections.Counter()
     for seq in seqs:
         decomp = frobenius.stream_decompose(seq)
@@ -444,13 +465,21 @@ def test_certified_positivity_powers_are_least():
     assert checked[True] >= 50 and checked[False] >= 50, checked
 
 
-def test_is_primitive_of_an_empty_alphabet_is_no_also_when_truncated():
+def test_is_primitive_of_an_empty_alphabet_is_no():
+    # a level with an empty alphabet has no positive product; the same
+    # levels as a window are not an eventually periodic sequence
     empty = GenMatrix((), ("0",))
     loop = GenMatrix(("0",), ("0",), {("0", "0"): 1})
-    for seq in (Truncated([empty, loop]), Truncated([loop, loop.restrict(
-            ("0",), ()), GenMatrix((), ())])):
+    cases = ((EventuallyPeriodic([empty], [loop]), Truncated([empty, loop])),
+             (EventuallyPeriodic([loop, loop.restrict(("0",), ())],
+                                 [GenMatrix((), ())]),
+              Truncated([loop, loop.restrict(("0",), ()),
+                         GenMatrix((), ())])))
+    for seq, window in cases:
         v = is_primitive(seq)
         assert v.is_no() and v.witness == {"reason": "empty alphabet"}
+        with pytest.raises(ShapeMismatch):
+            is_primitive(window)
 
 
 def test_is_primitive_makes_no_matrix_products(mul_calls):
@@ -478,6 +507,18 @@ def test_json_roundtrip_ep():
     assert back.period == seq.period
     for i in range(4):
         assert back.matrix(i) == seq.matrix(i)
+
+
+def test_from_json_rejects_symbols_that_are_not_strings():
+    # an alphabet is a list of string symbols: int symbols and a string
+    # standing for an alphabet are malformed
+    for doc in ({"alphabets": [[0], [0]], "prefix": [[[1]]],
+                 "cycle": [[[1]]]},
+                {"kind": "truncated", "alphabets": [[0], [0]],
+                 "terms": [[[1]]]},
+                {"alphabets": ["ab"], "cycle": [[[1, 1], [1, 1]]]}):
+        with pytest.raises(ShapeMismatch, match="string symbols"):
+            matrixseq.from_json(doc)
 
 
 def test_json_roundtrip_truncated():
