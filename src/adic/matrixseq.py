@@ -597,9 +597,9 @@ def _positivity_from(seq, k, table):
 
 def is_primitive(seq):
     """Verdict on: for every level k there is n with the partial product
-    from k to n strictly positive, exact.  The input must be eventually
-    periodic; a Truncated window raises ShapeMismatch.  A level with an
-    empty alphabet has no positive product."""
+    from k to n strictly positive.  The verdict is exact; the input must be
+    eventually periodic (a Truncated window raises ShapeMismatch).  A level
+    with an empty alphabet has no positive product."""
     _periodic_only(seq, "is_primitive")
     if any(not m.rows for m in seq.stored):
         return Verdict.no({"reason": "empty alphabet"})
