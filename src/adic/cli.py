@@ -3,8 +3,9 @@
 JSON diagrams in, JSON or aligned-table reports out.  Exit codes: 0 when
 every verdict in the report is decided and every ray is exact, 2 when some
 verdict is Undecided, some ray is a depth-limited approximation (marked
-"exact": false) or the decomposition is provisional (truncated input,
-marked "provisional": true), 1 on input or usage errors.  All numbers in
+"exact": false), the decomposition is provisional (truncated input,
+marked "provisional": true) or a requested cylinder mass cannot be given
+(the measure has no ray), 1 on input or usage errors.  All numbers in
 reports are exact fraction strings "p/q" (or integers); no floats.
 """
 
@@ -16,7 +17,7 @@ import click
 from .errors import AdicError, ShapeMismatch
 from .verdict import _frac, _jsonable
 from . import matrixseq
-from .diagram import BratteliDiagram
+from .diagram import BratteliDiagram, check_word
 from .frobenius import stream_decompose
 from .cones import extreme_count, EigvecSeqApprox
 from .measures import classify_measures, canonical_cover, CentralMeasure
@@ -72,10 +73,22 @@ def _finish(report, as_json, undecided=False):
     sys.exit(2 if undecided else 0)
 
 
-def _label(verdict):
-    """The report label of a finiteness verdict."""
-    return ("Finite" if verdict.is_yes() else
-            "Infinite" if verdict.is_no() else "Undecided")
+def _measure_entry(m):
+    """The report keys of an ergodic measure, in this order: its level-0
+    ray if it has one, its verdict, "exact": false when the ray is a
+    depth-limited approximation, and the horizon of an Undecided
+    verdict."""
+    entry = {}
+    if m.ray is not None:
+        entry["ray"] = {a: _frac(v) for a, v in sorted(m.ray.ray0.items())}
+    v = m.verdict
+    entry["verdict"] = ("Finite" if v.is_yes() else
+                        "Infinite" if v.is_no() else "Undecided")
+    if isinstance(m.ray, EigvecSeqApprox):
+        entry["exact"] = False
+    if not v.is_decided():
+        entry["horizon"] = v.horizon
+    return entry
 
 
 def _edge_token(tok, level):
@@ -164,17 +177,15 @@ def decompose(diagram, as_json, emit):
                            if dec.horizon is None or k < dec.horizon],
         "valid_from": K,
         "provisional": dec.provisional,
+        "undecided": dec.provisional,
     }
-    undecided = dec.provisional or any(
-        not v.is_decided() for v in certs.values())
-    report["undecided"] = undecided
     if emit:
         form = dec.frobenius_form()
         payload = matrixseq.to_json(form.form)
         payload["permutation"] = form.permutations
         payload["gathering_times"] = form.gathering_times
         _write_json(emit, payload)
-    _finish(report, as_json, undecided=undecided)
+    _finish(report, as_json, undecided=dec.provisional)
 
 
 @cli.command()
@@ -186,17 +197,9 @@ def classify(diagram, as_json):
     cls = classify_measures(d.seq)
     entries = []
     for m in cls.measures:
-        entry = {
-            "stream": m.stream.index,
-            "verdict": _label(m.verdict),
-            "atomic": m.atomic,
-        }
-        if m.ray is not None:
-            entry["ray"] = {a: _frac(v) for a, v in sorted(m.ray.ray0.items())}
-            if isinstance(m.ray, EigvecSeqApprox):
-                entry["exact"] = False
-        if not m.verdict.is_decided():
-            entry["horizon"] = m.verdict.horizon
+        # the table prints a list sorted by key, so the order here is free
+        entry = {"stream": m.stream.index, "atomic": m.atomic,
+                 **_measure_entry(m)}
         if m.atomic and m.atom:
             entry["atom"] = _jsonable(m.atom)
         entries.append(entry)
@@ -205,15 +208,13 @@ def classify(diagram, as_json):
         "measures": entries,
         "finite": cls.finite_count,
         "infinite": cls.infinite_count,
-        "undecided": sum(1 for m in cls.measures
-                         if not m.verdict.is_decided()),
+        "undecided": sum("horizon" in e for e in entries),
     }
     provisional = cls.decomposition.provisional
     if provisional:
         report["provisional"] = True
-    approx = any(isinstance(m.ray, EigvecSeqApprox) for m in cls.measures)
-    _finish(report, as_json,
-            undecided=report["undecided"] > 0 or approx or provisional)
+    _finish(report, as_json, undecided=report["undecided"] > 0 or provisional
+            or any("exact" in e for e in entries))
 
 
 @cli.command()
@@ -247,24 +248,17 @@ def measure(diagram, ray_index, cyl, as_json):
     if not 0 <= ray_index < len(cls.measures):
         raise AdicError("no measure with index %d" % ray_index)
     m = cls.measures[ray_index]
-    if m.ray is None:
-        raise AdicError("measure %d has no exact ray" % ray_index)
-    cm = CentralMeasure(d.seq, m.ray)
-    report = {
-        "command": "measure",
-        "ray": {a: _frac(v) for a, v in sorted(m.ray.ray0.items())},
-        "verdict": _label(m.verdict),
-    }
-    approx = isinstance(m.ray, EigvecSeqApprox)
-    if approx:
-        report["exact"] = False
+    report = {"command": "measure", **_measure_entry(m)}
     if cyl:
         word = [_edge_token(tok.strip(), k)
                 for k, tok in enumerate(cyl.split(","))]
-        report["cylinder"] = [_edge_str(e) for e in word]
-        report["mass"] = _frac(cm.cylinder_mass(tuple(word)))
-    _finish(report, as_json,
-            undecided=approx or not m.verdict.is_decided())
+        report["cylinder"] = [_edge_str(e) for e in check_word(d.seq, word)]
+        if m.ray is not None:
+            report["mass"] = _frac(
+                CentralMeasure(d.seq, m.ray).cylinder_mass(word))
+    # a measure with no ray has no mass to give
+    _finish(report, as_json, undecided="horizon" in report
+            or "exact" in report or bool(cyl) and m.ray is None)
 
 
 @cli.command("count-ergodic")
@@ -273,7 +267,8 @@ def measure(diagram, ray_index, cyl, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def count_ergodic(diagram, depth, as_json):
     """Number of ergodic finite invariant measures (exact for eventually
-    periodic diagrams; a depth-limited bound otherwise)."""
+    periodic diagrams, where --depth is not read; a count at --depth,
+    capped at the last level, for a truncated file)."""
     d = _load_diagram(diagram)
     count, info = extreme_count(d.seq, depth)
     report = {"command": "count-ergodic", "count": count}

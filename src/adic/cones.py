@@ -149,32 +149,31 @@ def simplex_image(seq, k, n):
 
 
 def extreme_count(seq, depth):
-    """Count the surviving extreme directions at level 0.
+    """The number of finite ergodic measures, as (count, info).
 
-    Returns (count, info).  For eventually periodic input the count is
-    exact (one ergodic probability measure per distinguished stream, per
-    the classification); for truncated input it is the depth-limited count
-    together with the alphabet-size upper bound, at a depth capped at the
-    window's last level, horizon - 1.  ShapeMismatch when depth < 0."""
+    For eventually periodic input the count is exact: the Finite count of
+    the classification, one measure per distinguished stream.  info holds
+    it as "exact", with the liminf alphabet size ("liminf_bound") and the
+    number of streams; `depth` is not read.  For a truncated window the
+    count is the number of extreme points of the level-0 simplex image
+    at a depth capped at the window's last level, horizon - 1, and info
+    holds that depth, the count ("count_at_depth") and the smallest
+    alphabet of levels 1 to depth + 1 ("alphabet_bound").  ShapeMismatch
+    when depth < 0, on either input."""
     if depth < 0:
         raise ShapeMismatch("extreme counts need depth >= 0, got %d" % depth)
-    if seq.horizon is not None:
-        depth = min(depth, seq.horizon - 1)
-    info = {"depth": depth}
-    raw = len(simplex_image(seq, 0, depth))
-    info["count_at_depth"] = raw
-    info["alphabet_bound"] = min(len(seq.alphabet(i))
-                                 for i in range(1, depth + 2))
     if seq.is_eventually_periodic:
         # measures imports this module, so the import waits for the call
         from .measures import _classification
         cls = _classification(seq)
-        exact = sum(1 for m in cls.measures if m.verdict.is_yes())
-        info["exact"] = exact
-        info["liminf_bound"] = seq.liminf_alphabet_size()
-        info["streams"] = len(cls.measures)
-        return exact, info
-    return raw, info
+        return cls.finite_count, {"exact": cls.finite_count,
+                                  "liminf_bound": seq.liminf_alphabet_size(),
+                                  "streams": len(cls.measures)}
+    depth = min(depth, seq.horizon - 1)
+    raw = len(simplex_image(seq, 0, depth))
+    return raw, {"depth": depth, "count_at_depth": raw,
+                 "alphabet_bound": min(len(seq.alphabet(i))
+                                       for i in range(1, depth + 2))}
 
 
 # ---------------------------------------------------------------------------

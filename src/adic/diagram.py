@@ -299,9 +299,7 @@ def word_metric(seq_or_diagram, e, f):
     through the last agreeing level).  Raises InsufficientPrefix when the
     given prefixes agree throughout their common length."""
     seq = getattr(seq_or_diagram, "seq", seq_or_diagram)
-    e, f = tuple(e), tuple(f)
-    check_word(seq, e)
-    check_word(seq, f)
+    e, f = check_word(seq, e), check_word(seq, f)
     common = min(len(e), len(f))
     if common == 0:
         raise InsufficientPrefix("empty prefix")

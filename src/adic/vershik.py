@@ -550,11 +550,12 @@ def _rank(diagram, word, start):
     is O(depth^2 x edges) bits."""
     rank, prev = 0, None
     for e in word:
-        if type(e) is not tuple or len(e) != 4:
-            e = _edge_tuple(e)
+        if type(e) is not tuple or len(e) != 4 or type(e[0]) is not int \
+                or type(e[3]) is not int:
+            e = _edge_tuple(e)  # MalformedWord unless both are ints, not bools
         if prev is None:
             k = e[0]
-            if not isinstance(k, int) or k < start:
+            if k < start:
                 raise MalformedWord("edge %r is not at an int level >= %d"
                                     % (e, start))
             table = _rank_table(diagram, start)

@@ -102,11 +102,12 @@ def rank_reference(diagram, word, start=0):
     ordered incoming list."""
     rank, prev = 0, None
     for e in word:
-        if type(e) is not tuple or len(e) != 4:
+        if type(e) is not tuple or len(e) != 4 or type(e[0]) is not int \
+                or type(e[3]) is not int:
             e = _edge_tuple(e)
         k = e[0]
         if prev is None:
-            if not isinstance(k, int) or k < start:
+            if k < start:
                 raise MalformedWord("edge %r is not at an int level >= %d"
                                     % (e, start))
             counts = word_counts_reference(diagram.seq, k + len(word) - 1,
@@ -518,6 +519,35 @@ def frobenius_victory_counts(a):
             infinite += periods[x]
         details.append((periods[x], ok, tied))
     return finite, infinite, details
+
+
+def telescoped_victory_counts(seq):
+    """Oracle for the Finite and Infinite counts of classify_measures(seq),
+    seq eventually periodic and not necessarily reduced, from the raw
+    matrices alone (the stationary case of the nonstationary theorem;
+    Bezuglyi-Kwiatkowski-Medynets-Solomyak 2010).  Telescoped at its
+    prefix P and period T, seq is stationary from level P on, with the
+    matrix Q = partial_product(seq, P, P + T - 1).  Only the level-P
+    symbols that level 0 reaches carry a measure: the columns of the
+    prefix product, closed under Q's edges.  `frobenius_victory_counts`
+    counts the measures of Q on those symbols; returns its result."""
+    P, T = seq.prefix_len, seq.period
+    q = partial_product(seq, P, P + T - 1)
+    if P:
+        pre = partial_product(seq, 0, P - 1)
+        todo = [b for b in pre.cols if any(pre.entry(a, b) for a in pre.rows)]
+    else:
+        todo = list(q.rows)
+    reached = set(todo)
+    while todo:
+        a = todo.pop()
+        for b in q.cols:
+            if q.entry(a, b) and b not in reached:
+                reached.add(b)
+                todo.append(b)
+    keep = [a for a in q.rows if a in reached]
+    return frobenius_victory_counts([[q.entry(a, b) for b in keep]
+                                     for a in keep])
 
 
 @pytest.fixture

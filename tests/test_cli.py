@@ -4,8 +4,12 @@ import sys
 
 import pytest
 
-from adic.matrixseq import GenMatrix, Truncated
+from adic import gallery
+from adic.frobenius import frobenius_form
+from adic.matrixseq import GenMatrix, Truncated, constant
 from adic.diagram import BratteliDiagram
+
+from golden_cli import run as run_in_process
 
 
 def run_cli(*args):
@@ -378,3 +382,83 @@ def test_embedding_file_is_named_as_such(tmp_path, command):
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "subdiagram embedding" in lines[0] and '"ambient"' in lines[0]
+
+
+def test_count_ergodic_reads_only_the_classification(chacon_file,
+                                                     truncated_file):
+    r = run_cli("count-ergodic", chacon_file, "--json", "--depth", "0")
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {"command": "count-ergodic", "count": 2,
+                                    "exact": 2, "liminf_bound": 2,
+                                    "streams": 2}
+    r = run_cli("count-ergodic", truncated_file, "--json")
+    assert r.returncode == 2
+    assert set(json.loads(r.stdout)) == {"command", "count", "depth",
+                                         "count_at_depth", "alphabet_bound"}
+
+
+def test_measure_without_a_ray_reports_its_verdict(tmp_path):
+    # stream 2 of this diagram is Infinite on an irrational root, so its
+    # measure has no ray: the report gives the verdict as classify does,
+    # and a cylinder's mass cannot be given, which exits 2
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(BratteliDiagram(constant(
+        [[3, 1, 1], [0, 1, 1], [0, 1, 0]], ["0", "1", "2"])).to_json()))
+    _, out, err, code = run_in_process(["measure", str(path), "--ray", "1"])
+    assert (out, err, code) == ("command  measure\nverdict  Infinite\n", "",
+                                0)
+    _, out, err, code = run_in_process(["measure", str(path), "--ray", "1",
+                                        "--cylinder", "0>1.0", "--json"])
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"command": "measure", "cylinder": ["0>1.0"],
+                               "verdict": "Infinite"}
+    _, out, err, code = run_in_process(["measure", str(path), "--ray", "1",
+                                        "--cylinder", "0>0.5"])
+    assert code == 1 and out == "" and "index out of range" in err
+
+
+def test_measure_on_an_undecided_window_is_undecided(tmp_path):
+    window = Truncated([GenMatrix.from_lists(
+        ("0", "1"), ("0", "1"), [[1, 1], [1, 0]])] * 3)
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(BratteliDiagram(window).to_json()))
+    _, out, err, code = run_in_process(["measure", str(path), "--ray", "0",
+                                        "--json"])
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"command": "measure", "horizon": 3,
+                               "verdict": "Undecided"}
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("chacon", (2, 0)), ("seven-matrix", (2, 1)), ("ics-cover", (1, 1)),
+    ("golden-mean", (1, 0)), ("three-cycle", (3, 0)), ("dyadic", (1, 0)),
+    ("triadic", (1, 0))])
+def test_decompose_emits_a_frobenius_form_that_classifies_alike(
+        tmp_path, name, counts):
+    src, form = tmp_path / "in.json", tmp_path / "form.json"
+    diagram = gallery.EXAMPLES[name]()
+    src.write_text(json.dumps(diagram.to_json()))
+    assert run_in_process(["decompose", str(src), "--emit",
+                           str(form)])[3] == 0
+    payload = json.loads(form.read_text())
+    assert payload["gathering_times"] == \
+        frobenius_form(diagram.seq).gathering_times
+    if name == "seven-matrix":
+        assert payload["gathering_times"] == [0, 5, 7, 9]
+    for path in (src, form):
+        out = json.loads(run_in_process(["classify", str(path),
+                                         "--json"])[1])
+        assert (out["finite"], out["infinite"]) == counts, path
+
+
+def test_cover_emits_the_cover_it_reports(tmp_path):
+    base, ambient = tmp_path / "dy.json", tmp_path / "tri.json"
+    emit = tmp_path / "cover.json"
+    base.write_text(json.dumps(gallery.EXAMPLES["dyadic"]().to_json()))
+    ambient.write_text(json.dumps(gallery.EXAMPLES["triadic"]().to_json()))
+    _, out, _, code = run_in_process(["cover", str(base), str(ambient),
+                                      "--json", "--emit", str(emit)])
+    assert code == 0
+    assert json.loads(emit.read_text()) == json.loads(out)["cover"]
+    out = json.loads(run_in_process(["classify", str(emit), "--json"])[1])
+    assert (out["finite"], out["infinite"]) == (1, 1)

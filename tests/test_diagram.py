@@ -144,6 +144,17 @@ def test_word_metric_dyadic():
         word_metric(seq, a, a)
 
 
+def test_word_metric_reads_list_and_tuple_edges_alike():
+    # the edges are compared as check_word returns them, so a list edge
+    # equals the tuple edge it spells
+    seq = constant([[2]], ["0"])
+    e = [(0, "0", "0", 0), (1, "0", "0", 1)]
+    f = [(0, "0", "0", 0), (1, "0", "0", 0)]
+    assert word_metric(seq, e, f) == Fraction(1, 2)
+    assert word_metric(seq, [list(x) for x in e], f) == Fraction(1, 2)
+    assert word_metric(seq, e, [list(x) for x in f]) == Fraction(1, 2)
+
+
 def test_diagram_json_roundtrip_with_order():
     seq = constant([[1, 1], [0, 3]], ["0", "1"])
     order = substitution_order(seq, {"0": "0", "1": "1101"})

@@ -29,7 +29,8 @@ from adic.gallery import nested_odometer, nested_rotation
 
 from conftest import (cover_matrix_reference, frobenius_victory_counts, labels,
                       nested_rotation_tails_rule, random_ep_sequence,
-                      random_nested_pair, random_reduced_sequence)
+                      random_nested_pair, random_reduced_sequence,
+                      telescoped_victory_counts)
 from test_eigen import THREE_BLOCKS
 
 
@@ -571,7 +572,8 @@ def test_classify_subdiagram_builds_no_base_ray(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("exact_ray", "stream_base_ray", "eigvec_sequences"):
+    for name in ("exact_ray", "stream_base_ray", "eigvec_sequences",
+                 "simplex_image"):
         monkeypatch.setattr(cones, name, counting(name))
     towers = []
     for base, amb in pairs:
@@ -741,7 +743,8 @@ def test_cover_names_never_collide_with_ambient_names():
 
 
 def test_extreme_count_builds_no_ray(monkeypatch):
-    # count-ergodic reads verdicts only, so it builds no ray
+    # count-ergodic reads verdicts only, so it builds no ray, and on
+    # eventually periodic input it runs no depth-limited simplex
     calls = collections.Counter()
 
     def counting(name):
@@ -752,24 +755,18 @@ def test_extreme_count_builds_no_ray(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("exact_ray", "stream_base_ray", "eigvec_sequences"):
+    for name in ("exact_ray", "stream_base_ray", "eigvec_sequences",
+                 "simplex_image"):
         monkeypatch.setattr(cones, name, counting(name))
     got = {name: cones.extreme_count(gallery.EXAMPLES[name]().seq, 4)
            for name in ("chacon", "seven-matrix", "three-cycle",
                         "golden-mean")}
     assert not calls, calls
     assert got == {
-        "chacon": (2, {"depth": 4, "count_at_depth": 2, "alphabet_bound": 2,
-                       "exact": 2, "liminf_bound": 2, "streams": 2}),
-        "seven-matrix": (2, {"depth": 4, "count_at_depth": 1,
-                             "alphabet_bound": 2, "exact": 2,
-                             "liminf_bound": 4, "streams": 3}),
-        "three-cycle": (3, {"depth": 4, "count_at_depth": 3,
-                            "alphabet_bound": 3, "exact": 3,
-                            "liminf_bound": 3, "streams": 3}),
-        "golden-mean": (1, {"depth": 4, "count_at_depth": 2,
-                            "alphabet_bound": 2, "exact": 1,
-                            "liminf_bound": 2, "streams": 1}),
+        "chacon": (2, {"exact": 2, "liminf_bound": 2, "streams": 2}),
+        "seven-matrix": (2, {"exact": 2, "liminf_bound": 4, "streams": 3}),
+        "three-cycle": (3, {"exact": 3, "liminf_bound": 3, "streams": 3}),
+        "golden-mean": (1, {"exact": 1, "liminf_bound": 2, "streams": 1}),
     }
 
 
@@ -852,6 +849,38 @@ def test_stationary_verdicts_follow_frobenius_victory():
         seen["cases"] += bool(details)
     assert seen["cases"] >= 300 and seen["infinite"] >= 300
     assert seen["ties"] >= 100 and seen["imprimitive"] >= 150
+
+
+def test_eventually_periodic_counts_follow_the_telescoped_theorem():
+    """An eventually periodic sequence, telescoped at its prefix and
+    period, is stationary, so the classical Frobenius-Victory theorem on
+    its period product, cut to the symbols that level 0 reaches, gives its
+    Finite and Infinite counts (`telescoped_victory_counts`, which reads
+    the raw, unreduced matrices only).  extreme_count's exact count and
+    the rest of its streams agree on seeded random sequences, with
+    Infinite classes, tied roots and imprimitive classes among them, and
+    on the gallery."""
+    rng = random.Random(2024)
+    seqs = [random_ep_sequence(rng, max_dim=6, max_period=3, max_prefix=2,
+                               max_entry=2) for _ in range(300)]
+    seen = collections.Counter()
+    for seq in seqs:
+        finite, infinite, details = telescoped_victory_counts(seq)
+        count, info = cones.extreme_count(seq, 0)
+        assert (count, info["streams"] - count) == (finite, infinite)
+        seen["infinite"] += infinite > 0
+        seen["ties"] += any(tied for _, _, tied in details)
+        seen["imprimitive"] += any(p > 1 for p, _, _ in details)
+    assert seen["infinite"] >= 15 and seen["ties"] >= 10
+    assert seen["imprimitive"] >= 4
+    want = {"dyadic": (1, 0), "triadic": (1, 0), "chacon": (2, 0),
+            "ics-cover": (1, 1), "three-cycle": (3, 0),
+            "seven-matrix": (2, 1), "golden-mean": (1, 0)}
+    for name, counts in want.items():
+        seq = gallery.EXAMPLES[name]().seq
+        count, info = cones.extreme_count(seq, 0)
+        assert telescoped_victory_counts(seq)[:2] == counts == (
+            count, info["streams"] - count), name
 
 
 def test_classify_measures_builds_every_ray():

@@ -135,6 +135,21 @@ def test_anti_lex_rank_reads_list_edges_and_rejects_malformed_words():
         anti_lex_rank(c, MALFORMED_CHACON_WORD)
 
 
+@pytest.mark.parametrize("word", [
+    [(True, "0", "0", 2)],
+    [(0, "0", "0", True)],
+    [(0, "0", "0", 0), (True, "0", "0", 2)],
+    [(0, "0", "0", 0), (1, "0", "0", True)],
+    [(0, "0", "0", 1.0)],
+])
+def test_anti_lex_rank_rejects_levels_and_indices_that_are_not_ints(word):
+    # True and 1.0 equal 1 as dict keys, so a tuple edge must not reach the
+    # rank table unchecked: it would be read as the edge with 1 in its place
+    for form in (word, [list(e) for e in word]):
+        with pytest.raises(MalformedWord, match="not .level, source"):
+            anti_lex_rank(odometer(3), form)
+
+
 def test_rank_and_kac_sum_make_no_matrix_products(mul_calls):
     d = dyadic()
     word = tuple((k, "0", "0", 1) for k in range(12))
