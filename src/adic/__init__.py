@@ -36,6 +36,7 @@ from .cones import (
     simplex_image,
     periodic_pf,
     exact_ray,
+    compare_perron,
 )
 from .measures import (
     CentralMeasure,
@@ -89,6 +90,7 @@ __all__ = [
     "simplex_image",
     "periodic_pf",
     "exact_ray",
+    "compare_perron",
     "CentralMeasure",
     "canonical_cover",
     "two_by_two_series",

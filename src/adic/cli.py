@@ -20,7 +20,7 @@ from . import matrixseq
 from .diagram import BratteliDiagram, check_word
 from .frobenius import stream_decompose
 from .cones import extreme_count, EigvecSeqApprox
-from .measures import classify_measures, canonical_cover, CentralMeasure
+from .measures import _classification, canonical_cover, CentralMeasure
 from . import vershik
 from . import gallery
 
@@ -103,8 +103,9 @@ def _edge_token(tok, level):
 
 def parse_path(diagram, spec):
     """Path specs: comma-separated edge tokens "a>b.i", optionally followed
-    by "|min", "|max", "|min@vertex" / "|max@vertex" (for an empty prefix),
-    or "|cycle:tok,tok,..." for an explicit periodic tail."""
+    by "|min", "|max", "|min@vertex" / "|max@vertex" (a level-0 vertex for
+    an empty prefix, else the prefix's end), or "|cycle:tok,tok,..." for an
+    explicit periodic tail; with no tail the path is the finite word."""
     spec = spec.strip()
     tail = None
     start_vertex = None
@@ -137,14 +138,16 @@ def _edge_str(e):
     return "%s>%s.%d" % (e[1], e[2], e[3])
 
 
-def _path_json(p, levels=6):
+def _path_json(p):
+    """A path's prefix, its tail cycle if it has one, and its edges at its
+    first six levels; a finite word has only its own edges."""
     out = {"prefix": [_edge_str(e) for e in p.prefix_edges]}
+    end = p.start + 6
     if p.tail_cycle is not None:
         out["tail_cycle"] = [_edge_str(e) for e in p.tail_cycle]
-    out["first_levels"] = [_edge_str(p.edge(k))
-                           for k in range(p.start,
-                                          min(p.start + levels,
-                                              p.tail_start + levels))][:levels]
+    else:
+        end = min(end, p.tail_start)
+    out["first_levels"] = [_edge_str(p.edge(k)) for k in range(p.start, end)]
     return out
 
 
@@ -194,7 +197,7 @@ def decompose(diagram, as_json, emit):
 def classify(diagram, as_json):
     """Ergodic measure classification: rays and Finite/Infinite verdicts."""
     d = _load_diagram(diagram)
-    cls = classify_measures(d.seq)
+    cls = _classification(d.seq)
     entries = []
     for m in cls.measures:
         # the table prints a list sorted by key, so the order here is free
@@ -244,7 +247,8 @@ def cover(base, ambient, as_json, emit):
 def measure(diagram, ray_index, cyl, as_json):
     """Cylinder mass under one of the ergodic measures."""
     d = _load_diagram(diagram)
-    cls = classify_measures(d.seq)
+    # the classification builds no ray; only the one printed is built
+    cls = _classification(d.seq)
     if not 0 <= ray_index < len(cls.measures):
         raise AdicError("no measure with index %d" % ray_index)
     m = cls.measures[ray_index]

@@ -369,8 +369,8 @@ class ExactEigvec:
     def ray0(self):
         return self.value(0)
 
-    def check(self, levels=None):
-        n = levels if levels is not None else self.valid_from + 2 * self.lcm_period
+    def check(self):
+        n = self.valid_from + 2 * self.lcm_period
         return _relations_hold(self.seq, self.value, n, self.rows_at)
 
 

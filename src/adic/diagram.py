@@ -186,15 +186,16 @@ def _is_level_order(lo):
         for pairs in lo.values())
 
 
-def substitution_order(seq, substitutions, prefix_substitutions=None):
-    """Build a stable order from substitution words.
+def substitution_order(seq, substitutions):
+    """Build a stable order on the cycle from substitution words; prefix
+    levels keep the default order (`StableOrder(prefix_orders=...)` sets
+    them).
 
     `substitutions` maps each target symbol to the word of source symbols
     read off in edge order, one dict per cycle phase (or a single dict used
-    for every phase); `prefix_substitutions` holds one dict per prefix
-    matrix.  A list of another length raises ValueError.  The letter counts
-    must reproduce the matrix columns, otherwise AbelianizationMismatch is
-    raised.
+    for every phase).  A list of another length raises ValueError.  The
+    letter counts must reproduce the matrix columns, otherwise
+    AbelianizationMismatch is raised.
     """
     if not seq.is_eventually_periodic:
         raise ShapeMismatch("substitution orders need an eventually periodic input")
@@ -221,12 +222,7 @@ def substitution_order(seq, substitutions, prefix_substitutions=None):
 
     cycle_orders = [order_for(m, subs)
                     for m, subs in zip(seq.cycle, substitutions, strict=True)]
-    prefix_orders = None
-    if prefix_substitutions is not None:
-        prefix_orders = [order_for(m, subs) for m, subs
-                         in zip(seq.prefix, prefix_substitutions, strict=True)]
-    return StableOrder(seq, prefix_orders=prefix_orders,
-                       cycle_orders=cycle_orders)
+    return StableOrder(seq, cycle_orders=cycle_orders)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ import math
 from fractions import Fraction
 
 from .errors import (
+    MalformedWord,
     NotNested,
     NonPositiveEntry,
     NoFiniteBaseMeasure,
     NotEigenvector,
-    ShapeMismatch,
     InternalError,
 )
 from .verdict import Verdict
@@ -50,15 +50,12 @@ class CentralMeasure:
         self.seq = seq
         self.eigvec = eigvec
 
-    def cylinder_mass(self, word, start=0):
+    def cylinder_mass(self, word):
+        """The mass of the cylinder of the edge word `word` from level 0."""
         if not word:
-            if start != 0:
-                raise ShapeMismatch("empty word only supported from level 0")
             return sum(self.eigvec.value(0).values())
-        check_word(self.seq, word, start)
-        end_level = start + len(word)
-        end_symbol = word[-1][2]
-        return Fraction(self.eigvec.value(end_level).get(end_symbol, 0))
+        check_word(self.seq, word)
+        return Fraction(self.eigvec.value(len(word)).get(word[-1][2], 0))
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +475,9 @@ def parry_measure_stationary(m, word):
     state word x_0..x_n (n edges).  Central: lambda^{-n} w_{x_n} with w the
     normalized right Perron vector; invariant: lambda^{-n} v_{x_0} w_{x_n} /
     (v.w) with v the left Perron vector."""
-    if isinstance(word, (list, tuple)) and word and isinstance(word[0], tuple):
-        # an edge word: extract the state word
-        states = [word[0][1]] + [e[2] for e in word]
-    else:
-        states = list(word)
+    states = list(word)
+    if not states or any(x not in m.rows for x in states):
+        raise MalformedWord("%r is not a state word over %r" % (word, m.rows))
     for i in range(len(states) - 1):
         if m.entry(states[i], states[i + 1]) == 0:
             return {"central": (Fraction(0), Fraction(0)),

@@ -65,7 +65,8 @@ class LazyPath:
     tail="min" / tail="max" instead asks for a continuation all of whose
     edges are minimal (resp. maximal) in the order; it is resolved at
     construction into a concrete periodic tail (least vertex chosen at
-    branches).  An empty prefix then needs start_vertex.
+    branches).  An empty prefix then needs start_vertex, a symbol of level
+    `start`; after a prefix, start_vertex may only repeat the prefix's end.
 
     This constructor is the validation boundary: it checks the edge words,
     the tail shape and how prefix and tail compose, and raises
@@ -82,14 +83,20 @@ class LazyPath:
             if tail_cycle is not None:
                 raise ShapeMismatch("give either a tail rule or an explicit "
                                     "tail cycle, not both")
+            level = start + len(self.prefix_edges)
             if self.prefix_edges:
                 v = self.prefix_edges[-1][2]
+                if start_vertex is not None and start_vertex != v:
+                    raise MalformedWord("start_vertex %r is not the prefix's "
+                                        "end %r" % (start_vertex, v))
             elif start_vertex is not None:
                 v = start_vertex
+                if v not in diagram.seq.alphabet(level):
+                    raise MalformedWord("start_vertex %r is not a symbol of "
+                                        "level %d" % (v, level))
             else:
                 raise MalformedWord("extremal tail from an empty prefix "
                                     "needs start_vertex")
-            level = start + len(self.prefix_edges)
             pad, cycle = _extremal_continuation(diagram, v, level, tail)
             self.prefix_edges += _shared_word(diagram.seq, pad, level)
             tail_cycle = cycle
@@ -169,12 +176,6 @@ def min_word_into(diagram, vertex, level, start=0):
     """The minimal edge word covering levels start..level-1 and ending at
     `vertex` (at `level`): built backward with minimal edges."""
     return _word_into(diagram.order.min_edge_into, vertex, level, start)
-
-
-def max_word_into(diagram, vertex, level, start=0):
-    """The maximal edge word covering levels start..level-1 and ending at
-    `vertex` (at `level`): built backward with maximal edges."""
-    return _word_into(diagram.order.max_edge_into, vertex, level, start)
 
 
 def _extremal_continuation(diagram, vertex, level, kind):

@@ -12,7 +12,7 @@ from adic.gallery import _cf_scalars, _cf_term, _period_matrix
 from adic.matrixseq import (GenMatrix, EventuallyPeriodic, partial_product,
                             reduce_sequence, is_primitive, wielandt_bound)
 from adic.vershik import (LazyPath, _first_special, _rebuild, _word_into,
-                          cyclic_return_time, max_word_into, min_word_into)
+                          cyclic_return_time, min_word_into)
 
 
 def labels(d):
@@ -157,7 +157,7 @@ def predecessor_reference(path):
         return None, None
     order = path.diagram.order
     new_edge = order.prev_edge(path.edge(m))
-    head = max_word_into(path.diagram, new_edge[1], m, path.start)
+    head = _word_into(order.max_edge_into, new_edge[1], m, path.start)
     return m, _rebuild(path, head + (new_edge,), m)
 
 
@@ -425,11 +425,10 @@ def periodic_pf_fraction(m, eps):
             "positivity_power": steps}
 
 
-def exact_check_reference(ray, levels=None):
+def exact_check_reference(ray):
     """Oracle for cones.ExactEigvec.check: its own relation loop, over
     Fractions, on the rows ray.rows_at(i) when that is set."""
-    n = levels if levels is not None else ray.valid_from + 2 * ray.lcm_period
-    for i in range(n):
+    for i in range(ray.valid_from + 2 * ray.lcm_period):
         m = ray.seq.matrix(i)
         img = m.mul_vec(ray.value(i + 1))
         cur = ray.value(i)

@@ -11,7 +11,9 @@ for each gallery example, then `decompose`, `classify`, `count-ergodic`,
 `measure --ray 0` (with and without `--cylinder`), `successor -n 5` and
 `simulate --steps 20`, plain and `--json`, on each gallery file and on the
 two windows of `golden_decompositions.py`; `cover --json` on the paper's
-nested pairs; and the one-line errors of malformed files and options.
+nested pairs; the one-line errors of malformed files and options; and,
+on chacon, `successor` of finite words and of extremal tails whose `@V`
+is not a level-0 symbol or not the word's end.
 Temporary paths are replaced by the token `<tmp>`.
 """
 
@@ -128,6 +130,11 @@ def cli_records(tmp):
         records.append(run(["count-ergodic", path, "--depth", "500"]))
     records.append(run(["simulate", chacon, "--path", "|min@0", "--steps",
                         "3", "--emit", str(tmp / "sim.json")]))
+    for argv in (["--path", "1>1.0"], ["--path", "1>1.0,1>1.1", "-n", "2"]):
+        for j in ([], ["--json"]):
+            records.append(run(["successor", chacon] + argv + j))
+    for spec in ("|min@9", "1>1.0|min@0"):
+        records.append(run(["successor", chacon, "--path", spec]))
     return records
 
 

@@ -473,3 +473,123 @@ def test_public_names_have_callers():
     assert all(kept.values())
     assert sorted(kept.keys() - set(adic.__all__)) == []
     assert sorted(set(adic.__all__) - referenced - kept.keys()) == []
+
+
+def _trees(*dirs):
+    """{path: AST} of the package's modules and of the .py files in each
+    named directory of the repository root."""
+    package = pathlib.Path(adic.__file__).parent
+    root = package.parent.parent
+    paths = sorted(package.glob("*.py")) + sorted(
+        p for d in dirs for p in (root / d).glob("*.py"))
+    return {p: ast.parse(p.read_text()) for p in paths}
+
+
+def test_module_level_names_have_callers():
+    # every public function and class defined at module level in src/adic
+    # (the CLI's commands excepted) is referenced, as a name or an
+    # attribute, outside its own definition and outside __init__.py, from
+    # src/adic, demos/ or perfbench/, or is one of README's "Paper objects
+    # kept as API"
+    root = pathlib.Path(adic.__file__).parent.parent.parent
+    trees = _trees("demos", "perfbench")
+    referenced = set()
+    for path, tree in trees.items():
+        if path.name == "__init__.py":
+            continue
+        own = {id(node) for d in tree.body
+               if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+               for node in ast.walk(d)
+               if getattr(node, "id", getattr(node, "attr", None)) == d.name}
+        referenced |= {getattr(node, "id", getattr(node, "attr", None))
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Name, ast.Attribute))
+                       and id(node) not in own}
+    referenced |= _kept_as_api((root / "README.md").read_text()).keys()
+    defined = {(path.stem, d.name) for path, tree in trees.items()
+               if path.parent.name == "adic"
+               and path.name not in ("__init__.py", "cli.py")
+               for d in tree.body
+               if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+               and not d.name.startswith("_")}
+    assert ("vershik", "min_word_into") in defined
+    assert sorted(name for name in defined if name[1] not in referenced) \
+        == []
+
+
+def test_core_class_members_have_callers():
+    # every public method and property of the core classes is read, as an
+    # attribute, somewhere in src/, tests/, demos/ or perfbench/ outside
+    # its own definition; the benchmark's tracer wraps StableOrder's
+    # methods by name, so perfbench's strings count as reads too
+    core = {"GenMatrix", "StableOrder", "BratteliDiagram", "LazyPath",
+            "SubdiagramEmbedding", "PerronRoot", "ExactEigvec"}
+    trees = _trees("tests", "demos", "perfbench")
+    members = {(c.name, f.name): f for tree in trees.values()
+               for c in tree.body
+               if isinstance(c, ast.ClassDef) and c.name in core
+               for f in c.body if isinstance(f, ast.FunctionDef)
+               and not f.name.startswith("_")}
+    assert {c for c, _ in members} == core
+    own = {id(node) for (_, name), f in members.items()
+           for node in ast.walk(f)
+           if isinstance(node, ast.Attribute) and node.attr == name}
+    read = set()
+    for path, tree in trees.items():
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and id(node) not in own}
+        if path.parent.name == "perfbench":
+            read |= {node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str)}
+    assert sorted(key for key in members if key[1] not in read) == []
+
+
+def test_optional_parameters_are_passed():
+    # every optional parameter of a public function or of a public method
+    # of a public class in src/adic is passed, by keyword or by position,
+    # in some call of that name in src/, tests/, demos/ or perfbench/ (calls
+    # inside the definition itself do not count); a call with *args or
+    # **kwargs passes every position or keyword.  Calls match by name
+    # only, and constructors are left out, since `cls(...)` calls hide
+    # their name
+    trees = _trees("tests", "demos", "perfbench")
+    defs = []  # (name, definition, leading positions the caller omits)
+    for path, tree in trees.items():
+        if path.parent.name != "adic":
+            continue
+        for d in tree.body:
+            if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
+                defs.append((d.name, d, 0))
+            if isinstance(d, ast.ClassDef) and not d.name.startswith("_"):
+                defs += [(f.name, f, 0 if any(
+                    getattr(x, "id", None) == "staticmethod"
+                    for x in f.decorator_list) else 1)
+                    for f in d.body if isinstance(f, ast.FunctionDef)
+                    and not f.name.startswith("_")]
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    assert ("substitution_order", 0) in {(n, s) for n, _, s in defs}
+    found = []
+    for name, f, skip in defs:
+        params = f.args.posonlyargs + f.args.args
+        optional = [(p.arg, i - skip) for i, p in enumerate(params)
+                    if i >= len(params) - len(f.args.defaults)]
+        optional += [(p.arg, None) for p, default
+                     in zip(f.args.kwonlyargs, f.args.kw_defaults)
+                     if default is not None]
+        inside = {id(node) for node in ast.walk(f)}
+        for arg, i in optional:
+            if not any(
+                    any(k.arg in (arg, None) for k in call.keywords)
+                    or i is not None and (len(call.args) > i or any(
+                        isinstance(a, ast.Starred) for a in call.args))
+                    for call in calls.get(name, ())
+                    if id(call) not in inside):
+                found.append("%s(%s)" % (name, arg))
+    assert found == []

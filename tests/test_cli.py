@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from adic import gallery
+from adic import cones, gallery
 from adic.frobenius import frobenius_form
 from adic.matrixseq import GenMatrix, Truncated, constant
 from adic.diagram import BratteliDiagram
@@ -270,6 +270,33 @@ def test_successor_steps(chacon_file):
     assert out["steps"][0]["first_levels"][0] == "1>1.1"
 
 
+def test_successor_of_a_finite_word_lists_its_edges(chacon_file):
+    # a word with no tail is a finite path: its report lists the word's own
+    # edges, and each step is the next word of the same length
+    _, out, err, code = run_in_process(["successor", chacon_file, "--path",
+                                        "1>1.0", "--json"])
+    assert (err, code) == ("", 0)
+    assert json.loads(out)["input"] == {"prefix": ["1>1.0"],
+                                        "first_levels": ["1>1.0"]}
+    assert json.loads(out)["steps"] == [{"prefix": ["1>1.1"],
+                                         "first_levels": ["1>1.1"]}]
+    _, out, err, code = run_in_process(["successor", chacon_file, "--path",
+                                        "1>1.0,1>1.1", "-n", "5", "--json"])
+    assert (err, code) == ("", 0)
+    assert [s["first_levels"] for s in json.loads(out)["steps"]] == [
+        ["1>1.1", "1>1.1"], ["0>1.0", "1>1.1"], ["1>1.2", "1>1.1"],
+        ["0>0.0", "0>1.0"], ["1>1.0", "1>1.2"]]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("|min@9", "start_vertex '9' is not a symbol of level 0"),
+    ("1>1.0|min@0", "start_vertex '0' is not the prefix's end '1'")])
+def test_extremal_tail_vertex_is_checked(chacon_file, spec, message):
+    _, out, err, code = run_in_process(["successor", chacon_file, "--path",
+                                        spec])
+    assert (out, err, code) == ("", "error: %s\n" % message, 1)
+
+
 @pytest.mark.parametrize("token", ["1>1", "1>1.x", "11.0", ""])
 @pytest.mark.parametrize("command", ["successor", "measure"])
 def test_bad_edge_token_is_a_one_line_error(chacon_file, command, token):
@@ -415,6 +442,30 @@ def test_measure_without_a_ray_reports_its_verdict(tmp_path):
     _, out, err, code = run_in_process(["measure", str(path), "--ray", "1",
                                         "--cylinder", "0>0.5"])
     assert code == 1 and out == "" and "index out of range" in err
+
+
+def test_measure_builds_only_the_ray_it_prints(tmp_path, monkeypatch):
+    # seven-matrix has three streams; `measure --ray 0` reports one of them
+    # and so builds one ray, with one call to the ray builders
+    calls = []
+
+    def counting(name):
+        fn = getattr(cones, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("exact_ray", "stream_base_ray", "eigvec_sequences"):
+        monkeypatch.setattr(cones, name, counting(name))
+    path = tmp_path / "seven.json"
+    path.write_text(json.dumps(gallery.seven_matrix_example().to_json()))
+    _, out, err, code = run_in_process(["measure", str(path), "--ray", "0",
+                                        "--json"])
+    assert (err, code) == ("", 0)
+    assert json.loads(out)["verdict"] == "Finite"
+    assert len(calls) == 1, calls
 
 
 def test_measure_on_an_undecided_window_is_undecided(tmp_path):

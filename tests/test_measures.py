@@ -10,7 +10,7 @@ import pytest
 import sympy
 
 from adic import cones, frobenius, gallery, measures
-from adic.errors import NoFiniteBaseMeasure, NotNested
+from adic.errors import MalformedWord, NoFiniteBaseMeasure, NotNested
 from adic.matrixseq import (GenMatrix, EventuallyPeriodic, constant,
                             from_int_matrices, reduce_sequence, Truncated,
                             _compare_horizon)
@@ -961,3 +961,12 @@ def test_parry_forbidden_word_is_zero():
     m = constant([[1, 1], [1, 0]], ["0", "1"]).matrix(0)
     out = parry_measure_stationary(m, "110")
     assert out["invariant"] == (Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize("word", ["", "9", "09", ["0", "1", "2"]])
+def test_parry_rejects_a_word_that_is_not_over_the_states(word):
+    # an empty word, or one with a symbol that is no state, is malformed:
+    # it is neither a cylinder nor a forbidden word of mass 0
+    m = constant([[1, 1], [1, 0]], ["0", "1"]).matrix(0)
+    with pytest.raises(MalformedWord):
+        parry_measure_stationary(m, word)

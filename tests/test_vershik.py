@@ -23,8 +23,8 @@ from adic.measures import classify_measures, CentralMeasure
 from adic.vershik import (
     _extremal_continuation,
     LazyPath,
+    _word_into,
     min_word_into,
-    max_word_into,
     successor,
     predecessor,
     extremal_paths,
@@ -64,7 +64,8 @@ def dyadic():
 def test_min_max_word_into():
     d = BratteliDiagram(constant([[2]], ["0"]))
     assert min_word_into(d, "0", 2) == ((0, "0", "0", 0), (1, "0", "0", 0))
-    assert max_word_into(d, "0", 2) == ((0, "0", "0", 1), (1, "0", "0", 1))
+    assert _word_into(d.order.max_edge_into, "0", 2) == \
+        ((0, "0", "0", 1), (1, "0", "0", 1))
 
 
 def test_rank_is_bijective_per_endpoint_class_random():
@@ -803,7 +804,7 @@ def _start_paths(rng, d):
     depth = rng.randint(1, 4)
     w = _random_word(rng, d, depth)
     v = w[-1][2]
-    top = list(max_word_into(d, v, depth))
+    top = list(_word_into(d.order.max_edge_into, v, depth))
     paths = [LazyPath(d, w)]
     for word in (w, top):
         pad, cycle = _periodic_tail(d, v, depth)
