@@ -6,7 +6,7 @@ comes with 0-1 block matrices connecting the streams and a primitivity
 certificate for each one.
 """
 
-from adic import stream_decompose, frobenius_form, constant
+from adic import stream_decompose, constant
 from adic.gallery import seven_matrix_example
 
 
@@ -25,8 +25,9 @@ def main():
     for k in range(7):
         print("  level %d: %s" % (k, dec.block_matrix(k).to_lists()))
 
-    # the triangular normal form: a gathered, permuted conjugate
-    form = frobenius_form(d.seq)
+    # the triangular normal form: a gathered, permuted conjugate, read
+    # from the decomposition above rather than decomposing again
+    form = dec.frobenius_form()
     print("gathering times:", form.gathering_times)
     print("form period:", form.form.period)
 

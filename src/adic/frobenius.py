@@ -6,13 +6,18 @@ that the induced subsequence is reduced and primitive; the *pool* is what
 remains and carries no infinite vertex path.  Streams are found as the
 strongly connected components of the lifted (phase, symbol) graph of the
 cycle part; an SCC whose layered period is rho splits into rho cyclic
-classes, and each cyclic class traced around the cycle is one stream.
+classes, and each cyclic class traced around the cycle is one stream.  The
+graph passes (SCC, reach, class order, depths) run on integer node ids,
+numbered in sorted (phase, symbol) order so that every tie-break on ids is
+the tie-break on (phase, symbol); a stream keeps its SCC as (phase,
+symbol) pairs, mapped back once.
 
 A decomposition is built in two steps.  Ordering takes every SCC's period
 first, so lcm_period is known, and then builds the streams in order; a
-stream's members at the periodic levels follow from its SCC alone.
-Resolution fills one table per layout position, hands each stream its
-prefix members, and certifies the streams and the pool; it runs on the
+stream's members at the periodic levels follow from its SCC alone, and
+one pass over each periodic level's entries hands every stream its induced
+cycle.  Resolution fills one table per layout position, hands each stream
+its prefix members, and certifies the streams and the pool; it runs on the
 first read of the table or of `certificates`, and `stream_decompose` reads
 both before it returns.  The stream relations are lookups in the table:
 `reach(k, a)` is the set of streams symbol a at level k has an edge path
@@ -40,40 +45,45 @@ from .matrixseq import (
 )
 
 
-def strongly_connected_components(graph):
-    """Tarjan's algorithm with an explicit stack: the components in reverse
-    topological order, each as a sorted tuple.  Roots are tried in sorted
-    order and successors in the order the graph lists them."""
-    index, low = {}, {}
-    stack, on_stack, result = [], set(), []
-    for root in sorted(graph):
-        if root in index:
+def strongly_connected_components(succ):
+    """Tarjan's algorithm with an explicit stack, on a graph given as
+    successor lists over the node ids 0..n-1: the components in reverse
+    topological order, each as a sorted tuple of ids.  Roots are tried in
+    increasing id order and successors in the order listed.  A node whose
+    component is done gets index n, above every live index, so it lowers
+    no low-link and needs no on-stack flag."""
+    n = len(succ)
+    index, low = [-1] * n, [0] * n
+    stack, result, counter = [], [], 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(graph.get(root, ())))]
+        work = [(root, iter(succ[root]))]
         while work:
             node, successors = work[-1]
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = low[succ] = len(index)
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(graph.get(succ, ()))))
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
+                if index[w] < low[node]:
+                    low[node] = index[w]
             else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
                 if low[node] == index[node]:
                     component = []
                     while True:
                         member = stack.pop()
-                        on_stack.discard(member)
+                        index[member] = n
                         component.append(member)
                         if member == node:
                             break
@@ -81,81 +91,79 @@ def strongly_connected_components(graph):
     return result
 
 
-def _reach(graph, sccs, seeds):
-    """For each node of `graph` {node: [successors]}, the frozenset of seed
-    labels it has an edge path to, its own included.  `seeds` maps some
-    nodes to a label; `sccs` are the graph's strongly connected components
-    sinks first, as `strongly_connected_components` lists them.  One pass
-    gives every node of a component the labels of the component's own
-    nodes plus what their successors outside it reach."""
-    node_reach = {}
+def _reach(succ, sccs, seeds):
+    """For each node id of the graph `succ`, the frozenset of seed labels it
+    has an edge path to, its own included, as a list indexed by id.
+    `seeds[v]` is node v's label or None; `sccs` are the graph's strongly
+    connected components sinks first, as `strongly_connected_components`
+    lists them.  One pass gives every node of a component the labels of the
+    component's own nodes plus what their successors outside it reach."""
+    node_reach = [None] * len(succ)
     for scc in sccs:
-        acc = {seeds[node] for node in scc if node in seeds}
-        for node in scc:
-            for succ in graph[node]:
-                if succ in node_reach:
-                    acc |= node_reach[succ]
+        acc = {seeds[v] for v in scc if seeds[v] is not None}
+        for v in scc:
+            for w in succ[v]:
+                # a successor inside the component is not filled in yet
+                if node_reach[w] is not None:
+                    acc |= node_reach[w]
         acc = frozenset(acc)
-        for node in scc:
-            node_reach[node] = acc
+        for v in scc:
+            node_reach[v] = acc
     return node_reach
 
 
-def _class_analysis(graph):
+def _class_analysis(succ):
     """The nontrivial strongly connected components (those carrying a
-    cycle) of a directed graph {node: [successors]}, sources first, taking
-    the least available one at each step.  Components are disjoint sorted
-    tuples, so "least" compares their first nodes."""
-    sccs = strongly_connected_components(graph)
-    big = [scc for scc in sccs if len(scc) > 1 or scc[0] in graph[scc[0]]]
+    cycle) of the graph `succ` (successor lists over ids), sources first,
+    taking the least available one at each step.  Components are disjoint
+    sorted tuples, so "least" compares their first nodes."""
+    sccs = strongly_connected_components(succ)
+    big = [scc for scc in sccs if len(scc) > 1 or scc[0] in succ[scc[0]]]
     # each big component reaches itself; only the others count below
-    reach = _reach(graph, sccs, {node: scc for scc in big for node in scc})
-    reached_by = dict.fromkeys(big, 0)
-    for scc in big:
+    seeds = [None] * len(succ)
+    for i, scc in enumerate(big):
+        for v in scc:
+            seeds[v] = i
+    reach = _reach(succ, sccs, seeds)
+    reached_by = [0] * len(big)
+    for i, scc in enumerate(big):
         for tgt in reach[scc[0]]:
-            if tgt != scc:
+            if tgt != i:
                 reached_by[tgt] += 1
-    available = [scc for scc in big if not reached_by[scc]]
+    available = [(scc[0], i) for i, scc in enumerate(big)
+                 if not reached_by[i]]
     heapq.heapify(available)
     order = []
     while available:
-        pick = heapq.heappop(available)
-        order.append(pick)
-        for tgt in reach[pick[0]]:
+        _, pick = heapq.heappop(available)
+        order.append(big[pick])
+        for tgt in reach[big[pick][0]]:
             if tgt != pick:
                 reached_by[tgt] -= 1
                 if not reached_by[tgt]:
-                    heapq.heappush(available, tgt)
+                    heapq.heappush(available, (big[tgt][0], tgt))
     return order
 
 
-def _depths_and_period(graph, scc):
-    """Breadth-first depths from scc[0] inside one SCC, and its period: the
-    gcd of depth[u] + 1 - depth[v] over the SCC's edges u -> v (1 when the
-    gcd is 0)."""
-    inside = set(scc)
-    depth = {scc[0]: 0}
+def _depths_and_period(succ, scc):
+    """Breadth-first depths from scc[0] inside one SCC of the graph `succ`,
+    as {id: depth}, and its period: the gcd of depth[u] + 1 - depth[v] over
+    the SCC's edges u -> v (1 when the gcd is 0)."""
+    depth = dict.fromkeys(scc)
+    depth[scc[0]] = 0
     queue = collections.deque([scc[0]])
     while queue:
         node = queue.popleft()
-        for succ in graph.get(node, ()):
-            if succ in inside and succ not in depth:
-                depth[succ] = depth[node] + 1
-                queue.append(succ)
+        for w in succ[node]:
+            if w in depth and depth[w] is None:
+                depth[w] = depth[node] + 1
+                queue.append(w)
     rho = 0
     for node in scc:
-        for succ in graph.get(node, ()):
-            if succ in inside:
-                rho = math.gcd(rho, depth[node] + 1 - depth[succ])
+        for w in succ[node]:
+            if w in depth:
+                rho = math.gcd(rho, depth[node] + 1 - depth[w])
     return depth, rho or 1
-
-
-def _matrix_graph(m):
-    """The graph {row: sorted columns with a nonzero entry} of a matrix."""
-    graph = {a: [] for a in m.rows}
-    for (a, b) in m.entries:
-        graph[a].append(b)
-    return {a: sorted(succs) for a, succs in graph.items()}
 
 
 class Stream:
@@ -163,9 +171,10 @@ class Stream:
     together with its backward extension through the prefix.  It holds its
     decomposition's layout (seq, valid_from, period, lcm_period), its SCC
     data and its members, and no reference to the decomposition.  Its
-    members at the periodic levels follow from the SCC; its members at the
-    prefix levels are handed over once, when the decomposition's table is
-    filled, and reading one before that is an InternalError."""
+    members at the periodic levels follow from the SCC, and its induced
+    cycle is handed over by the ordering step; its members at the prefix
+    levels are handed over once, when the decomposition's table is filled,
+    and reading one before that is an InternalError."""
 
     def __init__(self, layout, index, scc, ell, rho, residue):
         self.seq, self.valid_from, self.period, self.lcm_period = layout
@@ -175,6 +184,7 @@ class Stream:
         self.rho = rho              # rotation period in levels
         self.residue = residue
         self._prefix_members = None     # levels 0..valid_from-1
+        self._cycle = None              # set by the ordering step
 
     @functools.cached_property
     def _periodic_members(self):
@@ -209,16 +219,9 @@ class Stream:
 
     def induced_cycle(self):
         """The induced periodic subsequence on the stream's symbols (cycle
-        part only, one full rotation).  Built once, and shared by the
-        primitivity certificate and `period_product`."""
+        part only, one full rotation).  Handed over by the ordering step,
+        and shared by the primitivity certificate and `period_product`."""
         return self._cycle
-
-    @functools.cached_property
-    def _cycle(self):
-        P = self.valid_from
-        return EventuallyPeriodic([], [matrixseq._restrict_to(
-            self.seq.matrix(P + j), self.members_at(P + j),
-            self.members_at(P + j + 1)) for j in range(self.lcm_period)])
 
     def period_product(self):
         """Product of the induced matrices over one lcm period: a square
@@ -396,14 +399,25 @@ class StreamDecomposition:
 
 
 def _lifted_graph(seq, n):
-    """Graph on (level offset mod n, symbol) nodes of the cycle part; n is a
-    multiple of the period."""
+    """The lifted graph of the cycle part on (level offset mod n, symbol)
+    nodes, n a multiple of the period, on integer ids: the nodes are
+    numbered in sorted (phase, symbol) order, so a tie-break on ids is a
+    tie-break on (phase, symbol).  Returns (succ, ids): succ[v] lists the
+    successors of node v, in the order of the matrix's entries (no pass
+    below depends on it), and ids[p] maps each symbol of phase p to its
+    id."""
     P = seq.prefix_len
-    graph = {}
+    ids, count = [], 0
     for p in range(n):
-        for a, succs in _matrix_graph(seq.matrix(P + p)).items():
-            graph[(p, a)] = [((p + 1) % n, b) for b in succs]
-    return graph
+        symbols = sorted(seq.alphabet(P + p))
+        ids.append(dict(zip(symbols, range(count, count + len(symbols)))))
+        count += len(symbols)
+    succ = [[] for _ in range(count)]
+    for p in range(n):
+        here, there = ids[p], ids[(p + 1) % n]
+        for (a, b) in seq.matrix(P + p).entries:
+            succ[here[a]].append(there[b])
+    return succ, ids
 
 
 def stream_decompose(seq):
@@ -420,18 +434,21 @@ def stream_decompose(seq):
 
 def _stream_order(seq):
     """The ordering step of stream_decompose on a reduced eventually
-    periodic sequence: the streams in order, valid_from and lcm_period.
-    The table and the certificates are left to their first read."""
+    periodic sequence: the streams in order, each with its induced cycle,
+    valid_from and lcm_period.  The table and the certificates are left to
+    their first read."""
     if not matrixseq.is_reduced(seq):
         raise NotReduced("reduce the sequence before decomposing")
     P, T = seq.prefix_len, seq.period
-    graph = _lifted_graph(seq, T)
-    classes = [(scc,) + _depths_and_period(graph, scc)
-               for scc in _class_analysis(graph)]
+    succ, ids = _lifted_graph(seq, T)
+    node = [(p, a) for p, phase in enumerate(ids) for a in phase]  # by id
+    classes = [(scc,) + _depths_and_period(succ, scc)
+               for scc in _class_analysis(succ)]
     layout = (seq, P, T, math.lcm(T, *(rho for _, _, rho in classes)))
     streams = []
-    for scc, depth, rho in classes:
-        ell = {node: depth[node] % rho for node in scc}
+    for ids_scc, depth, rho in classes:
+        scc = tuple(node[v] for v in ids_scc)
+        ell = {node[v]: depth[v] % rho for v in ids_scc}
         # valid residues r: the stream (scc, r) is nonempty at some level,
         # i.e. r = ell(u) - (phase(u) + t*T) mod rho for some node and t.
         # The streams of one SCC are ordered by their symbols at phase 0.
@@ -440,7 +457,41 @@ def _stream_order(seq):
         for r in sorted(residues, key=lambda r: (sorted(
                 a for (ph, a) in scc if ph == 0 and ell[(ph, a)] == r), r)):
             streams.append(Stream(layout, len(streams) + 1, scc, ell, rho, r))
+    _hand_cycles(streams, layout)
     return StreamDecomposition(layout, streams)
+
+
+def _hand_cycles(streams, layout):
+    """Hand every stream its induced cycle: at each periodic level, one pass
+    over the level's rows, columns and entries gives each to the stream
+    that owns it, keeping the matrix's own order.  Streams are disjoint at
+    every level, so an entry belongs to the stream that owns both its row
+    and its column, if any."""
+    seq, P, _, L = layout
+    owner = [{a: i for i, s in enumerate(streams)
+              for a in s._periodic_members[m]} for m in range(L)]
+    cycles = [[] for _ in streams]
+    for m in range(L):
+        mat, rows_of, cols_of = seq.matrix(P + m), owner[m], owner[(m + 1) % L]
+        rows, cols = [[] for _ in streams], [[] for _ in streams]
+        entries = [{} for _ in streams]
+        for a in mat.rows:
+            if a in rows_of:
+                rows[rows_of[a]].append(a)
+        for b in mat.cols:
+            if b in cols_of:
+                cols[cols_of[b]].append(b)
+        for key, v in mat.entries.items():
+            i = rows_of.get(key[0])
+            if i is not None and cols_of.get(key[1]) == i:
+                entries[i][key] = v
+        for i in range(len(streams)):
+            # the kept entries are valid already, as in GenMatrix.restrict
+            part = GenMatrix(rows[i], cols[i])
+            part.entries = entries[i]
+            cycles[i].append(part)
+    for s, cycle in zip(streams, cycles):
+        s._cycle = EventuallyPeriodic([], cycle)
 
 
 def _fill_table(decomp):
@@ -456,15 +507,20 @@ def _fill_table(decomp):
     its prefix members here, once."""
     seq, P, L = decomp.seq, decomp.valid_from, decomp.lcm_period
     n = len(decomp.streams)
-    graph = _lifted_graph(seq, L)
-    own = {(m, a): s.index for s in decomp.streams
-           for m, members in enumerate(s._periodic_members) for a in members}
-    node_reach = _reach(graph, strongly_connected_components(graph), own)
+    succ, ids = _lifted_graph(seq, L)
+    own = [None] * len(succ)
+    for s in decomp.streams:
+        for m, members in enumerate(s._periodic_members):
+            for a in members:
+                own[ids[m][a]] = s.index
+    node_reach = _reach(succ, strongly_connected_components(succ), own)
 
     levels = []                 # (blocks, reach) per position
     for m in range(L):
-        reach = {a: node_reach[(m, a)] for a in seq.alphabet(P + m)}
-        levels.append(({a: ("stream", own[(m, a)]) if (m, a) in own
+        here = ids[m]
+        reach = {a: node_reach[here[a]] for a in seq.alphabet(P + m)}
+        levels.append(({a: ("stream", own[here[a]])
+                        if own[here[a]] is not None
                         else ("pool", min(r) if r else n + 1)
                         for a, r in reach.items()}, reach))
     for k in range(P - 1, -1, -1):

@@ -67,6 +67,8 @@ class LazyPath:
     construction into a concrete periodic tail (least vertex chosen at
     branches).  An empty prefix then needs start_vertex, a symbol of level
     `start`; after a prefix, start_vertex may only repeat the prefix's end.
+    start_vertex is read only with a tail rule; given without one, it
+    raises ShapeMismatch.
 
     This constructor is the validation boundary: it checks the edge words,
     the tail shape and how prefix and tail compose, and raises
@@ -75,6 +77,9 @@ class LazyPath:
 
     def __init__(self, diagram, prefix_edges, tail_cycle=None, start=0,
                  tail=None, start_vertex=None):
+        if start_vertex is not None and tail not in ("min", "max"):
+            raise ShapeMismatch("start_vertex needs a tail rule, "
+                                "tail='min' or tail='max'")
         self.diagram = diagram
         self.start = start
         self.prefix_edges = _shared_word(diagram.seq, prefix_edges, start) \

@@ -1,3 +1,5 @@
+import collections
+import heapq
 import math
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from adic.diagram import _edge_tuple, enumerate_paths
 from adic.errors import (IncompatibleAlphabets, InternalError, MalformedWord,
                          NonPositiveEntry, NotPrimitive, ShapeMismatch)
 from adic.gallery import _cf_scalars, _cf_term, _period_matrix
+from adic import matrixseq
 from adic.matrixseq import (GenMatrix, EventuallyPeriodic, partial_product,
                             reduce_sequence, is_primitive, wielandt_bound)
 from adic.vershik import (LazyPath, _first_special, _rebuild, _word_into,
@@ -547,6 +550,194 @@ def telescoped_victory_counts(seq):
     keep = [a for a in q.rows if a in reached]
     return frobenius_victory_counts([[q.entry(a, b) for b in keep]
                                      for a in keep])
+
+
+# -- the stream decomposition on (phase, symbol) tuple keys, before it ran
+# on integer node ids
+
+
+def lifted_graph_reference(seq, n):
+    """Oracle for frobenius._lifted_graph: the graph {(level offset mod n,
+    symbol): [successor nodes in sorted order]} of the cycle part."""
+    P = seq.prefix_len
+    graph = {}
+    for p in range(n):
+        m = seq.matrix(P + p)
+        succs = {a: [] for a in m.rows}
+        for (a, b) in m.entries:
+            succs[a].append(b)
+        for a, bs in succs.items():
+            graph[(p, a)] = [((p + 1) % n, b) for b in sorted(bs)]
+    return graph
+
+
+def scc_reference(graph):
+    """Oracle for frobenius.strongly_connected_components on a dict graph:
+    Tarjan's algorithm with an explicit stack, the components in reverse
+    topological order, each a sorted tuple; roots in sorted order."""
+    index, low = {}, {}
+    stack, on_stack, result = [], set(), []
+    for root in sorted(graph):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph.get(root, ())))]
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(graph.get(succ, ()))))
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    result.append(tuple(sorted(component)))
+    return result
+
+
+def reach_reference(graph, sccs, seeds):
+    """Oracle for frobenius._reach on a dict graph: {node: frozenset of the
+    seed labels it has an edge path to}, `seeds` a dict {node: label}."""
+    node_reach = {}
+    for scc in sccs:
+        acc = {seeds[node] for node in scc if node in seeds}
+        for node in scc:
+            for succ in graph[node]:
+                if succ in node_reach:
+                    acc |= node_reach[succ]
+        acc = frozenset(acc)
+        for node in scc:
+            node_reach[node] = acc
+    return node_reach
+
+
+def class_analysis_reference(graph):
+    """Oracle for frobenius._class_analysis on a dict graph: the components
+    with a cycle, sources first, least available (sorted tuple) first."""
+    sccs = scc_reference(graph)
+    big = [scc for scc in sccs if len(scc) > 1 or scc[0] in graph[scc[0]]]
+    reach = reach_reference(graph, sccs,
+                            {node: scc for scc in big for node in scc})
+    reached_by = dict.fromkeys(big, 0)
+    for scc in big:
+        for tgt in reach[scc[0]]:
+            if tgt != scc:
+                reached_by[tgt] += 1
+    available = [scc for scc in big if not reached_by[scc]]
+    heapq.heapify(available)
+    order = []
+    while available:
+        pick = heapq.heappop(available)
+        order.append(pick)
+        for tgt in reach[pick[0]]:
+            if tgt != pick:
+                reached_by[tgt] -= 1
+                if not reached_by[tgt]:
+                    heapq.heappush(available, tgt)
+    return order
+
+
+def depths_and_period_reference(graph, scc):
+    """Oracle for frobenius._depths_and_period on a dict graph: breadth-first
+    depths from scc[0] inside the SCC, and the gcd of depth[u] + 1 -
+    depth[v] over its edges (1 when 0)."""
+    inside = set(scc)
+    depth = {scc[0]: 0}
+    queue = collections.deque([scc[0]])
+    while queue:
+        node = queue.popleft()
+        for succ in graph.get(node, ()):
+            if succ in inside and succ not in depth:
+                depth[succ] = depth[node] + 1
+                queue.append(succ)
+    rho = 0
+    for node in scc:
+        for succ in graph.get(node, ()):
+            if succ in inside:
+                rho = math.gcd(rho, depth[node] + 1 - depth[succ])
+    return depth, rho or 1
+
+
+def stream_decompose_reference(seq):
+    """Oracle for stream_decompose on reduced eventually periodic input,
+    from the tuple-keyed passes above: the stream order, the table and each
+    stream's induced cycle restricted from the sequence's matrices one
+    stream at a time.  Returns (valid_from, lcm_period, streams,
+    positions): each stream a dict with its scc, ell, rho, residue, its
+    members at the layout positions 0..valid_from+lcm_period-1 and its
+    cycle; each position a pair of dicts (blocks, reach) over the level's
+    symbols."""
+    P, T = seq.prefix_len, seq.period
+    graph = lifted_graph_reference(seq, T)
+    classes = [(scc,) + depths_and_period_reference(graph, scc)
+               for scc in class_analysis_reference(graph)]
+    L = math.lcm(T, *(rho for _, _, rho in classes))
+    streams = []
+    for scc, depth, rho in classes:
+        ell = {node: depth[node] % rho for node in scc}
+        residues = {(ell[u] - u[0] - t * T) % rho
+                    for u in scc for t in range(max(1, rho))}
+        for r in sorted(residues, key=lambda r: (sorted(
+                a for (ph, a) in scc if ph == 0 and ell[(ph, a)] == r), r)):
+            periodic = [set() for _ in range(L)]
+            for (ph, a), c in ell.items():
+                for m in range(ph, L, T):
+                    if c == (r + m) % rho:
+                        periodic[m].add(a)
+            streams.append({"scc": scc, "ell": ell, "rho": rho,
+                            "residue": r,
+                            "periodic": [frozenset(g) for g in periodic]})
+    n = len(streams)
+    graph = lifted_graph_reference(seq, L)
+    own = {(m, a): i for i, s in enumerate(streams, 1)
+           for m, members in enumerate(s["periodic"]) for a in members}
+    node_reach = reach_reference(graph, scc_reference(graph), own)
+    positions = []
+    for m in range(L):
+        reach = {a: node_reach[(m, a)] for a in seq.alphabet(P + m)}
+        positions.append(({a: ("stream", own[(m, a)]) if (m, a) in own
+                           else ("pool", min(r) if r else n + 1)
+                           for a, r in reach.items()}, reach))
+    for k in range(P - 1, -1, -1):
+        nxt_blocks, nxt_reach = positions[0]
+        m = seq.matrix(k)
+        reach = {a: set() for a in m.rows}
+        targets = {a: set() for a in m.rows}
+        for (a, b) in m.entries:
+            reach[a] |= nxt_reach[b]
+            targets[a].add(nxt_blocks[b])
+        blocks = {}
+        for a, r in reach.items():
+            i = min(r) if r else n + 1
+            blocks[a] = ("pool" if ("pool", i) in targets[a] else "stream", i)
+        positions.insert(0, (blocks, {a: frozenset(r)
+                                      for a, r in reach.items()}))
+    for i, s in enumerate(streams, 1):
+        prefix = [frozenset(a for a, (_, j) in blocks.items()
+                            if j == i and reach[a])
+                  for blocks, reach in positions[:P]]
+        s["members"] = prefix + s["periodic"]
+        s["cycle"] = EventuallyPeriodic([], [matrixseq._restrict_to(
+            seq.matrix(P + j), s["periodic"][j], s["periodic"][(j + 1) % L])
+            for j in range(L)])
+    return P, L, streams, positions
 
 
 @pytest.fixture

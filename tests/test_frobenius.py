@@ -10,9 +10,10 @@ import weakref
 import pytest
 
 from adic.errors import HorizonExceeded, InternalError, NotReduced
+from adic import matrixseq
 from adic.matrixseq import (
-    GenMatrix, EventuallyPeriodic, Truncated, constant, from_json,
-    partial_product, reduce_sequence)
+    GenMatrix, EventuallyPeriodic, Truncated, constant, from_int_matrices,
+    from_json, is_primitive, partial_product, reduce_sequence)
 from adic import frobenius
 from adic.frobenius import (
     strongly_connected_components,
@@ -23,17 +24,19 @@ from adic.frobenius import (
 from adic.measures import communicating_streams, _atom_path
 from adic.gallery import EXAMPLES, seven_matrix_example, three_cycle
 
-from conftest import random_reduced_sequence
+from conftest import (cycle_with_loop, random_reduced_sequence,
+                      stream_decompose_reference)
 
 
 def test_scc_basic():
+    # graphs as successor lists over the ids 0..n-1
     cases = [
-        ({1: [2], 2: [1, 3], 3: [3], 4: []}, [[1, 2], [3], [4]]),
+        ([[1], [0, 2], [2], []], [[0, 1], [2], [3]]),
         # a cycle deeper than the default recursion limit
-        ({i: [(i + 1) % 5000] for i in range(5000)}, [list(range(5000))]),
+        ([[(i + 1) % 5000] for i in range(5000)], [list(range(5000))]),
     ]
-    for graph, expected in cases:
-        comps = strongly_connected_components(graph)
+    for succ, expected in cases:
+        comps = strongly_connected_components(succ)
         assert sorted(sorted(c) for c in comps) == expected
 
 
@@ -494,3 +497,103 @@ def test_stream_relations_match_the_scans():
     assert counts["communicating"] >= 15, counts
     assert counts["atomic"] >= 30, counts
 
+
+
+# 2x2 diagonal blocks: primitive ones, and the swap, whose class has period 2
+CHAIN_BLOCKS = ([[1, 1], [1, 0]], [[1, 1], [1, 1]], [[2, 1], [1, 1]],
+                [[0, 1], [1, 0]])
+
+
+def block_chain(rng, blocks, period):
+    """A block-triangular chain: `blocks` 2x2 diagonal blocks, each kept in
+    every phase and feeding the next through one 0-1 coupling drawn afresh
+    for each of the `period` cycle matrices."""
+    d = 2 * blocks
+    diag = [rng.choice(CHAIN_BLOCKS) for _ in range(blocks)]
+    mats = []
+    for _ in range(period):
+        m = [[0] * d for _ in range(d)]
+        for j, blk in enumerate(diag):
+            for r in range(2):
+                for c in range(2):
+                    m[2 * j + r][2 * j + c] = blk[r][c]
+            if j + 1 < blocks:
+                m[2 * j + rng.randrange(2)][2 * j + 2 + rng.randrange(2)] = 1
+        mats.append(m)
+    labs = ["%02d" % j for j in range(d)]
+    return from_int_matrices(mats, cycle_from=0, labels=[labs] * (period + 1))
+
+
+def shuffled_labels(rng, seq):
+    """seq with the rows and columns of every matrix listed in a random
+    order, so that label order and sorted order differ."""
+    def shuffle(labels):
+        labels = list(labels)
+        rng.shuffle(labels)
+        return labels
+
+    mats = [GenMatrix(shuffle(m.rows), shuffle(m.cols), m.entries)
+            for m in seq.stored]
+    return EventuallyPeriodic(mats[:seq.prefix_len], mats[seq.prefix_len:])
+
+
+def test_decomposition_matches_the_tuple_keyed_oracle():
+    # the passes on integer ids against the tuple-keyed passes they
+    # replaced: the stream order, the members and blocks and reach at every
+    # layout position, the certificates and every induced cycle
+    rng = random.Random(83)
+    seqs = [cycle_with_loop(n) for n in (2, 3, 7, 20)]
+    seqs += [block_chain(rng, rng.randint(2, 12), rng.randint(1, 3))
+             for _ in range(25)]
+    seqs += [shuffled_labels(rng, random_reduced_sequence(
+        rng, max_dim=6, max_period=4, max_prefix=3)) for _ in range(120)]
+    seqs += [random_triangular_sequence(rng) for _ in range(80)]
+    counts = collections.Counter()
+    for seq in seqs:
+        dec = stream_decompose(seq)
+        P, L, streams, positions = stream_decompose_reference(seq)
+        assert (dec.valid_from, dec.lcm_period) == (P, L)
+        assert [(s.scc, s.ell, s.rho, s.residue) for s in dec.streams] == \
+            [(s["scc"], s["ell"], s["rho"], s["residue"]) for s in streams]
+        for k, (blocks, reach) in enumerate(positions):
+            assert dec.block_assignment(k) == blocks
+            assert {a: dec.reach(k, a) for a in blocks} == reach
+            for s, want in zip(dec.streams, streams):
+                assert s.members_at(k) == want["members"][k]
+        certs = dec.certificates["streams"]
+        for s, want in zip(dec.streams, streams):
+            assert certs[s.index].witness == \
+                is_primitive(want["cycle"]).witness
+            for got, ref in zip(s.induced_cycle().cycle, want["cycle"].cycle):
+                assert (got.rows, got.cols, list(got.entries.items())) == \
+                    (ref.rows, ref.cols, list(ref.entries.items()))
+        counts["L != T"] += L != dec.period
+        counts["rho > 1"] += any(s.rho > 1 for s in dec.streams)
+        counts["pool"] += any(dec.pool_members_at(k) for k in range(P + L))
+        counts["prefix"] += P > 0
+    assert min(counts.values()) >= 10 and len(counts) == 4, counts
+
+
+def test_decomposition_restricts_no_matrix_per_stream(monkeypatch):
+    # the ordering step hands every stream its induced cycle from one pass
+    # over each periodic level, so no per-stream restriction runs
+    calls = []
+    restrict = matrixseq._restrict_to
+
+    def counting(*args):
+        calls.append(None)
+        return restrict(*args)
+
+    rng = random.Random(89)
+    seqs = [seven_matrix_example().seq, cycle_with_loop(30),
+            block_chain(rng, 30, 3)]
+    seqs += [random_reduced_sequence(rng) for _ in range(20)]
+    monkeypatch.setattr(matrixseq, "_restrict_to", counting)
+    streams = 0
+    for seq in seqs:
+        dec = stream_decompose(seq)
+        for s in dec.streams:
+            s.period_product()
+        streams += len(dec.streams)
+    assert streams >= 60
+    assert calls == []

@@ -473,6 +473,19 @@ def test_extremal_tail_after_a_long_prefix():
         assert p.tail_cycle == ((3000, "0", "0", index),)
 
 
+@pytest.mark.parametrize("prefix, tail_cycle, start_vertex", [
+    # an empty path from a vertex that is no symbol of level 0
+    ([], None, "9"),
+    # a path through vertex 1 that names vertex 0 as its start
+    ([(0, "1", "1", 0)], [(1, "1", "1", 0)], "0")])
+def test_start_vertex_needs_a_tail_rule(prefix, tail_cycle, start_vertex):
+    # start_vertex is read only with tail="min" or "max"; without a rule
+    # it used to be ignored, and the path was built as if it were absent
+    with pytest.raises(ShapeMismatch, match="start_vertex needs a tail rule"):
+        LazyPath(chacon(), prefix, tail_cycle=tail_cycle,
+                 start_vertex=start_vertex)
+
+
 def test_paths_share_one_tuple_per_edge():
     d = chacon()
     word = enumerate_paths(d, 4)[5]
