@@ -6,9 +6,11 @@ successor map increments the least non-maximal edge and rewrites everything
 below it minimally; paths whose edges are all maximal have no successor.
 
 Paths are validated once, at the boundary: the public `LazyPath(...)`
-constructor checks every edge of the prefix and the tail.  The paths that
-`successor` and `predecessor` derive from a valid path are assembled by
-`_rebuild`, valid by construction, and are not checked again.
+constructor checks every edge of the prefix and the tail.  One engine,
+`_advance`, takes every step by editing a list of explicit edges in place
+(a walk keeps one list for all its steps); the paths it derives from a
+valid path are assembled by `_rebuild`, valid by construction, and are
+not checked again.
 
 Ranks, return times and Kac sums read one rank table per ordered diagram
 and start level (`_RankTable`): the word counts at each level, one
@@ -236,19 +238,6 @@ def _extremal_continuation(diagram, vertex, level, kind):
     return tuple(edges[:idx]), tuple(edges[idx:])
 
 
-def _first_special(path, which):
-    """Least level whose edge is non-maximal ('succ') / non-minimal ('pred'),
-    or None if certified absent, scanning the prefix and then one full tail
-    period (enough, by periodicity).  The stored edges are read as they are:
-    their levels are start, start+1, ... through the tail period."""
-    order = path.diagram.order
-    test = order.is_max if which == "succ" else order.is_min
-    for e in itertools.chain(path.prefix_edges, path.tail_cycle or ()):
-        if not test(e):
-            return e[0]
-    return None
-
-
 def successor(path):
     """The next path in the anti-lexicographic order (`_step`), or None
     when every edge is maximal."""
@@ -264,46 +253,67 @@ def predecessor(path):
 def _step(path, which):
     """(m, next path) under the adic map (which="succ") or its inverse
     ("pred"), m the change level; (None, None) when every edge is maximal
-    (minimal).  The edge at m moves to the next (previous) edge into its
-    target, and the levels below m become the minimal (maximal) word into
-    the new edge's source."""
-    m = _first_special(path, which)
+    (minimal)."""
+    edges = list(path.prefix_edges)
+    m, cycle = _advance(path.diagram.order, path.start, edges,
+                        path.tail_cycle, which)
     if m is None:
         return None, None
-    order = path.diagram.order
+    return m, _rebuild(path.diagram, path.start, edges, cycle)
+
+
+def _advance(order, start, edges, cycle, which):
+    """One step of the adic map (which="succ") or its inverse ("pred") on
+    the path with explicit edges `edges` (a list from level `start`,
+    edited in place) and tail period `cycle` (a tuple, or None).  Returns
+    (m, cycle after the step), m the change level, or (None, cycle) with
+    nothing changed when every edge is maximal (minimal).
+
+    The scan reads the explicit edges, then one tail period (enough, by
+    periodicity), and one `order.level_orders(k)[b]` per level, which says
+    both whether the edge is extremal and which edge is next (previous).
+    A change inside the tail carries to the next tail boundary at or past
+    m + 1: `edges` takes in the whole period, and the tail is the same
+    pattern, unrotated, one period further.  The edge at m moves to the
+    next (previous) edge into its target, and the levels below m become
+    the minimal (maximal) word into its source, read through
+    `min_edge_into` / `max_edge_into` (NotReduced on an unreduced base)."""
     if which == "succ":
-        new_edge, pick = order.next_edge(path.edge(m)), order.min_edge_into
+        end, shift, pick = -1, 1, order.min_edge_into
     else:
-        new_edge, pick = order.prev_edge(path.edge(m)), order.max_edge_into
-    head = _word_into(pick, new_edge[1], m, path.start)
-    return m, _rebuild(path, head + (new_edge,), m)
-
-
-def _rebuild(path, new_head, m):
-    """Reassemble a path that changed at level m (new_head covers levels
-    start..m), keeping everything beyond m.
-
-    The result is valid whenever `path` is, so it is built without the
-    public constructor's checks:
-    - new_head[-1] is order.next_edge / prev_edge of the old edge at level
-      m, so it is an edge at level m with the old edge's target, which is
-      where the kept part of `path` continues;
-    - new_head[:-1] is the minimal / maximal word into new_head[-1]'s
-      source, so it is a word over levels start..m-1 ending there;
-    - the carry and the tail cycle are edges of the old valid closed tail.
-      When m is inside the tail, the carry runs to the next tail boundary
-      at or past m + 1, so the new tail starts at a whole number of
-      periods past the old tail start (still in the periodic region) and
-      repeats the old pattern unrotated; only its stored levels shift."""
-    rest = path.prefix_edges[m + 1 - path.start:]
-    cycle = path.tail_cycle
-    if cycle is not None and m + 1 > path.tail_start:
+        end, shift, pick = 0, -1, order.max_edge_into
+    levels = order.level_orders
+    for m, a, b, i in itertools.chain(edges, cycle or ()):
+        into = levels(m)[b]
+        if into[end] != (a, i):
+            break
+    else:
+        return None, cycle
+    if m >= start + len(edges):
         L = len(cycle)
-        ts = m + 1 + (path.tail_start - m - 1) % L
-        rest = tuple(path.edge(k) for k in range(m + 1, ts))
-        cycle = tuple((ts + j,) + e[1:] for j, e in enumerate(cycle))
-    return LazyPath._derived(path.diagram, path.start, new_head + rest,
-                             cycle)
+        edges += cycle
+        cycle = tuple([(e[0] + L,) + e[1:] for e in cycle])
+    a, i = into[into.index((a, i)) + shift]
+    edges[m - start] = (m, a, b, i)
+    for k in range(m - 1, start - 1, -1):
+        e = edges[k - start] = pick(k, a)
+        a = e[1]
+    return m, cycle
+
+
+def _rebuild(diagram, start, edges, cycle):
+    """The path with explicit edges `edges` from level `start` and tail
+    `cycle`, as `_advance` left them after steps from a valid path.  It is
+    valid, so it is built without the public constructor's checks:
+    - the new edge at the change level m is the next / previous edge into
+      the old edge's target, which is where the kept levels past m go on;
+    - the levels below m are the minimal / maximal word into that edge's
+      source, so they form a word over levels start..m-1 ending there;
+    - a carry copies one whole period of the old valid closed tail into
+      the explicit edges, so the new tail starts a whole number of periods
+      past the old one (still in the periodic region) and repeats the old
+      pattern unrotated; only its stored levels shift."""
+    return LazyPath._derived(diagram, start, tuple(edges), cycle)
 
 
 def extremal_paths(diagram, kind=None):
@@ -680,29 +690,33 @@ def kac_partial_sum(embedding, base_measure, depth):
 def simulate_orbit(path, steps, depth=2):
     """Iterate the successor map and collect exact statistics: visit counts
     and frequencies of the depth-limited cylinders, and the histogram of
-    change levels.  ShapeMismatch when `steps` or `depth` is negative."""
+    change levels.  ShapeMismatch when `steps` or `depth` is negative.
+
+    The walk holds one edge list, which `_advance` edits in place, and
+    builds one path, `final`, at the end.  A step never changes the levels
+    past the explicit edges, so a visit word that reaches past them reads
+    those levels from `path`."""
     if steps < 0 or depth < 0:
         raise ShapeMismatch("orbits need steps >= 0 and depth >= 0, got "
                             "steps=%d, depth=%d" % (steps, depth))
+    diagram, start, cycle = path.diagram, path.start, path.tail_cycle
+    edges, width = list(path.prefix_edges), max(depth - start, 0)
     visits = {}
     change_levels = {}
-    cur = path
     performed = 0
-    for _ in range(steps):
-        word = cur.word(depth)
+    while True:
+        word = tuple(edges[:width]) if width <= len(edges) else \
+            tuple(edges) + path.word(depth)[len(edges):]
         visits[word] = visits.get(word, 0) + 1
-        m, nxt = _step(cur, "succ")
-        if nxt is None:
+        if performed == steps:
+            break
+        m, cycle = _advance(diagram.order, start, edges, cycle, "succ")
+        if m is None:
             break
         change_levels[m] = change_levels.get(m, 0) + 1
-        cur = nxt
         performed += 1
-    else:
-        # every step ran: record the path the last one reached
-        word = cur.word(depth)
-        visits[word] = visits.get(word, 0) + 1
     n = sum(visits.values())
     freqs = {w: Fraction(c, n) for w, c in visits.items()}
     return {"visits": visits, "frequencies": freqs,
             "change_levels": change_levels, "steps_performed": performed,
-            "final": cur}
+            "final": _rebuild(diagram, start, edges, cycle)}

@@ -1,5 +1,6 @@
 import collections
 import heapq
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from adic.gallery import _cf_scalars, _cf_term, _period_matrix
 from adic import matrixseq
 from adic.matrixseq import (GenMatrix, EventuallyPeriodic, partial_product,
                             reduce_sequence, is_primitive, wielandt_bound)
-from adic.vershik import (LazyPath, _first_special, _rebuild, _word_into,
-                          cyclic_return_time, min_word_into)
+from adic.vershik import (LazyPath, _word_into, cyclic_return_time,
+                          min_word_into)
 
 
 def labels(d):
@@ -138,30 +139,85 @@ def word_counts_reference(seq, n, start=0):
     return counts
 
 
+def first_special_reference(path, which):
+    """The step engine's scan before `vershik._advance`: the least level
+    whose edge is non-maximal ('succ') / non-minimal ('pred'), or None if
+    certified absent, scanning the prefix and then one full tail period
+    through `StableOrder.is_max` / `is_min`."""
+    order = path.diagram.order
+    test = order.is_max if which == "succ" else order.is_min
+    for e in itertools.chain(path.prefix_edges, path.tail_cycle or ()):
+        if not test(e):
+            return e[0]
+    return None
+
+
+def rebuild_reference(path, new_head, m):
+    """The step engine's reassembly before `vershik._advance`: the path
+    that changed at level m (new_head covers levels start..m), keeping
+    everything beyond m; a change inside the tail carries to the next tail
+    boundary at or past m + 1."""
+    rest = path.prefix_edges[m + 1 - path.start:]
+    cycle = path.tail_cycle
+    if cycle is not None and m + 1 > path.tail_start:
+        L = len(cycle)
+        ts = m + 1 + (path.tail_start - m - 1) % L
+        rest = tuple(path.edge(k) for k in range(m + 1, ts))
+        cycle = tuple((ts + j,) + e[1:] for j, e in enumerate(cycle))
+    return LazyPath._derived(path.diagram, path.start, new_head + rest,
+                             cycle)
+
+
 def successor_at_reference(path):
     """Oracle for vershik._step(path, "succ"): the successor engine before
     the step was shared, (m, successor) with m the level the successor
     changes at, or (None, None) when every edge is maximal."""
-    m = _first_special(path, "succ")
+    m = first_special_reference(path, "succ")
     if m is None:
         return None, None
     order = path.diagram.order
     new_edge = order.next_edge(path.edge(m))
     head = min_word_into(path.diagram, new_edge[1], m, path.start)
-    return m, _rebuild(path, head + (new_edge,), m)
+    return m, rebuild_reference(path, head + (new_edge,), m)
 
 
 def predecessor_reference(path):
     """Oracle for vershik._step(path, "pred"): the predecessor body before
     the step was shared, returning (m, predecessor) like
     `successor_at_reference`."""
-    m = _first_special(path, "pred")
+    m = first_special_reference(path, "pred")
     if m is None:
         return None, None
     order = path.diagram.order
     new_edge = order.prev_edge(path.edge(m))
     head = _word_into(order.max_edge_into, new_edge[1], m, path.start)
-    return m, _rebuild(path, head + (new_edge,), m)
+    return m, rebuild_reference(path, head + (new_edge,), m)
+
+
+def simulate_orbit_reference(path, steps, depth=2):
+    """Oracle for vershik.simulate_orbit: the walk before it kept one edge
+    list, one new path per step from `successor_at_reference`."""
+    visits = {}
+    change_levels = {}
+    cur = path
+    performed = 0
+    for _ in range(steps):
+        word = cur.word(depth)
+        visits[word] = visits.get(word, 0) + 1
+        m, nxt = successor_at_reference(cur)
+        if nxt is None:
+            break
+        change_levels[m] = change_levels.get(m, 0) + 1
+        cur = nxt
+        performed += 1
+    else:
+        word = cur.word(depth)
+        visits[word] = visits.get(word, 0) + 1
+    n = sum(visits.values())
+    freqs = {w: Fraction(c, n) for w, c in visits.items()}
+    return {"visits": visits, "frequencies": freqs,
+            "change_levels": change_levels, "steps_performed": performed,
+            "final": cur}
 
 
 def sub_reference(a, b):

@@ -297,6 +297,13 @@ def test_extremal_tail_vertex_is_checked(chacon_file, spec, message):
     assert (out, err, code) == ("", "error: %s\n" % message, 1)
 
 
+def test_cycle_tail_that_does_not_compose_is_a_one_line_error(chacon_file):
+    r = run_cli("successor", chacon_file, "--path", "1>1.0|cycle:0>0.0")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "error: prefix does not compose with the tail"]
+
+
 @pytest.mark.parametrize("token", ["1>1", "1>1.x", "11.0", ""])
 @pytest.mark.parametrize("command", ["successor", "measure"])
 def test_bad_edge_token_is_a_one_line_error(chacon_file, command, token):

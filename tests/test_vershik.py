@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adic.errors import (
     AdicError, HorizonExceeded, MalformedWord, NotInBase, NotReduced,
@@ -42,12 +43,14 @@ import adic.vershik as vershik
 
 from conftest import (
     extremal_paths_reference,
+    first_special_reference,
     kac_partial_sum_brute,
     predecessor_reference,
     random_ep_sequence,
     random_nested_pair,
     random_reduced_sequence,
     rank_reference,
+    simulate_orbit_reference,
     successor_at_reference,
     word_counts_reference,
 )
@@ -486,6 +489,40 @@ def test_start_vertex_needs_a_tail_rule(prefix, tail_cycle, start_vertex):
                  start_vertex=start_vertex)
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: (BratteliDiagram(Truncated(
+        [GenMatrix.from_lists(("0",), ("0",), [[2]])] * 3)),
+              [], [(0, "0", "0", 0)]),
+     UndeterminedTail, "periodic tails need an eventually periodic diagram"),
+    (lambda: (gallery.seven_matrix_example(), [], [(0, "0", "0", 0)]),
+     ShapeMismatch, "tail must start in the periodic region"),
+    # seven-matrix has prefix 5 and period 2: a one-edge tail from level 5
+    (lambda: (gallery.seven_matrix_example(),
+              [(k, "0", "0", 0) for k in range(5)], [(5, "0", "0", 0)]),
+     ShapeMismatch, "tail period must be a multiple of the diagram period"),
+    (lambda: (gallery.EXAMPLES["golden-mean"](), [(0, "0", "1", 0)],
+              [(1, "0", "0", 0)]),
+     MalformedWord, "prefix does not compose with the tail"),
+    (lambda: (gallery.EXAMPLES["golden-mean"](), [], [(0, "0", "1", 0)]),
+     MalformedWord, "tail cycle does not close"),
+])
+def test_constructor_rejects_a_bad_tail(make, error, message):
+    # paths the step engine derives skip these checks (`_rebuild`), so the
+    # public constructor is the one boundary that makes them
+    diagram, prefix, tail_cycle = make()
+    with pytest.raises(error) as info:
+        LazyPath(diagram, prefix, tail_cycle)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_order_that_is_not_a_permutation_is_rejected():
+    seq = gallery.EXAMPLES["golden-mean"]().seq
+    with pytest.raises(MalformedWord) as info:
+        StableOrder(seq, cycle_orders=[{"0": [("0", 0)]}])
+    assert str(info.value) == ("order for target '0' is not a permutation "
+                               "of its incoming edges")
+
+
 def test_paths_share_one_tuple_per_edge():
     d = chacon()
     word = enumerate_paths(d, 4)[5]
@@ -729,10 +766,9 @@ def test_simulate_chacon_frequencies_track_measure():
 
 
 def test_simulate_scans_once_per_step(monkeypatch):
-    """simulate_orbit takes the change level from the successor step: one
-    _first_special scan per attempted step, and the same change levels as a
+    """simulate_orbit takes the change level from the step engine: one
+    _advance scan per attempted step, and the same change levels as a
     separate scan of each visited path."""
-    import adic.vershik as vershik
     cases = [(LazyPath(chacon(), [], tail="min", start_vertex="1"), 200),
              (LazyPath(dyadic(), [], tail="min", start_vertex="0"), 50),
              (LazyPath(chacon(), [], tail_cycle=[(0, "1", "1", 2)]), 10)]
@@ -743,18 +779,18 @@ def test_simulate_scans_once_per_step(monkeypatch):
             nxt = successor(p)
             if nxt is None:
                 break
-            m = vershik._first_special(p, "succ")
+            m = first_special_reference(p, "succ")
             levels[m] = levels.get(m, 0) + 1
             p = nxt
         want.append(levels)
     calls = []
-    original = vershik._first_special
+    original = vershik._advance
 
-    def counting(path, which):
+    def counting(order, start, edges, cycle, which):
         calls.append(which)
-        return original(path, which)
+        return original(order, start, edges, cycle, which)
 
-    monkeypatch.setattr(vershik, "_first_special", counting)
+    monkeypatch.setattr(vershik, "_advance", counting)
     for (p, steps), levels in zip(cases, want):
         calls.clear()
         out = simulate_orbit(p, steps, depth=2)
@@ -832,6 +868,17 @@ def _start_paths(rng, d):
     return paths
 
 
+def _ordered_diagrams(rng):
+    """The gallery diagrams, then 24 seeded random reduced diagrams with
+    shuffled orders."""
+    diagrams = [d for d in (f() for f in gallery.EXAMPLES.values())
+                if isinstance(d, BratteliDiagram)]
+    for _ in range(24):
+        diagrams.append(_shuffled_diagram(
+            rng, random_reduced_sequence(rng, max_dim=3)))
+    return diagrams
+
+
 def _levels(*paths):
     """A level past which every path is periodic for two periods."""
     tails = [len(p.tail_cycle) for p in paths if p.tail_cycle]
@@ -856,7 +903,7 @@ def _check_step(p, s):
     """s = successor(p): the rank rises by 1 inside an endpoint class, and
     predecessor undoes the step."""
     d = p.diagram
-    m = vershik._first_special(p, "succ")
+    m = first_special_reference(p, "succ")
     for n in {m + 1, max(m + 1, _levels(p, s))}:
         pw, sw = p.word(n), s.word(n)
         assert sw[-1][2] == pw[-1][2]
@@ -871,26 +918,41 @@ def test_derived_paths_pass_the_public_checks(monkeypatch):
     constructor unchanged and agrees with its source beyond the change
     level; each successor step raises the rank by 1 in its endpoint class
     and predecessor undoes it.  Gallery diagrams plus seeded random ones
-    with shuffled orders; paths with and without a periodic tail."""
+    with shuffled orders; paths with and without a periodic tail.  There
+    is one rebuild per successor or predecessor step and one per walk."""
     rebuilt = []
-    original = vershik._rebuild
+    stepped = []  # (source, change level, path) per successor / predecessor
+    moved = []  # (source, highest change level, final) per walk that moved
+    in_tail = carried = 0
+    original_rebuild = vershik._rebuild
+    original_step, original_advance = vershik._step, vershik._advance
 
-    def recording(path, new_head, m):
-        out = original(path, new_head, m)
-        rebuilt.append((path, m, out))
+    def recording(diagram, start, edges, cycle):
+        out = original_rebuild(diagram, start, edges, cycle)
+        rebuilt.append(out)
         return out
 
+    def stepping(path, which):
+        m, out = original_step(path, which)
+        if out is not None:
+            stepped.append((path, m, out))
+        return m, out
+
+    def advancing(order, start, edges, cycle, which):
+        nonlocal in_tail, carried
+        tail_start = start + len(edges)
+        m, cycle = original_advance(order, start, edges, cycle, which)
+        if m is not None and m >= tail_start:
+            in_tail += 1
+            carried += len(edges) > m + 1
+        return m, cycle
+
     monkeypatch.setattr(vershik, "_rebuild", recording)
+    monkeypatch.setattr(vershik, "_step", stepping)
+    monkeypatch.setattr(vershik, "_advance", advancing)
     rng = random.Random(4242)
-    diagrams = [d for d in (f() for f in gallery.EXAMPLES.values())
-                if isinstance(d, BratteliDiagram)]
-    for _ in range(24):
-        seq = random_reduced_sequence(rng, max_dim=3)
-        diagrams.append(BratteliDiagram(seq, StableOrder(
-            seq, _shuffled_orders(rng, seq.prefix),
-            _shuffled_orders(rng, seq.cycle))))
-    steps, walk = 0, 60
-    for d in diagrams:
+    steps, walks, walk = 0, 0, 60
+    for d in _ordered_diagrams(rng):
         for p in _start_paths(rng, d):
             cur = p
             for _ in range(walk):
@@ -903,18 +965,21 @@ def test_derived_paths_pass_the_public_checks(monkeypatch):
             if back is not None:
                 n = _levels(p, back)
                 assert successor(back).word(n) == p.word(n)
+            before = len(rebuilt)
             out = simulate_orbit(p, walk, depth=1)
+            walks += 1
             final = out["final"]
+            assert rebuilt[before:] == [final]
             assert (final.prefix_edges, final.tail_cycle) \
                 == (cur.prefix_edges, cur.tail_cycle)
-    in_tail = carried = 0
-    for src, m, got in rebuilt:
+            if out["change_levels"]:
+                moved.append((p, max(out["change_levels"]), final))
+    assert len(rebuilt) == len(stepped) + walks
+    for src, m, got in stepped + moved:
         _check_derived(src, m, got)
-        if src.tail_cycle is not None and m >= src.tail_start:
-            in_tail += 1
-            carried += len(got.prefix_edges) > m + 1
-    # the tail branch of _rebuild, with and without a carry, is exercised
-    assert steps >= 3000 and len(rebuilt) > 3 * steps
+    # the carry of _advance, ending on a tail boundary and past one, is
+    # exercised by the steps of every kind, walks included
+    assert steps >= 3000 and walks >= 100
     assert in_tail >= 400 and carried >= 100
 
 
@@ -933,16 +998,9 @@ def test_step_matches_the_parent_engines():
     a periodic tail, steps that change inside the tail and steps with a
     carry."""
     rng = random.Random(3131)
-    diagrams = [d for d in (f() for f in gallery.EXAMPLES.values())
-                if isinstance(d, BratteliDiagram)]
-    for _ in range(24):
-        seq = random_reduced_sequence(rng, max_dim=3)
-        diagrams.append(BratteliDiagram(seq, StableOrder(
-            seq, _shuffled_orders(rng, seq.prefix),
-            _shuffled_orders(rng, seq.cycle))))
     counts = {"succ": 0, "pred": 0}
     in_tail = carried = ends = 0
-    for d in diagrams:
+    for d in _ordered_diagrams(rng):
         for p in _start_paths(rng, d):
             for which, reference, walk in (
                     ("succ", successor_at_reference, 80),
@@ -962,3 +1020,79 @@ def test_step_matches_the_parent_engines():
                     cur = nxt
     assert counts["succ"] >= 3000 and counts["pred"] >= 1000
     assert in_tail >= 250 and carried >= 75 and ends >= 200
+
+
+def _walk_fields(out):
+    """A simulate_orbit result as plain fields."""
+    final = out["final"]
+    return (out["visits"], out["frequencies"], out["change_levels"],
+            out["steps_performed"], final.diagram, final.start,
+            final.prefix_edges, final.tail_cycle)
+
+
+def test_simulate_orbit_matches_the_parent_walk():
+    """simulate_orbit gives the statistics and the final path of the
+    parent walk (`simulate_orbit_reference` in conftest), field for field,
+    from the `_start_paths` of the gallery diagrams and of seeded random
+    diagrams with shuffled orders, and from the same paths cut to start
+    at a later level, for several step counts and depths: walks that carry
+    into the tail, walks that end at the maximal path, and visit words
+    that reach past the explicit edges."""
+    rng = random.Random(5353)
+    seen = dict.fromkeys(("carried", "ended", "late_start", "past_edges"), 0)
+    walks = 0
+    for d in _ordered_diagrams(rng):
+        for p in _start_paths(rng, d):
+            paths = [p]
+            if len(p.prefix_edges) > 1:
+                s = rng.randrange(1, len(p.prefix_edges))
+                paths.append(LazyPath(d, p.prefix_edges[s:], p.tail_cycle,
+                                      start=s))
+            for q in paths:
+                top = q.tail_start
+                if q.tail_cycle is not None:
+                    top += len(q.tail_cycle) + 2
+                for steps in (0, 1, 7, 60):
+                    depth = rng.randint(0, top)
+                    want = simulate_orbit_reference(q, steps, depth)
+                    assert _walk_fields(simulate_orbit(q, steps, depth)) \
+                        == _walk_fields(want)
+                    final = want["final"]
+                    walks += 1
+                    seen["carried"] += final.tail_start > q.tail_start
+                    seen["ended"] += want["steps_performed"] < steps
+                    seen["late_start"] += q.start > 0 and steps > 0
+                    seen["past_edges"] += depth > final.tail_start
+    assert walks >= 1000
+    assert seen["carried"] >= 150 and seen["ended"] >= 300
+    assert seen["late_start"] >= 300 and seen["past_edges"] >= 300
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 12))
+def test_step_properties_on_random_ordered_diagrams(seed, n):
+    """On a small random reduced diagram with a shuffled order, from one of
+    its `_start_paths` (both drawn from `seed`): predecessor undoes
+    successor on the changed levels, the successor's rank is one more in
+    the same endpoint class, and an n-step walk ends where n successor
+    calls do."""
+    rng = random.Random(seed)
+    d = _shuffled_diagram(rng, random_reduced_sequence(
+        rng, max_dim=3, max_period=2))
+    p = rng.choice(_start_paths(rng, d))
+    s = successor(p)
+    if s is not None:
+        n_changed = first_special_reference(p, "succ") + 1
+        pw, sw = p.word(n_changed), s.word(n_changed)
+        assert predecessor(s).word(n_changed) == pw
+        assert sw[-1][2] == pw[-1][2]
+        assert anti_lex_rank(d, sw) == anti_lex_rank(d, pw) + 1
+    cur = p
+    for _ in range(n):
+        nxt = successor(cur)
+        if nxt is None:
+            break
+        cur = nxt
+    final = simulate_orbit(p, n, depth=0)["final"]
+    assert (final.start, final.prefix_edges, final.tail_cycle) \
+        == (cur.start, cur.prefix_edges, cur.tail_cycle)
