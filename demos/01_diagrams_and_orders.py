@@ -21,7 +21,7 @@ def main():
     # the dyadic adding machine: one symbol, two parallel edges per level
     dyadic = BratteliDiagram(constant([[2]], ["0"]))
     print("dyadic words to level 3:", count_words(dyadic.seq, 0, 2))
-    for w in enumerate_paths(dyadic, 2):
+    for w in enumerate_paths(dyadic.seq, 2):
         print("  ", w)
 
     # an eventually periodic sequence: one prefix matrix, then a 2-cycle

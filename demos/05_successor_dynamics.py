@@ -8,8 +8,8 @@ numerically alongside the exact verdict.
 """
 
 from adic import (
-    LazyPath,
     successor,
+    extremal_path,
     extremal_paths,
     simulate_orbit,
     kac_partial_sum,
@@ -23,18 +23,19 @@ from adic.gallery import chacon, ics, odometer
 def main():
     # counting in binary: the dyadic machine from its minimal path
     d = odometer(2)
-    p = LazyPath(d, [], tail="min", start_vertex="0")
+    p = extremal_path(d, [], "min", "0")
     for n in range(5):
         print("n=%d -> indices %s" % (n, [e[3] for e in p.word(3)]))
         p = successor(p)
 
     # extremal paths of the Chacon diagram: two minimal, two maximal
-    mins, maxs = extremal_paths(chacon())
+    c = chacon()
+    mins, maxs = extremal_paths(c, "min"), extremal_paths(c, "max")
     print("minimal tails:", [q.tail_cycle for q in mins])
     print("maximal tails:", [q.tail_cycle for q in maxs])
 
     # orbit statistics track the distinguished measure
-    start = LazyPath(chacon(), [], tail="min", start_vertex="1")
+    start = extremal_path(chacon(), [], "min", "1")
     stats = simulate_orbit(start, 500, depth=1)
     print("depth-1 frequencies after 500 steps:")
     for w, f in sorted(stats["frequencies"].items()):

@@ -51,6 +51,7 @@ from .vershik import (
     LazyPath,
     successor,
     predecessor,
+    extremal_path,
     extremal_paths,
     SubdiagramEmbedding,
     anti_lex_rank,
@@ -101,6 +102,7 @@ __all__ = [
     "LazyPath",
     "successor",
     "predecessor",
+    "extremal_path",
     "extremal_paths",
     "SubdiagramEmbedding",
     "anti_lex_rank",

@@ -107,8 +107,6 @@ def parse_path(diagram, spec):
     an empty prefix, else the prefix's end), or "|cycle:tok,tok,..." for an
     explicit periodic tail; with no tail the path is the finite word."""
     spec = spec.strip()
-    tail = None
-    start_vertex = None
     if "|" in spec:
         head, tailspec = spec.split("|", 1)
     else:
@@ -124,13 +122,12 @@ def parse_path(diagram, spec):
             for j, tok in enumerate(tailspec[len("cycle:"):].split(",")):
                 cyc.append(_edge_token(tok.strip(), len(edges) + j))
             return vershik.LazyPath(diagram, edges, cyc)
-        rule = tailspec
+        rule, vertex = tailspec, None
         if "@" in tailspec:
-            rule, start_vertex = tailspec.split("@", 1)
+            rule, vertex = tailspec.split("@", 1)
         if rule not in ("min", "max"):
             raise AdicError("unknown tail rule %r" % rule)
-        return vershik.LazyPath(diagram, edges, tail=rule,
-                                start_vertex=start_vertex)
+        return vershik.extremal_path(diagram, edges, rule, vertex)
     return vershik.LazyPath(diagram, edges)
 
 

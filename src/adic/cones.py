@@ -588,7 +588,8 @@ def stream_base_ray(decomp, stream):
 def _ray(decomp, stream, lam, labels, q, rows_at=None):
     """The eigenvector sequence through the kernel of (q - lam I) on
     `labels`, or None unless that kernel is one nonnegative direction.
-    The kernel vector is w_P, scaled to sum 1; levels P+L-1 down to 0 are
+    The kernel vector (`solve_kernel`'s, 1 at its free coordinate, so
+    nonnegative as given if at all) is w_P, scaled to sum 1; levels P+L-1 down to 0 are
     filled by w_k = M_k w_{k+1} from w_{P+L} = w_P / lam, and level P must
     come back as w_P.  With `rows_at`, each w_k is restricted to the
     symbols rows_at(k), so each product only sees restricted vectors.  The
@@ -599,8 +600,6 @@ def _ray(decomp, stream, lam, labels, q, rows_at=None):
     if len(basis) != 1:
         return None
     vec = basis[0]
-    if all(v <= 0 for v in vec.values()):
-        vec = {a: -v for a, v in vec.items()}
     if any(v < 0 for v in vec.values()):
         return None
     total = sum(vec.values())

@@ -30,24 +30,22 @@ def edges_from_matrix(level, m):
 
 class StableOrder:
     """Per-level, per-target edge orders for an eventually periodic (or
-    truncated) diagram.  Orders are stored level-free as (source, index)
-    pairs, one level order per stored matrix of the sequence, and read
-    through `seq.index(k)`; for eventually periodic diagrams the cycle part
+    truncated) diagram.  `orders` holds one level order per matrix of
+    `seq.stored`, each {target: [(source, index), ...]} or None for the
+    default order; None gives the default order at every level.  Orders
+    are stored level-free as (source, index) pairs and read through
+    `seq.index(k)`; for eventually periodic diagrams the cycle part
     repeats.
     """
 
-    def __init__(self, seq, prefix_orders=None, cycle_orders=None,
-                 term_orders=None):
+    def __init__(self, seq, orders=None):
         self.seq = seq
-        given = {"prefix": prefix_orders, "cycle": cycle_orders,
-                 "terms": term_orders}
-        orders = []
-        for part, n in seq._parts:
-            levels = given[part] or [None] * n
-            if len(levels) != n:
-                raise ShapeMismatch("%d %s orders for %d levels"
-                                    % (len(levels), part, n))
-            orders += levels
+        n = len(seq.stored)
+        if orders is None:
+            orders = [None] * n
+        elif len(orders) != n:
+            raise ShapeMismatch("%d level orders for %d stored matrices"
+                                % (len(orders), n))
         self._orders = [self._fill(m, o) for m, o in zip(seq.stored, orders)]
 
     @staticmethod
@@ -164,7 +162,7 @@ class BratteliDiagram:
             raise ShapeMismatch("'order' must be a JSON object")
 
         def conv(key, n):
-            """The level orders under `key`: none, or exactly n of them."""
+            """The level orders under `key`: n of them, defaults if none."""
             levels = order_obj.get(key, [])
             if not isinstance(levels, list) or len(levels) not in (0, n) \
                     or not all(_is_level_order(lo) for lo in levels):
@@ -172,10 +170,9 @@ class BratteliDiagram:
                     "order %r must be a list of %d level orders mapping "
                     "symbols to [source, index] pairs" % (key, n))
             return [{b: [tuple(e) for e in pairs] for b, pairs in lo.items()}
-                    for lo in levels] or None
-        given = {part: conv(part, n) for part, n in seq._parts}
-        return cls(seq, StableOrder(seq, given.get("prefix"),
-                                    given.get("cycle"), given.get("terms")))
+                    for lo in levels] or [None] * n
+        return cls(seq, StableOrder(seq, [lo for part, n in seq._parts
+                                          for lo in conv(part, n)]))
 
 
 def _is_level_order(lo):
@@ -188,24 +185,21 @@ def _is_level_order(lo):
 
 def substitution_order(seq, substitutions):
     """Build a stable order on the cycle from substitution words; prefix
-    levels keep the default order (`StableOrder(prefix_orders=...)` sets
-    them).
+    levels keep the default order (`StableOrder(seq, orders)` sets every
+    level).
 
     `substitutions` maps each target symbol to the word of source symbols
-    read off in edge order, one dict per cycle phase (or a single dict used
-    for every phase).  A list of another length raises ValueError.  The
-    letter counts must reproduce the matrix columns, otherwise
+    read off in edge order; it is used at every cycle phase.  The letter
+    counts must reproduce the matrix columns, otherwise
     AbelianizationMismatch is raised.
     """
     if not seq.is_eventually_periodic:
         raise ShapeMismatch("substitution orders need an eventually periodic input")
-    if isinstance(substitutions, dict):
-        substitutions = [substitutions] * seq.period
 
-    def order_for(m, subs):
+    def order_for(m):
         out = {}
         for b in m.cols:
-            word = list(subs[b])
+            word = list(substitutions[b])
             counts = {}
             pairs = []
             for a in word:
@@ -220,9 +214,8 @@ def substitution_order(seq, substitutions):
             out[b] = pairs
         return out
 
-    cycle_orders = [order_for(m, subs)
-                    for m, subs in zip(seq.cycle, substitutions, strict=True)]
-    return StableOrder(seq, cycle_orders=cycle_orders)
+    return StableOrder(seq, [None] * seq.prefix_len
+                       + [order_for(m) for m in seq.cycle])
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +266,8 @@ def count_words(seq, k, n):
     return partial_product(seq, k, n).entry_sum()
 
 
-def enumerate_paths(diagram, depth):
-    """All allowed edge words covering levels 0..depth-1, sorted."""
-    seq = getattr(diagram, "seq", diagram)
+def enumerate_paths(seq, depth):
+    """All allowed edge words of `seq` covering levels 0..depth-1, sorted."""
     if depth <= 0:
         return [()]
     words = [(e,) for e in edges_from_matrix(0, seq.matrix(0))]
@@ -288,13 +280,12 @@ def enumerate_paths(diagram, depth):
     return sorted(words)
 
 
-def word_metric(seq_or_diagram, e, f):
+def word_metric(seq, e, f):
     """Ultrametric distance between two paths given by prefixes e, f.
 
     Distance 1 when the first edges differ; otherwise 1/(number of words
     through the last agreeing level).  Raises InsufficientPrefix when the
     given prefixes agree throughout their common length."""
-    seq = getattr(seq_or_diagram, "seq", seq_or_diagram)
     e, f = check_word(seq, e), check_word(seq, f)
     common = min(len(e), len(f))
     if common == 0:

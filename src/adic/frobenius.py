@@ -453,7 +453,7 @@ def _stream_order(seq):
         # i.e. r = ell(u) - (phase(u) + t*T) mod rho for some node and t.
         # The streams of one SCC are ordered by their symbols at phase 0.
         residues = {(ell[u] - u[0] - t * T) % rho
-                    for u in scc for t in range(max(1, rho))}
+                    for u in scc for t in range(rho)}
         for r in sorted(residues, key=lambda r: (sorted(
                 a for (ph, a) in scc if ph == 0 and ell[(ph, a)] == r), r)):
             streams.append(Stream(layout, len(streams) + 1, scc, ell, rho, r))

@@ -62,51 +62,19 @@ class LazyPath:
     level tail_start; the edge used at level k >= tail_start is the pattern
     at position (k - tail_start) % len(tail_cycle), shifted to level k.  The
     tail period must be a multiple of the diagram's period and start in the
-    periodic region, so the shifted edges exist.
-
-    tail="min" / tail="max" instead asks for a continuation all of whose
-    edges are minimal (resp. maximal) in the order; it is resolved at
-    construction into a concrete periodic tail (least vertex chosen at
-    branches).  An empty prefix then needs start_vertex, a symbol of level
-    `start`; after a prefix, start_vertex may only repeat the prefix's end.
-    start_vertex is read only with a tail rule; given without one, it
-    raises ShapeMismatch.
+    periodic region, so the shifted edges exist.  A path whose tail follows
+    only minimal (maximal) edges is built by `extremal_path`.
 
     This constructor is the validation boundary: it checks the edge words,
     the tail shape and how prefix and tail compose, and raises
     MalformedWord, ShapeMismatch or UndeterminedTail.  Paths derived by the
     successor map skip it (see `_rebuild`)."""
 
-    def __init__(self, diagram, prefix_edges, tail_cycle=None, start=0,
-                 tail=None, start_vertex=None):
-        if start_vertex is not None and tail not in ("min", "max"):
-            raise ShapeMismatch("start_vertex needs a tail rule, "
-                                "tail='min' or tail='max'")
+    def __init__(self, diagram, prefix_edges, tail_cycle=None, start=0):
         self.diagram = diagram
         self.start = start
         self.prefix_edges = _shared_word(diagram.seq, prefix_edges, start) \
             if prefix_edges else ()
-        if tail in ("min", "max"):
-            if tail_cycle is not None:
-                raise ShapeMismatch("give either a tail rule or an explicit "
-                                    "tail cycle, not both")
-            level = start + len(self.prefix_edges)
-            if self.prefix_edges:
-                v = self.prefix_edges[-1][2]
-                if start_vertex is not None and start_vertex != v:
-                    raise MalformedWord("start_vertex %r is not the prefix's "
-                                        "end %r" % (start_vertex, v))
-            elif start_vertex is not None:
-                v = start_vertex
-                if v not in diagram.seq.alphabet(level):
-                    raise MalformedWord("start_vertex %r is not a symbol of "
-                                        "level %d" % (v, level))
-            else:
-                raise MalformedWord("extremal tail from an empty prefix "
-                                    "needs start_vertex")
-            pad, cycle = _extremal_continuation(diagram, v, level, tail)
-            self.prefix_edges += _shared_word(diagram.seq, pad, level)
-            tail_cycle = cycle
         self.tail_cycle = tuple(tail_cycle) if tail_cycle else None
         if self.tail_cycle:
             seq = diagram.seq
@@ -183,6 +151,37 @@ def min_word_into(diagram, vertex, level, start=0):
     """The minimal edge word covering levels start..level-1 and ending at
     `vertex` (at `level`): built backward with minimal edges."""
     return _word_into(diagram.order.min_edge_into, vertex, level, start)
+
+
+def extremal_path(diagram, prefix_edges, kind, vertex=None):
+    """The path that follows the edge word `prefix_edges` from level 0 and
+    then only edges that are minimal (kind="min") / maximal (kind="max")
+    into their targets: `_extremal_continuation`'s lasso from the prefix's
+    end, a concrete periodic tail (least vertex chosen at branches).  An
+    empty prefix needs `vertex`, a symbol of level 0; after a prefix,
+    `vertex` may only repeat the prefix's end.  Raises ShapeMismatch for
+    another kind, MalformedWord, or UndeterminedTail on a diagram that is
+    not eventually periodic."""
+    if kind not in ("min", "max"):
+        raise ShapeMismatch("extremal tails take kind 'min' or 'max', got %r"
+                            % (kind,))
+    prefix = check_word(diagram.seq, prefix_edges)
+    level = len(prefix)
+    if prefix:
+        v = prefix[-1][2]
+        if vertex is not None and vertex != v:
+            raise MalformedWord("start_vertex %r is not the prefix's "
+                                "end %r" % (vertex, v))
+    elif vertex is not None:
+        v = vertex
+        if v not in diagram.seq.alphabet(level):
+            raise MalformedWord("start_vertex %r is not a symbol of "
+                                "level %d" % (v, level))
+    else:
+        raise MalformedWord("extremal tail from an empty prefix "
+                            "needs start_vertex")
+    pad, cycle = _extremal_continuation(diagram, v, level, kind)
+    return LazyPath(diagram, prefix + pad, cycle)
 
 
 def _extremal_continuation(diagram, vertex, level, kind):
@@ -316,21 +315,18 @@ def _rebuild(diagram, start, edges, cycle):
     return LazyPath._derived(diagram, start, tuple(edges), cycle)
 
 
-def extremal_paths(diagram, kind=None):
-    """The minimal and maximal path sets of an eventually periodic ordered
-    diagram, as (minimal, maximal) lists of LazyPaths.  With kind="min" or
-    "max", just the one list.  Each path is eventually periodic; the count
-    of either set is at most the smallest cycle alphabet size.
+def extremal_paths(diagram, kind):
+    """The minimal (kind="min") or maximal (kind="max") path set of an
+    eventually periodic ordered diagram, as a list of LazyPaths.  Each path
+    is eventually periodic; the count is at most the smallest cycle
+    alphabet size.
 
     The extremal edge into each vertex is unique, so a vertex v at level P
     (the prefix length) carries at most one path: the extremal word into
     v, then `_extremal_continuation`'s lasso from v, whose cycle starts at
-    v.  A vertex with no all-extremal continuation (MalformedWord) or, on
-    an unreduced diagram, no extremal word down to level 0 (NotReduced)
-    is skipped."""
-    if kind is None:
-        return (extremal_paths(diagram, "min"),
-                extremal_paths(diagram, "max"))
+    v (`extremal_path`).  A vertex with no all-extremal continuation
+    (MalformedWord) or, on an unreduced diagram, no extremal word down to
+    level 0 (NotReduced) is skipped."""
     seq = diagram.seq
     if not seq.is_eventually_periodic:
         raise UndeterminedTail("extremal paths need an eventually periodic "
@@ -341,8 +337,8 @@ def extremal_paths(diagram, kind=None):
     paths = []
     for v in seq.alphabet(P):
         try:
-            paths.append(LazyPath(diagram, _word_into(sel, v, P), tail=kind,
-                                  start_vertex=v))
+            paths.append(extremal_path(diagram, _word_into(sel, v, P), kind,
+                                       v))
         except (MalformedWord, NotReduced):
             continue
     paths.sort(key=lambda p: p.word(P + 1))
@@ -436,9 +432,7 @@ class SubdiagramEmbedding:
                            for b in base_seq.matrix(k).cols})
         mats = [base_seq.matrix(k) for k in range(P + L)]
         seq = EventuallyPeriodic(mats[:P], mats[P:]) if L else Truncated(mats)
-        # the order reads the parts that `seq` has: prefix and cycle, or terms
-        self.base = BratteliDiagram(seq, StableOrder(seq, orders[:P],
-                                                     orders[P:], orders))
+        self.base = BratteliDiagram(seq, StableOrder(seq, orders))
 
     def base_indices(self, k, a, b):
         """The ambient indices of the base's a -> b edges at level k."""

@@ -260,7 +260,7 @@ def kac_partial_sum_brute(embedding, base_measure, depth):
     """Oracle for vershik.kac_partial_sum: the same sum computed word by
     word.  Exponential in depth."""
     total = Fraction(0)
-    for w in enumerate_paths(embedding.ambient, depth):
+    for w in enumerate_paths(embedding.ambient.seq, depth):
         if all(embedding.is_base_edge(e) for e in w):
             # re-index the ambient edges as edges of the base diagram
             base_w = [(k, a, b, embedding.base_indices(k, a, b).index(i))

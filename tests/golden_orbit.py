@@ -29,8 +29,8 @@ from adic.matrixseq import constant, from_int_matrices
 from adic.measures import CentralMeasure, classify_measures
 from adic.verdict import _jsonable
 from adic.vershik import (LazyPath, SubdiagramEmbedding, anti_lex_rank,
-                          cyclic_return_time, kac_partial_sum, return_time,
-                          simulate_orbit, successor)
+                          cyclic_return_time, extremal_path, kac_partial_sum,
+                          return_time, simulate_orbit, successor)
 
 from conftest import random_nested_pair, random_reduced_sequence
 
@@ -125,7 +125,7 @@ def embedding_record(emb):
     times = []
     for start in (0, 1):
         for depth in range(1, 5):
-            for w in enumerate_paths(ambient, start + depth):
+            for w in enumerate_paths(ambient.seq, start + depth):
                 w = w[start:]
                 if all(emb.is_base_edge(e) for e in w):
                     times.append([w, _outcome(return_time, emb, w),
@@ -133,7 +133,7 @@ def embedding_record(emb):
     paths = []
     for kind in ("min", "max"):
         for v in ambient.seq.alphabet(0):
-            path = _outcome(LazyPath, ambient, (), None, 0, kind, v)
+            path = _outcome(extremal_path, ambient, (), kind, v)
             if isinstance(path, LazyPath):
                 paths.append([kind, v, path.word(6),
                               _outcome(return_time, emb, path)])

@@ -156,7 +156,7 @@ def test_criterion_08_vershik_oracle_equivalence():
         d = BratteliDiagram(seq)
         depth = 6
         classes = {}
-        for w in enumerate_paths(d, depth):
+        for w in enumerate_paths(seq, depth):
             classes.setdefault(w[-1][2], []).append(w)
         for words in classes.values():
             by_rank = sorted(words, key=lambda w: anti_lex_rank(d, w))
@@ -195,9 +195,8 @@ def test_criterion_09_measure_property_suite():
                     assert w.value(k).get(a, 0) == img.get(a, 0)
             # FC-invariance, spelled out on words at small depth
             mu = CentralMeasure(red, w)
-            d = BratteliDiagram(red)
             by_end = {}
-            for word in enumerate_paths(d, 3):
+            for word in enumerate_paths(red, 3):
                 by_end.setdefault(word[-1][2], set()).add(
                     mu.cylinder_mass(list(word)))
             for masses in by_end.values():
@@ -546,15 +545,17 @@ def test_core_class_members_have_callers():
 
 
 def test_optional_parameters_are_passed():
-    # every optional parameter of a public function or of a public method
-    # of a public class in src/adic is passed, by keyword or by position,
-    # in some call of that name in src/, tests/, demos/ or perfbench/ (calls
-    # inside the definition itself do not count); a call with *args or
-    # **kwargs passes every position or keyword.  Calls match by name
-    # only, and constructors are left out, since `cls(...)` calls hide
-    # their name
+    # every optional parameter of a public function, of a public method of
+    # a public class or of a public class's constructor in src/adic is
+    # passed, by keyword or by position, in some call of that name in src/,
+    # tests/, demos/ or perfbench/ (calls inside the definition itself do
+    # not count); a call with *args or **kwargs passes every position or
+    # keyword.  Calls match by name only.  A constructor's calls are
+    # `ClassName(...)` and the `cls(...)` calls in the class's own
+    # classmethods
     trees = _trees("tests", "demos", "perfbench")
     defs = []  # (name, definition, leading positions the caller omits)
+    calls = {}
     for path, tree in trees.items():
         if path.parent.name != "adic":
             continue
@@ -562,12 +563,21 @@ def test_optional_parameters_are_passed():
             if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
                 defs.append((d.name, d, 0))
             if isinstance(d, ast.ClassDef) and not d.name.startswith("_"):
+                methods = [f for f in d.body if isinstance(f, ast.FunctionDef)]
                 defs += [(f.name, f, 0 if any(
                     getattr(x, "id", None) == "staticmethod"
                     for x in f.decorator_list) else 1)
-                    for f in d.body if isinstance(f, ast.FunctionDef)
-                    and not f.name.startswith("_")]
-    calls = {}
+                    for f in methods if not f.name.startswith("_")]
+                defs += [(d.name, f, 1) for f in methods
+                         if f.name == "__init__"]
+                for f in methods:
+                    if any(getattr(x, "id", None) == "classmethod"
+                           for x in f.decorator_list):
+                        calls.setdefault(d.name, []).extend(
+                            node for node in ast.walk(f)
+                            if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None)
+                            == f.args.args[0].arg)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
@@ -575,6 +585,8 @@ def test_optional_parameters_are_passed():
                                getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
     assert ("substitution_order", 0) in {(n, s) for n, _, s in defs}
+    assert {"StableOrder", "LazyPath", "Verdict"} <= {
+        n for n, f, _ in defs if f.name == "__init__"}
     found = []
     for name, f, skip in defs:
         params = f.args.posonlyargs + f.args.args

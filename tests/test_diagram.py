@@ -123,9 +123,9 @@ def test_cylinder_counts():
 
 
 def test_enumerate_paths_sorted_and_complete():
-    d = BratteliDiagram(constant([[1, 1], [1, 0]], ["0", "1"]))
-    paths = enumerate_paths(d, 3)
-    assert len(paths) == count_words(d.seq, 0, 2)
+    seq = constant([[1, 1], [1, 0]], ["0", "1"])
+    paths = enumerate_paths(seq, 3)
+    assert len(paths) == count_words(seq, 0, 2)
     assert paths == sorted(paths)
     # one tuple per distinct edge, shared by every word through it
     edges = [e for w in paths for e in w]

@@ -100,7 +100,7 @@ def test_eventually_periodic_layout():
                 seq = _ep_with(rng, P, T)
                 pre = _shuffled_orders(rng, seq.prefix)
                 cyc = _shuffled_orders(rng, seq.cycle)
-                order = StableOrder(seq, pre, cyc)
+                order = StableOrder(seq, pre + cyc)
 
                 def old_matrix(k):
                     if k < P:
@@ -129,7 +129,7 @@ def test_truncated_layout():
             base = _ep_with(rng, rng.randrange(4), rng.randrange(1, 4))
             seq = Truncated([base.matrix(k) for k in range(h)])
             terms = _shuffled_orders(rng, seq.terms)
-            order = StableOrder(seq, term_orders=terms)
+            order = StableOrder(seq, terms)
 
             def error_at(k):
                 if k < 0:
@@ -158,10 +158,12 @@ def test_default_orders_round_trip():
 def test_order_list_of_the_wrong_length_is_rejected():
     rng = random.Random(631)
     seq = _ep_with(rng, 2, 2)
-    with pytest.raises(ShapeMismatch):
-        StableOrder(seq, _shuffled_orders(rng, seq.prefix[:1]))
-    with pytest.raises(ShapeMismatch):
-        StableOrder(seq, cycle_orders=_shuffled_orders(rng, seq.stored))
+    # one level order per stored matrix: 2 prefix and 2 cycle levels
+    for mats in (seq.prefix[:1], seq.stored + seq.stored[:1]):
+        with pytest.raises(ShapeMismatch) as info:
+            StableOrder(seq, _shuffled_orders(rng, mats))
+        assert str(info.value) == ("%d level orders for 4 stored matrices"
+                                   % len(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +236,7 @@ def _index_map(rng, base, low):
 
 def _embedding(rng, amb, base, index_map):
     """The embedding of `base` in `amb` under shuffled ambient orders."""
-    order = StableOrder(amb, _shuffled_orders(rng, amb.prefix),
-                        _shuffled_orders(rng, amb.cycle))
+    order = StableOrder(amb, _shuffled_orders(rng, amb.stored))
     return SubdiagramEmbedding(BratteliDiagram(amb, order), base, index_map)
 
 
@@ -370,7 +371,7 @@ def test_return_times_count_ambient_steps():
         order = emb.ambient.order
         for depth in (1, 2, 3, 4):
             classes = {}
-            for w in enumerate_paths(emb.ambient, depth):
+            for w in enumerate_paths(emb.ambient.seq, depth):
                 classes.setdefault(w[-1][2], []).append(w)
             for words in classes.values():
                 words.sort(key=lambda w: [order.incoming(e[0], e[2]).index(e)
@@ -424,7 +425,7 @@ def test_return_times_above_level_zero_count_successor_steps():
                 end = start + depth
                 classes = {}
                 for w in {w[start:]
-                          for w in enumerate_paths(emb.ambient, end)}:
+                          for w in enumerate_paths(emb.ambient.seq, end)}:
                     classes.setdefault(w[-1][2], []).append(w)
                 for words in classes.values():
                     words.sort(key=lambda w: [
@@ -456,8 +457,7 @@ def test_unreduced_base_raises_not_reduced():
     with pytest.raises(NotReduced, match="vertex '1' at level 1"):
         cyclic_return_time(emb, ((0, "1", "0", 0), (1, "0", "0", 0)))
     # with the edge 1 -> 0 first into 0, the Kac sum's walk takes it
-    order = StableOrder(amb, cycle_orders=[{"0": [("1", 0), ("0", 0),
-                                                  ("0", 1)]}])
+    order = StableOrder(amb, [{"0": [("1", 0), ("0", 0), ("0", 1)]}])
     emb = SubdiagramEmbedding(BratteliDiagram(amb, order), base)
     with pytest.raises(NotReduced, match="vertex '1' at level 1"):
         kac_partial_sum(emb, None, 2)

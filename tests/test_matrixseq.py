@@ -148,6 +148,33 @@ def test_gather_blocks_validation():
         gather(seq, times=[1, 2])
 
 
+_ONE = GenMatrix.from_lists(("0",), ("0",), [[1]])
+
+
+@pytest.mark.parametrize("seq, kwargs, error, message", [
+    (constant([[2]], ["0"]), {"times": [0]},
+     ShapeMismatch, "need at least two times"),
+    (Truncated([_ONE] * 3), {"times": [0, 2, 4]},
+     HorizonExceeded, "times reach 4 beyond horizon 3"),
+    (Truncated([_ONE] * 3), {"blocks": ([], [1])},
+     ShapeMismatch, "block gathering needs an eventually periodic input"),
+    (constant([[2]], ["0"]), {"blocks": ([1, 0], [1])},
+     ShapeMismatch, "block lengths must be positive"),
+    (constant([[2]], ["0"]), {"blocks": ([1], [])},
+     ShapeMismatch, "need at least one cycle block"),
+    # a prefix of two levels, covered by one block of length 1
+    (EventuallyPeriodic([_ONE] * 2, [_ONE]), {"blocks": ([1], [1])},
+     ShapeMismatch, "prefix blocks must cover the input prefix"),
+    # a period of 2, cut into three levels
+    (EventuallyPeriodic([], [_ONE] * 2), {"blocks": ([], [3])},
+     ShapeMismatch, "cycle blocks must sum to a multiple of the period"),
+])
+def test_gather_rejects_bad_arguments(seq, kwargs, error, message):
+    with pytest.raises(error) as info:
+        gather(seq, **kwargs)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_reduce_drops_dead_symbol():
     # symbol "1" has no outgoing edges on the cycle
     seq = constant([[2, 1], [0, 0]], ["0", "1"])

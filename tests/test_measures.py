@@ -10,7 +10,8 @@ import pytest
 import sympy
 
 from adic import cones, frobenius, gallery, measures
-from adic.errors import MalformedWord, NoFiniteBaseMeasure, NotNested
+from adic.errors import (MalformedWord, NoFiniteBaseMeasure, NotEigenvector,
+                         NotNested)
 from adic.matrixseq import (GenMatrix, EventuallyPeriodic, constant,
                             from_int_matrices, reduce_sequence, Truncated,
                             _compare_horizon)
@@ -24,7 +25,7 @@ from adic.measures import (
     classify_subdiagram,
     parry_measure_stationary,
 )
-from adic.diagram import BratteliDiagram, enumerate_paths
+from adic.diagram import enumerate_paths
 from adic.gallery import nested_odometer, nested_rotation
 
 from conftest import (cover_matrix_reference, frobenius_victory_counts, labels,
@@ -280,6 +281,24 @@ def test_is_distinguished_finite_difference_is_yes():
                              labels=[("0",), ("0",), ("0",)])
     v = is_distinguished(_finite_ray(m), m, mhat)
     assert v.is_yes()
+
+
+def test_is_distinguished_rejects_a_sequence_that_is_not_an_eigenvector():
+    # on the dyadic odometer w_i = 2 w_{i+1}; the check runs before any
+    # cover is built, for either ray type
+    m = constant([[2]], ["0"])
+    one, two, three = Fraction(1), Fraction(2), Fraction(3)
+    good = ExactEigvec(m, 1, 1, 2, [{"0": one}], [{"0": two}], 0)
+    assert is_distinguished(good, m, m).is_yes()
+    bad = [
+        cones.EigvecSeqApprox([{"0": one}, {"0": one}], 0, "test"),
+        cones.EigvecSeqApprox([{"0": one}], 0, "test"),
+        ExactEigvec(m, 1, 1, 2, [{"0": one}], [{"0": three}], 0),
+    ]
+    for w in bad:
+        with pytest.raises(NotEigenvector) as info:
+            is_distinguished(w, m, m)
+        assert str(info.value) == "relations w_i = M_i w_{i+1} fail"
 
 
 def test_is_distinguished_agrees_with_classify_subdiagram():
@@ -906,10 +925,9 @@ def test_classify_measures_builds_every_ray():
 
 
 def _measure_additive(seq, measure, depth):
-    d = BratteliDiagram(seq)
     for upto in range(1, depth):
         masses = {}
-        for w in enumerate_paths(d, upto):
+        for w in enumerate_paths(seq, upto):
             masses.setdefault(tuple(w[:-1]), Fraction(0))
             masses[tuple(w[:-1])] += measure.cylinder_mass(list(w))
         for prefix, total in masses.items():
@@ -917,10 +935,9 @@ def _measure_additive(seq, measure, depth):
 
 
 def _measure_fc_invariant(seq, measure, depth):
-    d = BratteliDiagram(seq)
     for upto in range(1, depth):
         by_end = {}
-        for w in enumerate_paths(d, upto):
+        for w in enumerate_paths(seq, upto):
             by_end.setdefault(w[-1][2], set()).add(
                 measure.cylinder_mass(list(w)))
         for vals in by_end.values():

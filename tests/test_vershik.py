@@ -28,6 +28,7 @@ from adic.vershik import (
     min_word_into,
     successor,
     predecessor,
+    extremal_path,
     extremal_paths,
     SubdiagramEmbedding,
     anti_lex_rank,
@@ -78,7 +79,7 @@ def test_rank_is_bijective_per_endpoint_class_random():
         d = BratteliDiagram(seq)
         for depth in (2, 4):
             classes = {}
-            for w in enumerate_paths(d, depth):
+            for w in enumerate_paths(seq, depth):
                 classes.setdefault(w[-1][2], []).append(
                     anti_lex_rank(d, w))
             for ranks in classes.values():
@@ -104,7 +105,7 @@ def test_anti_lex_rank_matches_product_formula():
         BratteliDiagram(random_reduced_sequence(rng, max_dim=3))
         for _ in range(8)]
     for d in diagrams:
-        words = list(itertools.islice(enumerate_paths(d, 5), 150))
+        words = list(itertools.islice(enumerate_paths(d.seq, 5), 150))
         for w in words:
             assert anti_lex_rank(d, w) == _rank_by_products(d, w)
             # the same word with its first two levels cut off
@@ -130,7 +131,7 @@ def test_anti_lex_rank_reads_list_edges_and_rejects_malformed_words():
     assert anti_lex_rank(d, [[0, "0", "0", 1], [1, "0", "0", 1]]) == \
         anti_lex_rank(d, [(0, "0", "0", 1), (1, "0", "0", 1)]) == 4
     c = chacon()
-    for w in itertools.islice(enumerate_paths(c, 4), 40):
+    for w in itertools.islice(enumerate_paths(c.seq, 4), 40):
         assert anti_lex_rank(c, [list(e) for e in w]) == anti_lex_rank(c, w)
     for word in MALFORMED_ODOMETER3_WORDS:
         with pytest.raises(MalformedWord):
@@ -254,7 +255,7 @@ def test_rank_table_on_a_truncated_diagram_stops_at_the_horizon():
         horizon = rng.randint(2, 5)
         t = Truncated([seq.matrix(k) for k in range(horizon)])
         d = BratteliDiagram(t, StableOrder(
-            t, term_orders=_shuffled_orders(rng, t.terms)))
+            t, _shuffled_orders(rng, t.terms)))
         beyond = BratteliDiagram(seq)
         depths = list(range(1, horizon + 3)) * 3
         rng.shuffle(depths)
@@ -354,7 +355,7 @@ def test_successor_matches_rank_plus_one_random():
         d = BratteliDiagram(seq)
         depth = 4
         classes = {}
-        for w in enumerate_paths(d, depth):
+        for w in enumerate_paths(seq, depth):
             classes.setdefault(w[-1][2], []).append(w)
         for words in classes.values():
             size = len(words)
@@ -375,7 +376,7 @@ def test_successor_matches_rank_plus_one_random():
 
 def test_dyadic_orbit_counts_in_binary():
     d = dyadic()
-    p = LazyPath(d, [], tail="min", start_vertex="0")
+    p = extremal_path(d, [], "min", "0")
     for n in range(8):
         bits = tuple((n >> k) & 1 for k in range(3))
         assert tuple(e[3] for e in p.word(3)) == bits
@@ -392,7 +393,7 @@ def test_successor_none_on_all_max():
 
 def test_extremal_paths_chacon():
     d = chacon()
-    mins, maxs = extremal_paths(d)
+    mins, maxs = extremal_paths(d, "min"), extremal_paths(d, "max")
     min_pats = sorted(p.tail_cycle[0][1:] for p in mins)
     max_pats = sorted(p.tail_cycle[0][1:] for p in maxs)
     assert min_pats == [("0", "0", 0), ("1", "1", 0)]
@@ -404,7 +405,7 @@ def test_extremal_paths_bounded_by_alphabet():
     for _ in range(15):
         seq = random_reduced_sequence(rng, max_dim=3)
         d = BratteliDiagram(seq)
-        mins, maxs = extremal_paths(d)
+        mins, maxs = extremal_paths(d, "min"), extremal_paths(d, "max")
         bound = seq.liminf_alphabet_size()
         assert 1 <= len(mins) <= bound
         assert 1 <= len(maxs) <= bound
@@ -471,22 +472,19 @@ def test_extremal_tail_after_a_long_prefix():
     two = GenMatrix.from_lists(("0",), ("0",), [[2]])
     d = BratteliDiagram(EventuallyPeriodic([one] * 3000, [two]))
     for kind, index in (("min", 0), ("max", 1)):
-        p = LazyPath(d, [], tail=kind, start_vertex="0")
+        p = extremal_path(d, [], kind, "0")
         assert p.tail_start == 3000
         assert p.tail_cycle == ((3000, "0", "0", index),)
 
 
-@pytest.mark.parametrize("prefix, tail_cycle, start_vertex", [
-    # an empty path from a vertex that is no symbol of level 0
-    ([], None, "9"),
-    # a path through vertex 1 that names vertex 0 as its start
-    ([(0, "1", "1", 0)], [(1, "1", "1", 0)], "0")])
-def test_start_vertex_needs_a_tail_rule(prefix, tail_cycle, start_vertex):
-    # start_vertex is read only with tail="min" or "max"; without a rule
-    # it used to be ignored, and the path was built as if it were absent
-    with pytest.raises(ShapeMismatch, match="start_vertex needs a tail rule"):
-        LazyPath(chacon(), prefix, tail_cycle=tail_cycle,
-                 start_vertex=start_vertex)
+def test_extremal_kind_is_min_or_max():
+    d = chacon()
+    message = "extremal tails take kind 'min' or 'max', got 'top'"
+    for make in (lambda: extremal_path(d, [], "top", "0"),
+                 lambda: extremal_paths(d, "top")):
+        with pytest.raises(ShapeMismatch) as info:
+            make()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -518,14 +516,14 @@ def test_constructor_rejects_a_bad_tail(make, error, message):
 def test_order_that_is_not_a_permutation_is_rejected():
     seq = gallery.EXAMPLES["golden-mean"]().seq
     with pytest.raises(MalformedWord) as info:
-        StableOrder(seq, cycle_orders=[{"0": [("0", 0)]}])
+        StableOrder(seq, [{"0": [("0", 0)]}])
     assert str(info.value) == ("order for target '0' is not a permutation "
                                "of its incoming edges")
 
 
 def test_paths_share_one_tuple_per_edge():
     d = chacon()
-    word = enumerate_paths(d, 4)[5]
+    word = enumerate_paths(d.seq, 4)[5]
     tail = [(4, "1", "1", 0)]
     p, q = (LazyPath(d, [list(e) for e in word], [list(e) for e in tail])
             for _ in range(2))
@@ -536,7 +534,7 @@ def test_paths_share_one_tuple_per_edge():
     one = GenMatrix.from_lists(("0",), ("0",), [[1]])
     two = GenMatrix.from_lists(("0",), ("0",), [[2]])
     d = BratteliDiagram(EventuallyPeriodic([one] * 3, [two]))
-    p, q = (LazyPath(d, [], tail="min", start_vertex="0") for _ in range(2))
+    p, q = (extremal_path(d, [], "min", "0") for _ in range(2))
     explicit = LazyPath(d, [list(e) for e in p.prefix_edges],
                         [list(e) for e in p.tail_cycle])
     assert len(p.prefix_edges) == 3
@@ -578,9 +576,8 @@ def _continuation_by_recursion(d, vertex, level, kind):
 
 def _shuffled_diagram(rng, seq):
     """seq as a diagram whose edges into each symbol are in random order."""
-    return BratteliDiagram(seq, StableOrder(seq,
-                                            _shuffled_orders(rng, seq.prefix),
-                                            _shuffled_orders(rng, seq.cycle)))
+    return BratteliDiagram(seq, StableOrder(
+        seq, _shuffled_orders(rng, seq.stored)))
 
 
 def _path_key(p):
@@ -680,7 +677,7 @@ def test_return_times_reject_malformed_edges():
 
 def test_cyclic_return_time_rejects_a_lazy_path():
     emb = ics("triadic")
-    path = LazyPath(emb.ambient, [(0, "0", "0", 0)], tail="max")
+    path = extremal_path(emb.ambient, [(0, "0", "0", 0)], "max")
     assert return_time(emb, path) == 2
     with pytest.raises(MalformedWord, match="edge word, not a LazyPath"):
         cyclic_return_time(emb, path)
@@ -732,7 +729,7 @@ def test_kac_sums_finite_pair_stabilize():
 
 def test_simulate_dyadic_uniform():
     d = dyadic()
-    p = LazyPath(d, [], tail="min", start_vertex="0")
+    p = extremal_path(d, [], "min", "0")
     out = simulate_orbit(p, 3, depth=2)
     assert out["steps_performed"] == 3
     assert len(out["visits"]) == 4
@@ -741,7 +738,7 @@ def test_simulate_dyadic_uniform():
 
 @pytest.mark.parametrize("steps, depth", [(-3, 2), (3, -2), (-1, -1)])
 def test_simulate_rejects_negative_steps_and_depth(steps, depth):
-    p = LazyPath(dyadic(), [], tail="min", start_vertex="0")
+    p = extremal_path(dyadic(), [], "min", "0")
     with pytest.raises(ShapeMismatch):
         simulate_orbit(p, steps, depth=depth)
 
@@ -756,7 +753,7 @@ def test_simulate_stops_at_top():
 
 def test_simulate_chacon_frequencies_track_measure():
     d = chacon()
-    p = LazyPath(d, [], tail="min", start_vertex="1")
+    p = extremal_path(d, [], "min", "1")
     out = simulate_orbit(p, 2000, depth=1)
     cls = classify_measures(d.seq)
     ray = [e.ray for e in cls.measures if not e.atomic][0]
@@ -769,8 +766,8 @@ def test_simulate_scans_once_per_step(monkeypatch):
     """simulate_orbit takes the change level from the step engine: one
     _advance scan per attempted step, and the same change levels as a
     separate scan of each visited path."""
-    cases = [(LazyPath(chacon(), [], tail="min", start_vertex="1"), 200),
-             (LazyPath(dyadic(), [], tail="min", start_vertex="0"), 50),
+    cases = [(extremal_path(chacon(), [], "min", "1"), 200),
+             (extremal_path(dyadic(), [], "min", "0"), 50),
              (LazyPath(chacon(), [], tail_cycle=[(0, "1", "1", 2)]), 10)]
     want = []
     for p, steps in cases:
@@ -862,7 +859,7 @@ def _start_paths(rng, d):
     paths.append(LazyPath(d, pad, tail_cycle=cycle))
     for kind in ("min", "max"):
         try:
-            paths.append(LazyPath(d, w, tail=kind))
+            paths.append(extremal_path(d, w, kind))
         except MalformedWord:
             pass  # no all-extremal continuation from here
     return paths
